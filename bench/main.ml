@@ -382,11 +382,11 @@ let e11_tests =
 (* ------------------------------------------------------------------ *)
 (* E13 — decision fast path: check latency vs coalition size.  The
    [Naive] mode is the seed's linear path (binding scan + companion
-   fold over every object in the coalition); [Indexed] resolves
-   bindings through Binding_index, companions through team rosters and
-   repeat decisions through the per-monitor verdict cache.  The naive
-   curve should grow linearly with the object count, the indexed one
-   should stay flat.                                                   *)
+   fold over every object in the coalition); [Lazy] resolves bindings
+   through Binding_index, companions through team rosters and
+   history-scope constraints through per-monitor derivative residuals.
+   The naive curve should grow linearly with the object count, the
+   lazy one should stay flat.                                          *)
 
 let e13_tests =
   let policy () =
@@ -437,7 +437,6 @@ let e13_tests =
   in
   let mode_name = function
     | Coordinated.System.Naive -> "naive"
-    | Coordinated.System.Indexed -> "indexed"
     | Coordinated.System.Lazy -> "lazy"
   in
   Test.make_grouped ~name:"E13-decision-fastpath"
@@ -449,11 +448,7 @@ let e13_tests =
                ~name:
                  (Printf.sprintf "%s,objects=%04d" (mode_name mode) objects)
                (Staged.stage (make ~mode ~objects)))
-           [
-             Coordinated.System.Naive;
-             Coordinated.System.Indexed;
-             Coordinated.System.Lazy;
-           ])
+           [ Coordinated.System.Naive; Coordinated.System.Lazy ])
        [ 16; 64; 256; 1024 ])
 
 (* ------------------------------------------------------------------ *)
@@ -541,8 +536,8 @@ let e16_tests =
 (* E14 — per-stage decision latency through the observability spine.
    The E13 workload (16 bindings, one relevant; coalition in teams of
    8) re-run with a real-clock trace bus and an [Obs.Stats] sink
-   subscribed: every check emits rbac/spatial/temporal stage spans and
-   cache probes, and the histograms answer {e where} a decision spends
+   subscribed: every check emits rbac/spatial/temporal stage spans,
+   and the histograms answer {e where} a decision spends
    its time — not just how long it takes end to end.  Not a Bechamel
    group: the spans themselves are the measurement.                    *)
 
@@ -594,7 +589,6 @@ let e14_report () =
   in
   let mode_name = function
     | Coordinated.System.Naive -> "naive"
-    | Coordinated.System.Indexed -> "indexed"
     | Coordinated.System.Lazy -> "lazy"
   in
   List.iter
@@ -606,7 +600,7 @@ let e14_report () =
             (mode_name mode) objects;
           Format.printf "%a@." Obs.Stats.pp stats)
         [ 16; 1024 ])
-    [ Coordinated.System.Naive; Coordinated.System.Indexed ]
+    [ Coordinated.System.Naive; Coordinated.System.Lazy ]
 
 (* ------------------------------------------------------------------ *)
 (* E15 — resilience under deterministic chaos.  The Figure-1 coalition
@@ -620,7 +614,6 @@ let e14_report () =
 let e15_report () =
   let mode_name = function
     | Coordinated.System.Naive -> "naive"
-    | Coordinated.System.Indexed -> "indexed"
     | Coordinated.System.Lazy -> "lazy"
   in
   Printf.printf
@@ -659,7 +652,7 @@ let e15_report () =
             (Q.to_string m.Naplet.Metrics.end_time)
             (wall_ns /. 1e6))
         Fault.Plan.intensity_names)
-    [ Coordinated.System.Naive; Coordinated.System.Indexed ]
+    [ Coordinated.System.Naive; Coordinated.System.Lazy ]
 
 (* ------------------------------------------------------------------ *)
 (* E17 — sharded parallel decision engine.  A workload of generated
@@ -1085,13 +1078,11 @@ let e21_report () =
    divergence exits 1; the latency rows below only count if the gate
    passes.
 
-   Then three latency rows, all three modes side by side:
+   Then three latency rows, both modes side by side:
    - warm hit: the E13 steady state — a Program-scope spatial
-     constraint whose verdict the indexed path caches; the lazy path
-     must keep up without carrying a verdict cache at all;
+     constraint, history-independent;
    - warm miss: a Performed-scope constraint granted on every check,
-     so every grant moves the history epoch and invalidates the
-     indexed verdict cache — the eager paths re-run trace
+     so every grant grows the history — the naive path re-runs trace
      satisfaction over the whole growing history, the lazy machine
      folds exactly one derivative step per recorded proof;
    - cold: the first decision on a fresh coalition — the eager paths
@@ -1174,7 +1165,7 @@ let e22_report () =
   let access = Sral.Access.read "db" ~at:"s1" in
   let program = Sral.Parser.program "read cfg @ s1; read db @ s1" in
   let hit_bindings =
-    (* Program-scope constraint: verdict cacheable, history-independent *)
+    (* Program-scope constraint: history-independent *)
     [
       Coordinated.Perm_binding.make
         ~spatial:
@@ -1183,8 +1174,8 @@ let e22_report () =
     ]
   in
   let miss_bindings =
-    (* Performed-scope and granted on every check: each grant moves the
-       history epoch, so the indexed verdict cache never survives *)
+    (* Performed-scope and granted on every check: each grant grows the
+       history the constraint is checked against *)
     [
       Coordinated.Perm_binding.make
         ~spatial:(Srac.Formula.at_least 1 (Srac.Selector.Resource "db"))
@@ -1207,70 +1198,48 @@ let e22_report () =
       Coordinated.System.check control ~session ~object_id:"o0" ~program
         ~time:(Q.of_int !t) access
   in
-  let modes =
-    [
-      ("naive", Coordinated.System.Naive);
-      ("indexed", Coordinated.System.Indexed);
-      ("lazy", Coordinated.System.Lazy);
-    ]
-  in
   let per_check ns = ns /. float_of_int checks in
   let row name per_mode =
-    let cells = List.map (fun (_, m) -> per_mode m) modes in
-    (match cells with
-    | [ naive; indexed; lzy ] ->
-        Printf.printf "  %-22s %9.0f ns %9.0f ns %9.0f ns %10.2fx\n%!" name
-          naive indexed lzy (indexed /. lzy)
-    | _ -> assert false);
-    cells
+    let naive = per_mode Coordinated.System.Naive in
+    let lzy = per_mode Coordinated.System.Lazy in
+    Printf.printf "  %-22s %9.0f ns %9.0f ns %10.2fx\n%!" name naive lzy
+      (naive /. lzy)
   in
-  Printf.printf "  %-22s %12s %12s %12s %10s   (%d checks/row)\n%!" ""
-    "naive" "indexed" "lazy" "idx/lazy" checks;
-  let hit =
-    row "warm hit" (fun mode ->
-        let check = fresh ~mode ~bindings:hit_bindings in
-        for _ = 1 to 64 do
-          ignore (check ())
-        done;
-        let _, ns =
-          time (fun () ->
-              for _ = 1 to checks do
-                ignore (check ())
-              done)
-        in
-        per_check ns)
-  in
-  let _miss =
-    row "warm miss (history)" (fun mode ->
-        let check = fresh ~mode ~bindings:miss_bindings in
-        ignore (check ());
-        let _, ns =
-          time (fun () ->
-              for _ = 1 to checks do
-                ignore (check ())
-              done)
-        in
-        per_check ns)
-  in
+  Printf.printf "  %-22s %12s %12s %10s   (%d checks/row)\n%!" "" "naive"
+    "lazy" "naive/lazy" checks;
+  row "warm hit" (fun mode ->
+    let check = fresh ~mode ~bindings:hit_bindings in
+    for _ = 1 to 64 do
+      ignore (check ())
+    done;
+    let _, ns =
+      time (fun () ->
+          for _ = 1 to checks do
+            ignore (check ())
+          done)
+    in
+    per_check ns);
+  row "warm miss (history)" (fun mode ->
+    let check = fresh ~mode ~bindings:miss_bindings in
+    ignore (check ());
+    let _, ns =
+      time (fun () ->
+          for _ = 1 to checks do
+            ignore (check ())
+          done)
+    in
+    per_check ns);
   let cold_rounds = min checks 400 in
-  let cold =
-    row "cold (first decision)" (fun mode ->
-        (* warm the allocator/caches shared across rounds *)
-        ignore (fresh ~mode ~bindings:hit_bindings ());
-        let _, ns =
-          time (fun () ->
-              for _ = 1 to cold_rounds do
-                ignore (fresh ~mode ~bindings:hit_bindings ())
-              done)
-        in
-        ns /. float_of_int cold_rounds)
-  in
-  (match (hit, cold) with
-  | [ _; idx_hit; lazy_hit ], [ _; idx_cold; lazy_cold ] ->
-      Printf.printf
-        "  hit: lazy/indexed = %.2f   cold: lazy/indexed = %.2f\n%!"
-        (lazy_hit /. idx_hit) (lazy_cold /. idx_cold)
-  | _ -> ());
+  row "cold (first decision)" (fun mode ->
+    (* warm the allocator/caches shared across rounds *)
+    ignore (fresh ~mode ~bindings:hit_bindings ());
+    let _, ns =
+      time (fun () ->
+          for _ = 1 to cold_rounds do
+            ignore (fresh ~mode ~bindings:hit_bindings ())
+          done)
+    in
+    ns /. float_of_int cold_rounds);
   (* 3. allocation gate: the direct steady-state path, no bus, no
      recording — two warm calls settle the residual arena, then the
      burst must stay out of the minor heap *)
@@ -1282,7 +1251,7 @@ let e22_report () =
   let t = Q.one in
   let decide () =
     Coordinated.Decision.decide_lazy ~session ~monitor ~applicable
-      ~team_version:0 ~team_history:0 ~program ~time:t access
+      ~team_version:0 ~program ~time:t access
   in
   ignore (decide ());
   ignore (decide ());

@@ -66,15 +66,16 @@ let q_conv =
 
 let mode_conv =
   Arg.enum
-    [
-      ("indexed", Coordinated.System.Indexed);
-      ("naive", Coordinated.System.Naive);
-      ("lazy", Coordinated.System.Lazy);
-    ]
+    [ ("lazy", Coordinated.System.Lazy); ("naive", Coordinated.System.Naive) ]
 
 let mode_arg =
-  let doc = "Decision mode: $(b,indexed), $(b,naive) or $(b,lazy)." in
-  Arg.(value & opt mode_conv Coordinated.System.Indexed & info [ "mode" ] ~docv:"MODE" ~doc)
+  let doc =
+    "Decision mode: $(b,lazy) (the fast path) or $(b,naive) (the oracle)."
+  in
+  Arg.(
+    value
+    & opt mode_conv Coordinated.System.Lazy
+    & info [ "mode" ] ~docv:"MODE" ~doc)
 
 let exit_status_man lines = `S Manpage.s_exit_status :: List.map (fun p -> `P p) lines
 
@@ -1114,7 +1115,7 @@ let serve_cmd =
         rc
     | Ok addr, Ok base ->
         let config =
-          { Service.Server.default_config with mode; queue_capacity = queue }
+          { Service.Server.default_config with queue_capacity = queue }
         in
         let server = Service.Server.create ~config ~base () in
         let listener = Service.Net_unix.listen addr in

@@ -15,10 +15,6 @@ let create () =
 
 let length t = t.len
 
-(* The store only grows, so the length doubles as a monotone version
-   stamp for decision caches. *)
-let version t = t.len
-
 let bucket_key ~operation ~resource ~server =
   operation ^ ":" ^ resource ^ "@" ^ server
 

@@ -1,4 +1,4 @@
-(** Indexed permission-binding store.
+(** Permission-binding store with a bucket index.
 
     Replaces {!System}'s flat binding list: append is amortized O(1)
     (the old list was rebuilt with [@] on every add), and
@@ -20,11 +20,6 @@ val add : t -> Perm_binding.t -> unit
 (** Append; amortized O(1). *)
 
 val length : t -> int
-
-val version : t -> int
-(** Monotone store stamp (the store is append-only, so the length
-    serves): equal versions ⟹ identical contents.  Used as the
-    [bindings] component of {!Monitor.decision_stamp}. *)
 
 val to_list : t -> Perm_binding.t list
 (** All bindings in insertion order. *)

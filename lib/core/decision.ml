@@ -139,9 +139,8 @@ let refresh_activation ?(companions = []) ~session ~monitor ~bindings
     ~program ~time () =
   List.iter (refresh_one ~session ~monitor ~companions ~program ~time) bindings
 
-(* The temporal tail of the decision, in binding order.  Shared by the
-   recomputing path and the cache-hit fast path: it reads the query
-   time, so it is recomputed on every decision either way. *)
+(* The temporal tail of the decision, in binding order.  It reads the
+   query time, so it is recomputed on every decision. *)
 let first_temporal_failure ~monitor ~time applicable =
   List.find_map
     (fun b ->
@@ -241,128 +240,22 @@ let batch ?obs ~bindings requests =
         ~monitor:r.monitor ~bindings ~program:r.program ~time:r.time r.access)
     requests
 
-(* Which cache-stamp components can affect the RBAC ∧ spatial prefix
-   for this applicable set?  Program-scope constraints never read
-   execution proofs; Performed/Both-scope ones do, and additionally
-   read companions' proofs when the proof scope is [Team]. *)
-let reads_history (b : Perm_binding.t) =
-  b.spatial <> None
-  &&
-  match b.spatial_scope with
-  | Perm_binding.Performed | Perm_binding.Both -> true
-  | Perm_binding.Program -> false
-
-let uses_history_of applicable = List.exists reads_history applicable
-
-let uses_team_of applicable =
-  List.exists
-    (fun (b : Perm_binding.t) ->
-      reads_history b && b.proof_scope = Perm_binding.Team)
-    applicable
-
-let stamp_matches (entry : Monitor.cached_decision) ~(now : Monitor.decision_stamp)
-    =
-  let s = entry.stamp in
-  s.location = now.location && s.activation = now.activation
-  && s.session = now.session && s.bindings = now.bindings
-  && ((not entry.uses_history) || s.history = now.history)
-  && ((not entry.uses_team)
-     || (s.team_version = now.team_version
-        && s.team_history = now.team_history))
-
-let decide_indexed ?obs ?(companions = []) ~session ~monitor ~applicable
-    ~bindings_version ~team_version ~team_history ~program ~time access =
-  let current_stamp () =
-    {
-      Monitor.location = Monitor.location_epoch monitor;
-      activation = Monitor.activation_epoch monitor;
-      history = Monitor.history_epoch monitor;
-      session = Rbac.Session.version session;
-      bindings = bindings_version;
-      team_version;
-      team_history;
-    }
-  in
-  let key = Sral.Access.to_string access in
-  let cached =
-    match Monitor.find_decision monitor ~key with
-    | Some entry
-      when stamp_matches entry ~now:(current_stamp ())
-           && Sral.Access.equal entry.access access
-           && Sral.Ast.equal entry.program program ->
-        Some entry
-    | _ -> None
-  in
-  (match obs with
-  | Some bus ->
-      Obs.Bus.emit bus
-        (Obs.Trace.Cache_probe
-           {
-             time;
-             object_id = Monitor.object_id monitor;
-             hit = cached <> None;
-           })
-  | None -> ());
-  match cached with
-  | Some entry -> (
-      (* replicate the naive path's clock movement: refresh_one advances
-         the monitor clock once per applicable binding (and raises on
-         backwards time), so the fast path must advance too *)
-      if applicable <> [] then Monitor.advance monitor time;
-      match entry.pre_temporal with
-      | Error reason -> Denied reason
-      | Ok () -> (
-          match
-            span ~obs ~monitor ~time Obs.Trace.Temporal Option.is_none
-              (fun () -> first_temporal_failure ~monitor ~time applicable)
-          with
-          | Some reason -> Denied reason
-          | None -> Granted))
-  | None ->
-      let verdict =
-        decide_applicable ?obs ~companions ~session ~monitor ~applicable
-          ~program ~time access
-      in
-      let pre_temporal =
-        match verdict with
-        | Granted -> Ok ()
-        | Denied ((Rbac_denied _ | Spatial_violation _) as r) -> Error r
-        (* Server_unavailable is minted by the Naplet security manager
-           before the core procedure runs, so it cannot reach this
-           recomputation; listed for exhaustiveness as transient *)
-        | Denied (Temporal_expired _ | Not_active _ | Not_arrived
-                 | Server_unavailable _) ->
-            Ok ()
-      in
-      (* stamp *after* the recomputation: refresh_one may itself bump
-         the activation epoch, and the cached entry must be valid
-         against the post-decision state *)
-      Monitor.store_decision monitor ~key
-        {
-          Monitor.stamp = current_stamp ();
-          access;
-          program;
-          uses_history = uses_history_of applicable;
-          uses_team = uses_team_of applicable;
-          pre_temporal;
-        };
-      verdict
-
 (* ------------------------------------------------------------------ *)
 (* Lazy-derivative decision path.
 
    [decide_lazy] mirrors [decide_naive]'s observable behavior —
-   verdicts, denial strings, Obs trace spans, monitor clock and epoch
-   movement — while replacing the per-decision spatial recomputation
-   with incremental Brzozowski-derivative residuals ({!Srac.Lazy_dfa})
-   and version-stamped RBAC caches, so a warm decision allocates
-   nothing.  Per binding, the monitor keeps a {!Residual.slot} holding
-   the binding's lazy machine and a cursor into the object's performed
-   history; each decision folds only the not-yet-seen proof entries
-   into the residual state, then answers grant (residual nullability
-   after the access) and activation (residual feasibility) from
-   memoized per-state bits.  Denial details fall back to the eager
-   oracle so messages stay byte-identical. *)
+   verdicts, denial strings, Obs trace spans, monitor clock and
+   activation movement — while replacing the per-decision spatial
+   recomputation with incremental Brzozowski-derivative residuals
+   ({!Srac.Lazy_dfa}) and version-stamped RBAC caches, so a warm
+   decision allocates nothing.  Per binding, the monitor keeps a
+   {!Residual.slot} holding the binding's lazy machine and a cursor
+   into the object's performed history; each decision folds only the
+   not-yet-seen proof entries into the residual state, then answers
+   grant (residual nullability after the access) and activation
+   (residual feasibility) from memoized per-state bits.  Denial
+   details fall back to the eager oracle so messages stay
+   byte-identical. *)
 
 let get_slot ~session ~monitor (b : Perm_binding.t) =
   let store = Monitor.residuals monitor in
@@ -382,9 +275,10 @@ let get_slot ~session ~monitor (b : Perm_binding.t) =
           own_state = 0;
           own_consumed = 0;
           team_state = -1;
-          team_stamp_version = -1;
-          team_stamp_history = -1;
-          team_stamp_own = -1;
+          team_version = -1;
+          team_consumed = [||];
+          team_last_time = Q.zero;
+          team_last_member = -1;
           may_session = session;
           may_version = Rbac.Session.version session;
           may_ok =
@@ -478,43 +372,126 @@ let own_state ~monitor machine slot =
   end;
   slot.Residual.own_state
 
-(* Team-scope residuals cannot be cursor-incremental (companions'
-   entries interleave by time), so the state is cached against the
-   same stamps the verdict cache uses and refolded from scratch when
-   any of them moves. *)
-let team_state ~monitor ~companions ~team_version ~team_history machine slot b
-    =
-  let own = Monitor.history_epoch monitor in
-  if
-    slot.Residual.team_state >= 0
-    && slot.Residual.team_stamp_version = team_version
-    && slot.Residual.team_stamp_history = team_history
-    && slot.Residual.team_stamp_own = own
-  then slot.Residual.team_state
-  else begin
-    let st =
-      List.fold_left
-        (fun q a -> Srac.Lazy_dfa.step_access machine q a)
-        (Srac.Lazy_dfa.start machine)
-        (history ~monitor ~companions b)
-    in
-    slot.Residual.team_state <- st;
-    slot.Residual.team_stamp_version <- team_version;
-    slot.Residual.team_stamp_history <- team_history;
-    slot.Residual.team_stamp_own <- own;
-    st
-  end
+(* Team-scope residuals.  [history] merges the team's proofs with a
+   stable sort by time over [monitor :: companions], so its order is
+   (time, member position, issue order).  While membership holds still
+   ([team_version]) the slot folds incrementally: it keeps how many
+   entries of each member it has consumed and the (time, member) key
+   of the last entry it folded.  New entries that all sort at or after
+   that key extend the sorted history at its end, so stepping them in
+   key order continues the same fold.  An entry that sorts earlier (a
+   companion whose clock lags) lands mid-history: refold from
+   scratch. *)
 
-let scope_state ~monitor ~companions ~team_version ~team_history machine slot
+let team_refold ~monitor ~companions ~team_version machine slot b =
+  let members = monitor :: companions in
+  slot.Residual.team_state <-
+    List.fold_left
+      (fun q a -> Srac.Lazy_dfa.step_access machine q a)
+      (Srac.Lazy_dfa.start machine)
+      (history ~monitor ~companions b);
+  slot.Residual.team_version <- team_version;
+  slot.Residual.team_consumed <-
+    Array.of_list (List.map Monitor.history_epoch members);
+  (* the last entry in key order: the latest newest-entry, the later
+     member on a tie *)
+  slot.Residual.team_last_member <- -1;
+  List.iteri
+    (fun i m ->
+      match Srac.Proof.rev_entries (Monitor.proofs m) with
+      | [] -> ()
+      | e :: _ ->
+          if
+            slot.Residual.team_last_member < 0
+            || Q.compare e.Srac.Proof.time slot.Residual.team_last_time >= 0
+          then begin
+            slot.Residual.team_last_time <- e.Srac.Proof.time;
+            slot.Residual.team_last_member <- i
+          end)
+    members
+
+(* The [k] newest entries of a proof store, oldest first. *)
+let newest k store =
+  let rec take k acc = function
+    | e :: older when k > 0 -> take (k - 1) (e :: acc) older
+    | _ -> acc
+  in
+  take k [] (Srac.Proof.rev_entries store)
+
+(* Fold the members' unseen entries if they all sort at or after the
+   last folded key; [false] (slot untouched) if one sorts earlier. *)
+let team_extend ~monitor ~companions machine slot =
+  let fresh =
+    List.mapi
+      (fun i m ->
+        let seen = slot.Residual.team_consumed.(i) in
+        (i, newest (Monitor.history_epoch m - seen) (Monitor.proofs m)))
+      (monitor :: companions)
+  in
+  let sorts_after (i, entries) =
+    match entries with
+    | [] -> true
+    | (e : Srac.Proof.entry) :: _ ->
+        slot.Residual.team_last_member < 0
+        ||
+        let c = Q.compare e.time slot.Residual.team_last_time in
+        c > 0 || (c = 0 && i >= slot.Residual.team_last_member)
+  in
+  List.for_all sorts_after fresh
+  && begin
+       List.concat_map (fun (i, es) -> List.map (fun e -> (i, e)) es) fresh
+       |> List.stable_sort (fun (_, (e1 : Srac.Proof.entry)) (_, e2) ->
+              Q.compare e1.time e2.Srac.Proof.time)
+       |> List.iter (fun (i, (e : Srac.Proof.entry)) ->
+              slot.Residual.team_state <-
+                Srac.Lazy_dfa.step_access machine slot.Residual.team_state
+                  e.access;
+              slot.Residual.team_last_time <- e.time;
+              slot.Residual.team_last_member <- i);
+       List.iter
+         (fun (i, es) ->
+           slot.Residual.team_consumed.(i) <-
+             slot.Residual.team_consumed.(i) + List.length es)
+         fresh;
+       true
+     end
+
+let rec members_unchanged consumed i = function
+  | [] -> true
+  | m :: rest ->
+      Monitor.history_epoch m = consumed.(i)
+      && members_unchanged consumed (i + 1) rest
+
+let team_state ~monitor ~companions ~team_version machine slot b =
+  if
+    slot.Residual.team_state < 0
+    || slot.Residual.team_version <> team_version
+    || Array.length slot.Residual.team_consumed <> 1 + List.length companions
+  then team_refold ~monitor ~companions ~team_version machine slot b
+  else if
+    (not
+       (members_unchanged slot.Residual.team_consumed 0
+          (monitor :: companions)))
+    && not (team_extend ~monitor ~companions machine slot)
+  then team_refold ~monitor ~companions ~team_version machine slot b;
+  slot.Residual.team_state
+
+let scope_state ~monitor ~companions ~team_version machine slot
     (b : Perm_binding.t) =
   match b.proof_scope with
   | Perm_binding.Own -> own_state ~monitor machine slot
   | Perm_binding.Team ->
-      team_state ~monitor ~companions ~team_version ~team_history machine slot
-        b
+      team_state ~monitor ~companions ~team_version machine slot b
+
+(* The state valve: a machine that raises {!Srac.Lazy_dfa.State_limit}
+   is dropped ([machine = None] on a history-scope slot), and the
+   binding is answered by the eager oracles from then on — the same
+   calls the naive path makes. *)
+let feasible_eager ~monitor ~companions b c =
+  Srac.Program_sat.prefix_feasible ~performed:(history ~monitor ~companions b) c
 
 let refresh_one_lazy ~session ~monitor ~companions ~program ~time
-    ~team_version ~team_history (b : Perm_binding.t) =
+    ~team_version (b : Perm_binding.t) =
   let slot = get_slot ~session ~monitor b in
   let rbac_ok = slot_may_ok ~session slot b in
   let spatial_active =
@@ -526,44 +503,54 @@ let refresh_one_lazy ~session ~monitor ~companions ~program ~time
             Result.is_ok (program_ok_cached ~monitor ~program slot b c)
         | Perm_binding.Performed -> (
             match slot.Residual.machine with
-            | Some machine ->
-                Srac.Lazy_dfa.feasible machine
-                  (scope_state ~monitor ~companions ~team_version ~team_history
-                     machine slot b)
-            | None -> assert false))
+            | None -> feasible_eager ~monitor ~companions b c
+            | Some machine -> (
+                match
+                  Srac.Lazy_dfa.feasible machine
+                    (scope_state ~monitor ~companions ~team_version machine
+                       slot b)
+                with
+                | feasible -> feasible
+                | exception Srac.Lazy_dfa.State_limit ->
+                    slot.Residual.machine <- None;
+                    feasible_eager ~monitor ~companions b c)))
   in
   Monitor.set_active_cell monitor slot.Residual.cell ~time
     (rbac_ok && spatial_active)
 
 let rec refresh_all_lazy ~session ~monitor ~companions ~program ~time
-    ~team_version ~team_history = function
+    ~team_version = function
   | [] -> ()
   | b :: rest ->
       refresh_one_lazy ~session ~monitor ~companions ~program ~time
-        ~team_version ~team_history b;
+        ~team_version b;
       refresh_all_lazy ~session ~monitor ~companions ~program ~time
-        ~team_version ~team_history rest
+        ~team_version rest
 
 let performed_ok_lazy ~session ~monitor ~companions ~access ~team_version
-    ~team_history (b : Perm_binding.t) c =
+    (b : Perm_binding.t) c =
   let slot = get_slot ~session ~monitor b in
   match slot.Residual.machine with
-  | None -> assert false
-  | Some machine ->
-      let q =
-        scope_state ~monitor ~companions ~team_version ~team_history machine
-          slot b
-      in
-      if Srac.Lazy_dfa.nullable_after machine q access then Ok ()
-      else
-        (* deny: rerun the oracle so the denial detail is byte-identical
-           (and a residual false-negative can never deny a granting
-           oracle — equivalence of the grant direction is enforced by
-           the residual property tests and the differential gate) *)
-        performed_scope_ok ~monitor ~companions ~access b c
+  | None -> performed_scope_ok ~monitor ~companions ~access b c
+  | Some machine -> (
+      match
+        Srac.Lazy_dfa.nullable_after machine
+          (scope_state ~monitor ~companions ~team_version machine slot b)
+          access
+      with
+      | true -> Ok ()
+      | false ->
+          (* deny: rerun the oracle so the denial detail is byte-identical
+             (and a residual false-negative can never deny a granting
+             oracle — equivalence of the grant direction is enforced by
+             the residual property tests and the differential gate) *)
+          performed_scope_ok ~monitor ~companions ~access b c
+      | exception Srac.Lazy_dfa.State_limit ->
+          slot.Residual.machine <- None;
+          performed_scope_ok ~monitor ~companions ~access b c)
 
 let spatial_ok_lazy ~session ~monitor ~companions ~program ~access
-    ~team_version ~team_history (b : Perm_binding.t) =
+    ~team_version (b : Perm_binding.t) =
   match b.spatial with
   | None -> Ok ()
   | Some c -> (
@@ -572,25 +559,25 @@ let spatial_ok_lazy ~session ~monitor ~companions ~program ~access
       | Perm_binding.Program -> program_ok_cached ~monitor ~program slot b c
       | Perm_binding.Performed ->
           performed_ok_lazy ~session ~monitor ~companions ~access ~team_version
-            ~team_history b c
+            b c
       | Perm_binding.Both -> (
           match program_ok_cached ~monitor ~program slot b c with
           | Ok () ->
               performed_ok_lazy ~session ~monitor ~companions ~access
-                ~team_version ~team_history b c
+                ~team_version b c
           | Error _ as failure -> failure))
 
 let rec first_spatial_failure_lazy ~session ~monitor ~companions ~program
-    ~access ~team_version ~team_history = function
+    ~access ~team_version = function
   | [] -> None
   | b :: rest -> (
       match
         spatial_ok_lazy ~session ~monitor ~companions ~program ~access
-          ~team_version ~team_history b
+          ~team_version b
       with
       | Ok () ->
           first_spatial_failure_lazy ~session ~monitor ~companions ~program
-            ~access ~team_version ~team_history rest
+            ~access ~team_version rest
       | Error detail ->
           Some (Spatial_violation { binding = Perm_binding.key b; detail }))
 
@@ -619,7 +606,7 @@ let rec first_temporal_failure_lazy ~session ~monitor ~time = function
           Some (Temporal_expired { binding = Perm_binding.key b; spent }))
 
 let decide_lazy ?obs ?(companions = []) ~session ~monitor ~applicable
-    ~team_version ~team_history ~program ~time access =
+    ~team_version ~program ~time access =
   match obs with
   | None -> (
       (* uninstrumented fast path: no span closures, short-circuits at
@@ -628,13 +615,13 @@ let decide_lazy ?obs ?(companions = []) ~session ~monitor ~applicable
          decisions recompute identically) *)
       let rbac = rbac_cached ~session ~monitor access in
       refresh_all_lazy ~session ~monitor ~companions ~program ~time
-        ~team_version ~team_history applicable;
+        ~team_version applicable;
       match rbac with
       | Rbac.Engine.Denied why -> Denied (Rbac_denied why)
       | Rbac.Engine.Granted -> (
           match
             first_spatial_failure_lazy ~session ~monitor ~companions ~program
-              ~access ~team_version ~team_history applicable
+              ~access ~team_version applicable
           with
           | Some reason -> Denied reason
           | None -> (
@@ -658,12 +645,12 @@ let decide_lazy ?obs ?(companions = []) ~session ~monitor ~applicable
           (List.for_all (fun (_, r) -> Result.is_ok r))
           (fun () ->
             refresh_all_lazy ~session ~monitor ~companions ~program ~time
-              ~team_version ~team_history applicable;
+              ~team_version applicable;
             List.map
               (fun b ->
                 ( b,
                   spatial_ok_lazy ~session ~monitor ~companions ~program
-                    ~access ~team_version ~team_history b ))
+                    ~access ~team_version b ))
               applicable)
       in
       match rbac with
@@ -693,9 +680,9 @@ let decide_lazy ?obs ?(companions = []) ~session ~monitor ~applicable
               | None -> Granted)))
 
 let refresh_activation_lazy ?(companions = []) ~session ~monitor ~bindings
-    ~team_version ~team_history ~program ~time () =
+    ~team_version ~program ~time () =
   refresh_all_lazy ~session ~monitor ~companions ~program ~time ~team_version
-    ~team_history bindings
+    bindings
 
 let validity_dc_check ~monitor ~(binding : Perm_binding.t) ~time =
   match binding.dur with

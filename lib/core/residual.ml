@@ -39,15 +39,22 @@ type cell = (Temporal.Q.t * bool) list ref
 let active_now (c : cell) = match !c with [] -> false | (_, v) :: _ -> v
 
 type slot = {
-  machine : Srac.Lazy_dfa.t option;
-      (* present iff the binding has a Performed/Both spatial scope *)
+  mutable machine : Srac.Lazy_dfa.t option;
+      (* present iff the binding has a Performed/Both spatial scope and
+         its machine has stayed under Lazy_dfa's state cap; a
+         history-scope slot without one is evaluated eagerly *)
   cell : cell;
   mutable own_state : int;  (* residual state after own performed trace *)
   mutable own_consumed : int;  (* own history entries folded so far *)
   mutable team_state : int;  (* -1 = not computed *)
-  mutable team_stamp_version : int;
-  mutable team_stamp_history : int;
-  mutable team_stamp_own : int;
+  mutable team_version : int;  (* membership stamp team_state was folded at *)
+  mutable team_consumed : int array;
+      (* per member (the object, then its companions in roster order):
+         proof entries folded into team_state *)
+  mutable team_last_time : Temporal.Q.t;
+  mutable team_last_member : int;
+      (* sort key (time, member) of the last entry folded; member -1 =
+         nothing folded yet *)
   mutable may_session : Rbac.Session.t;
   mutable may_version : int;
   mutable may_ok : bool;  (* Rbac.Session.may for the binding's perm *)

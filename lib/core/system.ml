@@ -1,6 +1,6 @@
 module String_set = Set.Make (String)
 
-type decision_mode = Indexed | Naive | Lazy
+type decision_mode = Naive | Lazy
 
 type t = {
   policy : Rbac.Policy.t;
@@ -14,7 +14,7 @@ type t = {
   bus : Obs.Bus.t;
 }
 
-let create ?(mode = Indexed) ?(bindings = []) ?log_capacity ?bus policy =
+let create ?(mode = Lazy) ?(bindings = []) ?log_capacity ?bus policy =
   let bus = match bus with Some b -> b | None -> Obs.Bus.create () in
   let log = Audit_log.create ?capacity:log_capacity () in
   (* the audit log no longer records on its own: it is the bus's first
@@ -98,15 +98,6 @@ let companions t ~object_id =
 let companions_scan t ~object_id =
   List.map (fun id -> monitor t ~object_id:id) (teammates_scan t ~object_id)
 
-(* Cache stamp for everything the companions contribute to a decision:
-   their identity (teams_version bumps on any membership change) and
-   their proof stores (sum of history epochs; including the member
-   count guards the all-zero corner). *)
-let team_history_stamp companions =
-  List.fold_left
-    (fun acc m -> acc + Monitor.history_epoch m)
-    (List.length companions) companions
-
 let check t ~session ~object_id ~program ~time access =
   let m = monitor t ~object_id in
   let verdict =
@@ -117,22 +108,12 @@ let check t ~session ~object_id ~program ~time access =
           ~session ~monitor:m
           ~bindings:(Binding_index.to_list t.index)
           ~program ~time access
-    | Indexed ->
-        let applicable = Binding_index.applicable t.index access in
-        let companions = companions t ~object_id in
-        Decision.decide_indexed ~obs:t.bus ~companions ~session ~monitor:m
-          ~applicable
-          ~bindings_version:(Binding_index.version t.index)
-          ~team_version:t.teams_version
-          ~team_history:(team_history_stamp companions)
-          ~program ~time access
     | Lazy ->
-        let applicable = Binding_index.applicable t.index access in
-        let companions = companions t ~object_id in
-        Decision.decide_lazy ~obs:t.bus ~companions ~session ~monitor:m
-          ~applicable ~team_version:t.teams_version
-          ~team_history:(team_history_stamp companions)
-          ~program ~time access
+        Decision.decide_lazy ~obs:t.bus
+          ~companions:(companions t ~object_id)
+          ~session ~monitor:m
+          ~applicable:(Binding_index.applicable t.index access)
+          ~team_version:t.teams_version ~program ~time access
   in
   Obs.Bus.emit t.bus (Obs.Trace.Decision { time; object_id; access; verdict });
   (match verdict with
@@ -150,26 +131,15 @@ let arrive t ~object_id ~server ~time =
   Obs.Bus.emit t.bus (Obs.Trace.Arrival { time; object_id; server })
 
 let refresh t ~session ~object_id ~program ~time =
+  let monitor = monitor t ~object_id in
+  let bindings = Binding_index.to_list t.index in
   match t.mode with
   | Naive ->
       Decision.refresh_activation
         ~companions:(companions_scan t ~object_id)
-        ~session
-        ~monitor:(monitor t ~object_id)
-        ~bindings:(Binding_index.to_list t.index)
-        ~program ~time ()
-  | Indexed ->
-      Decision.refresh_activation
-        ~companions:(companions t ~object_id)
-        ~session
-        ~monitor:(monitor t ~object_id)
-        ~bindings:(Binding_index.to_list t.index)
-        ~program ~time ()
+        ~session ~monitor ~bindings ~program ~time ()
   | Lazy ->
-      let companions = companions t ~object_id in
-      Decision.refresh_activation_lazy ~companions ~session
-        ~monitor:(monitor t ~object_id)
-        ~bindings:(Binding_index.to_list t.index)
-        ~team_version:t.teams_version
-        ~team_history:(team_history_stamp companions)
-        ~program ~time ()
+      Decision.refresh_activation_lazy
+        ~companions:(companions t ~object_id)
+        ~session ~monitor ~bindings ~team_version:t.teams_version ~program
+        ~time ()

@@ -1,9 +1,8 @@
-(** Decision outcomes, factored out of {!Decision} so lower layers
-    (notably {!Monitor}'s verdict cache) can store them without
-    depending on the decision procedure itself.  The type now lives in
-    {!Obs.Verdict} — the observability layer carries verdicts inside
-    {!Obs.Trace.Decision} events, and sits below this library — and is
-    re-exported here unchanged.  {!Decision} re-exports these
+(** Decision outcomes, factored out of {!Decision} so lower layers can
+    name them without depending on the decision procedure itself.  The
+    type now lives in {!Obs.Verdict} — the observability layer carries
+    verdicts inside {!Obs.Trace.Decision} events, and sits below this
+    library — and is re-exported here unchanged.  {!Decision} re-exports these
     constructors under its historical names ([Decision.reason],
     [Decision.verdict]); all three spellings are interchangeable. *)
 

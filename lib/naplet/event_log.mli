@@ -50,7 +50,7 @@ val sink : ?relevant:(string -> bool) -> t -> Obs.Sink.t
 (** The log as a trace-bus subscriber.  Translates agent-lifecycle
     events ([Spawned], [Migrated], [Decision] → granted/denied,
     channel/signal traffic, terminations) into entries; decision-stage
-    spans, cache probes, arrivals, role rejections and run bookkeeping
+    spans, arrivals, role rejections and run bookkeeping
     are ignored (they are not agent lifecycle).  [relevant] filters by
     agent/object id (default: keep all) — {!World} passes a membership
     test over its own agent table so a shared control's foreign

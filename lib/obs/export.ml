@@ -96,8 +96,6 @@ let fields_of_event ev =
         ("ok", jbool ok);
         ("ns", jint64 elapsed_ns);
       ]
-  | Trace.Cache_probe { time; object_id; hit } ->
-      [ tag "cache_probe"; t time; ("obj", jstr object_id); ("hit", jbool hit) ]
   | Trace.Decision { time; object_id; access; verdict } ->
       [
         tag "decision";
@@ -487,9 +485,6 @@ let event_of_fields fields =
           ok = get_bool fields "ok";
           elapsed_ns = get_int64 fields "ns";
         }
-  | "cache_probe" ->
-      Trace.Cache_probe
-        { time; object_id = get_str fields "obj"; hit = get_bool fields "hit" }
   | "decision" ->
       Trace.Decision
         {

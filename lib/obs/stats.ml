@@ -103,8 +103,6 @@ type t = {
   mutable decisions : int;
   mutable granted : int;
   mutable denied : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
   mutable stage_failures : int;
   mutable faults : int;
   mutable retries : int;
@@ -119,8 +117,6 @@ let create () =
     decisions = 0;
     granted = 0;
     denied = 0;
-    cache_hits = 0;
-    cache_misses = 0;
     stage_failures = 0;
     faults = 0;
     retries = 0;
@@ -140,8 +136,6 @@ let stage_histogram t = function
 let decisions t = t.decisions
 let granted t = t.granted
 let denied t = t.denied
-let cache_hits t = t.cache_hits
-let cache_misses t = t.cache_misses
 let stage_failures t = t.stage_failures
 let faults t = t.faults
 let retries t = t.retries
@@ -153,9 +147,6 @@ let sink t =
     | Trace.Stage_end { stage; ok; elapsed_ns; _ } ->
         observe (stage_histogram t stage) elapsed_ns;
         if not ok then t.stage_failures <- t.stage_failures + 1
-    | Trace.Cache_probe { hit; _ } ->
-        if hit then t.cache_hits <- t.cache_hits + 1
-        else t.cache_misses <- t.cache_misses + 1
     | Trace.Decision { verdict; _ } ->
         t.decisions <- t.decisions + 1;
         if Verdict.is_granted verdict then t.granted <- t.granted + 1
@@ -192,8 +183,6 @@ let add acc t =
   acc.decisions <- acc.decisions + t.decisions;
   acc.granted <- acc.granted + t.granted;
   acc.denied <- acc.denied + t.denied;
-  acc.cache_hits <- acc.cache_hits + t.cache_hits;
-  acc.cache_misses <- acc.cache_misses + t.cache_misses;
   acc.stage_failures <- acc.stage_failures + t.stage_failures;
   acc.faults <- acc.faults + t.faults;
   acc.retries <- acc.retries + t.retries;
@@ -216,10 +205,9 @@ let pp_stage ppf (name, h) =
 
 let pp ppf t =
   Format.fprintf ppf
-    "@[<v>decisions: %d (%d granted, %d denied); cache: %d hit / %d miss; \
-     stage failures: %d@,\
+    "@[<v>decisions: %d (%d granted, %d denied); stage failures: %d@,\
      faults: %d injected, %d retries, %d gave up@,\
      %a@,%a@,%a@]"
-    t.decisions t.granted t.denied t.cache_hits t.cache_misses
-    t.stage_failures t.faults t.retries t.gave_up pp_stage ("rbac", t.rbac)
-    pp_stage ("spatial", t.spatial) pp_stage ("temporal", t.temporal)
+    t.decisions t.granted t.denied t.stage_failures t.faults t.retries
+    t.gave_up pp_stage ("rbac", t.rbac) pp_stage ("spatial", t.spatial)
+    pp_stage ("temporal", t.temporal)

@@ -1,6 +1,6 @@
 (** O(1) streaming statistics over a trace.
 
-    A {!sink} that keeps decision/cache counters and one latency
+    A {!sink} that keeps decision counters and one latency
     histogram per decision stage (rbac, spatial, temporal), fed by
     {!Trace.Stage_end.elapsed_ns} spans.  Histograms use 64 log₂
     buckets, so every update is O(1) and percentile queries are a
@@ -19,7 +19,8 @@ val create : unit -> t
 
 val sink : t -> Sink.t
 (** The accumulator as a bus subscriber.  Consumes [Stage_end],
-    [Cache_probe] and [Decision] events; ignores the rest. *)
+    [Decision], [Fault_injected], [Retry_scheduled] and [Gave_up]
+    events; ignores the rest. *)
 
 val of_trace : Trace.event list -> t
 (** Fold a captured trace through a fresh accumulator — how per-shard
@@ -34,8 +35,6 @@ val add : t -> t -> unit
 val decisions : t -> int
 val granted : t -> int
 val denied : t -> int
-val cache_hits : t -> int
-val cache_misses : t -> int
 
 val stage_failures : t -> int
 (** Stages that reported [ok = false]. *)

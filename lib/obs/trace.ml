@@ -20,7 +20,6 @@ type event =
       ok : bool;
       elapsed_ns : int64;
     }
-  | Cache_probe of { time : Q.t; object_id : string; hit : bool }
   | Decision of {
       time : Q.t;
       object_id : string;
@@ -58,7 +57,6 @@ type event =
 let time = function
   | Stage_start { time; _ }
   | Stage_end { time; _ }
-  | Cache_probe { time; _ }
   | Decision { time; _ }
   | Arrival { time; _ }
   | Role_rejected { time; _ }
@@ -82,7 +80,6 @@ let time = function
 let subject = function
   | Stage_start { object_id; _ }
   | Stage_end { object_id; _ }
-  | Cache_probe { object_id; _ }
   | Decision { object_id; _ }
   | Arrival { object_id; _ }
   | Role_rejected { object_id; _ } ->
@@ -146,9 +143,6 @@ let pp ppf ev =
         (stage_name stage)
         (if ok then "passed" else "failed")
         elapsed_ns
-  | Cache_probe { object_id; hit; _ } ->
-      Format.fprintf ppf "[%a] %s: verdict cache %s" Q.pp t object_id
-        (if hit then "hit" else "miss")
   | Decision { object_id; access; verdict; _ } ->
       Format.fprintf ppf "[%a] %s: %a -> %a" Q.pp t object_id Sral.Access.pp
         access Verdict.pp verdict

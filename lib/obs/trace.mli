@@ -5,8 +5,7 @@
     - {b decision spans}: [Stage_start]/[Stage_end] bracket each stage
       of the coordinated decision pipeline (RBAC, then spatial, then
       temporal — the Eq. 3.1 ∧ Eq. 4.1 conjunction in evaluation
-      order), and [Cache_probe] records verdict-cache hits/misses on
-      the indexed fast path;
+      order);
     - {b decisions}: one [Decision] per {!Coordinated.System.check},
       carrying the access and the full verdict (the audit log's unit of
       record);
@@ -57,7 +56,6 @@ type event =
           (** host-clock nanoseconds spent in the stage; [0] under the
               null clock *)
     }
-  | Cache_probe of { time : Temporal.Q.t; object_id : string; hit : bool }
   | Decision of {
       time : Temporal.Q.t;
       object_id : string;

@@ -44,7 +44,7 @@ type report = {
   deadline_hit : bool;  (** some hash was denied for temporal expiry *)
   trace : Obs.Trace.event list;
       (** the run's full end-to-end trace, in emission order: lifecycle
-          events, per-stage decision spans, cache probes and verdicts —
+          events, per-stage decision spans and verdicts —
           export it with {!Obs.Export.to_string} *)
 }
 

@@ -1,18 +1,10 @@
 module Q = Temporal.Q
 module System = Coordinated.System
 
-type config = {
-  mode : System.decision_mode;
-  queue_capacity : int;
-  max_frame : int;
-}
+type config = { queue_capacity : int; max_frame : int }
 
 let default_config =
-  {
-    mode = System.Indexed;
-    queue_capacity = 256;
-    max_frame = Frame.max_frame_default;
-  }
+  { queue_capacity = 256; max_frame = Frame.max_frame_default }
 
 type obj_state = { session : Rbac.Session.t; program : Sral.Ast.t }
 

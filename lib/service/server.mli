@@ -22,20 +22,20 @@
       (reason ["overload-shed"]) so load shedding is auditable. *)
 
 type config = {
-  mode : Coordinated.System.decision_mode;
   queue_capacity : int;
       (** max frames executed per {!feed} call; the rest shed *)
   max_frame : int;  (** framing ceiling, bytes *)
 }
 
 val default_config : config
-(** [Indexed], 256 frames, {!Frame.max_frame_default}. *)
+(** 256 frames, {!Frame.max_frame_default}. *)
 
 type t
 
 val create : ?config:config -> base:Coordinated.System.t -> unit -> t
-(** The base system is cloned per connection; its policy object is
-    shared (and must not be mutated while the server is live). *)
+(** The base system is cloned per connection, decision mode included;
+    its policy object is shared (and must not be mutated while the
+    server is live). *)
 
 val open_conn : t -> int
 (** A fresh connection id.  The clone's trace bus gets a capture sink

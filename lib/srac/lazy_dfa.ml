@@ -31,7 +31,6 @@ module Formula_tbl = Hashtbl.Make (struct
 end)
 
 type t = {
-  source : Formula.t;  (* the raw constraint, pre-simplification *)
   mutable syms : Sral.Access.t array;  (* symbol id -> access *)
   sym_ids : int Access_tbl.t;  (* access -> symbol id *)
   mutable sym_count : int;
@@ -49,10 +48,13 @@ type t = {
 
 (* Residual state spaces are finite for constraints whose simplified
    derivatives close up (the n-ary {!Simplify} canonicalization
-   guarantees this for the SRAC connectives), but a non-canonical
-   corner would otherwise grow states without bound — fail loudly
-   instead of consuming the heap. *)
+   guarantees this for the SRAC connectives), but they can still be
+   huge (wide cardinality windows multiply), and a non-canonical corner
+   would otherwise grow states without bound — stop at the cap instead
+   of consuming the heap. *)
 let max_states = 1 lsl 16
+
+exception State_limit
 
 let dummy_access = Sral.Access.read "" ~at:""
 
@@ -83,10 +85,7 @@ let intern_state m f =
   | id -> id
   | exception Not_found ->
       let id = m.state_count in
-      if id >= max_states then
-        invalid_arg
-          (Format.asprintf "Lazy_dfa: residual state space exploded for %a"
-             Formula.pp m.source);
+      if id >= max_states then raise State_limit;
       if id = Array.length m.states then begin
         let len = 2 * id in
         m.states <- grow_array m.states len Formula.True;
@@ -109,7 +108,6 @@ let intern_state m f =
 let create c =
   let m =
     {
-      source = c;
       syms = Array.make 4 dummy_access;
       sym_ids = Access_tbl.create 16;
       sym_count = 0;

@@ -20,6 +20,12 @@
 
 type t
 
+exception State_limit
+(** Raised by {!step_access}, {!nullable_after} or {!feasible} when the
+    machine would need more than 2{^16} residual states.  The machine
+    is unusable afterwards: callers drop it and answer from the eager
+    oracles ({!Trace_sat.sat}, {!Program_sat.prefix_feasible}). *)
+
 val create : Formula.t -> t
 (** Build a machine for the constraint.  Interns the constraint's own
     accesses (pre-simplification, matching the eager feasibility

@@ -75,10 +75,10 @@ let random_bindings rng =
 (* Returns the control, the world and the trace capture; the capture
    sink subscribes right after [System.create] so it observes the whole
    run, spawn-time authentication included. *)
-let build_world ?(mode = Coordinated.System.Indexed) rng =
+let build_world ?mode rng =
   let policy = random_policy rng in
   let bindings = random_bindings rng in
-  let control = Coordinated.System.create ~mode ~bindings policy in
+  let control = Coordinated.System.create ?mode ~bindings policy in
   let capture, trace = Obs.Sink.memory () in
   Obs.Bus.subscribe (Coordinated.System.bus control) capture;
   let world = Naplet.World.create control in
@@ -208,7 +208,6 @@ let test_roundtrip_all_variants () =
           ok = false;
           elapsed_ns = 123456789L;
         };
-      Obs.Trace.Cache_probe { time = t; object_id = "o1"; hit = true };
       Obs.Trace.Decision
         { time = t; object_id = "o1"; access; verdict = Obs.Verdict.Granted };
       Obs.Trace.Decision
@@ -485,24 +484,22 @@ let test_sink_equivalence () =
         (List.length projected = List.length logged
         && List.for_all2 ( = ) projected logged))
 
-(* Decisions must not depend on the decision mode: the naive and the
-   indexed runs of the same coalition publish the same Decision events
-   (spans and cache probes legitimately differ — the fast path skips
-   work).                                                              *)
+(* The whole trace must not depend on the decision mode: the lazy and
+   the naive runs of the same coalition through the Naplet world
+   publish the same events — decisions, stage spans, agent lifecycle —
+   in the same order.                                                  *)
 let test_decisions_mode_independent () =
   each_seed (fun seed _ ->
-      let decisions mode =
+      let run mode =
         let rng = Random.State.make [| 7777; seed |] in
         let _, world, trace = build_world ~mode rng in
         ignore (Naplet.World.run world);
-        List.filter
-          (function Obs.Trace.Decision _ -> true | _ -> false)
-          (trace ())
+        trace ()
       in
-      let fast = decisions Coordinated.System.Indexed
-      and naive = decisions Coordinated.System.Naive in
+      let fast = run Coordinated.System.Lazy
+      and naive = run Coordinated.System.Naive in
       Alcotest.(check bool)
-        (Printf.sprintf "seed %d: decision events mode-independent" seed)
+        (Printf.sprintf "seed %d: full trace mode-independent" seed)
         true
         (List.length fast = List.length naive
         && List.for_all2 Obs.Trace.equal fast naive))
@@ -574,8 +571,6 @@ let test_stats_counters () =
   span Obs.Trace.Rbac 300L true;
   span Obs.Trace.Spatial 1000L false;
   span Obs.Trace.Temporal 10L true;
-  feed (Obs.Trace.Cache_probe { time = t; object_id = "o"; hit = true });
-  feed (Obs.Trace.Cache_probe { time = t; object_id = "o"; hit = false });
   feed
     (Obs.Trace.Decision
        {
@@ -595,8 +590,6 @@ let test_stats_counters () =
   Alcotest.(check int) "decisions" 2 (Obs.Stats.decisions stats);
   Alcotest.(check int) "granted" 1 (Obs.Stats.granted stats);
   Alcotest.(check int) "denied" 1 (Obs.Stats.denied stats);
-  Alcotest.(check int) "cache hits" 1 (Obs.Stats.cache_hits stats);
-  Alcotest.(check int) "cache misses" 1 (Obs.Stats.cache_misses stats);
   Alcotest.(check int) "stage failures" 1 (Obs.Stats.stage_failures stats);
   Alcotest.(check int) "rbac spans" 2 (Obs.Stats.stage_count stats Obs.Trace.Rbac);
   let h = Obs.Stats.stage_histogram stats Obs.Trace.Rbac in
