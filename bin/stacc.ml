@@ -1213,14 +1213,18 @@ let load_cmd =
             close_out oc);
         0
     | None ->
-        let rows =
+        match
           if rates = [] then
             [ Service.Load.closed ~conns ~seed ~base ~requests () ]
           else Service.Load.sweep ~conns ~seed ?queue ~base ~requests ~rates ()
-        in
-        Format.printf "%a@." Service.Load.pp_header ();
-        List.iter (fun r -> Format.printf "%a@." Service.Load.pp_row r) rows;
-        0
+        with
+        | exception Invalid_argument msg ->
+            Format.eprintf "error: %s@." msg;
+            exit_usage
+        | rows ->
+            Format.printf "%a@." Service.Load.pp_header ();
+            List.iter (fun r -> Format.printf "%a@." Service.Load.pp_row r) rows;
+            0
   in
   Cmd.v
     (Cmd.info "load"

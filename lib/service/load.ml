@@ -88,7 +88,14 @@ let closed ?(conns = 4) ?(seed = 1) ~base ~requests () =
   finish ~offered:0.0 ~requests ~completed:!completed ~shed:!shed ~elapsed_s
     ~latency
 
+(* Request i is due at t0 + i/rate, so only a finite rate > 0 paces
+   arrivals: at rate 0 the first due time is NaN and the loop spins. *)
+let check_rate rate =
+  if not (Float.is_finite rate && rate > 0.0) then
+    invalid_arg (Printf.sprintf "Load: rate %g is not a finite rate > 0" rate)
+
 let open_loop ?(conns = 4) ?(seed = 1) ?queue ~base ~requests ~rate () =
+  check_rate rate;
   let config =
     match queue with
     | None -> Server.default_config
@@ -158,6 +165,7 @@ let open_loop ?(conns = 4) ?(seed = 1) ?queue ~base ~requests ~rate () =
     ~latency
 
 let sweep ?conns ?seed ?queue ~base ~requests ~rates () =
+  List.iter check_rate rates;
   List.map (fun rate -> open_loop ?conns ?seed ?queue ~base ~requests ~rate ()) rates
 
 let us h p = Obs.Stats.percentile h p /. 1e3

@@ -48,7 +48,8 @@ val open_loop :
   unit ->
   result
 (** [queue] is the server's per-feed execution capacity (default
-    {!Server.default_config}). *)
+    {!Server.default_config}).
+    @raise Invalid_argument unless [rate] is finite and > 0. *)
 
 val sweep :
   ?conns:int ->
@@ -60,7 +61,9 @@ val sweep :
   unit ->
   result list
 (** One {!open_loop} run per offered rate, against a fresh server
-    each — the saturation sweep E20 reports. *)
+    each — the saturation sweep E20 reports.
+    @raise Invalid_argument before any run unless every rate is finite
+    and > 0. *)
 
 val pp_row : Format.formatter -> result -> unit
 (** One aligned table row: offered, achieved, completed, shed,

@@ -485,7 +485,10 @@ let test_cli_bad_usage_exits_2 () =
   Alcotest.(check int) "unknown subcommand" 2 (stacc "frobnicate");
   Alcotest.(check int) "bad rational deadline" 2
     (stacc "audit --deadline not-a-q ../examples/policies/fig1.policy");
-  Alcotest.(check int) "missing file is usage" 2 (stacc "check /no/such/file")
+  Alcotest.(check int) "missing file is usage" 2 (stacc "check /no/such/file");
+  List.iter
+    (fun args -> Alcotest.(check int) args 2 (stacc args))
+    [ "load --rate 0"; "load --rate=-5" ]
 
 let test_cli_help_exits_0 () =
   Alcotest.(check int) "group help" 0 (stacc "--help");
