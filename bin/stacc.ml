@@ -274,7 +274,7 @@ let trace_cmd =
        ~doc:
          "Run the Figure 1 integrity audit and export its end-to-end \
           observability trace as JSONL (lifecycle events, per-stage decision \
-          spans, cache probes, verdicts).")
+          spans, verdicts).")
     Term.(const run $ deadline_arg $ tampered_arg $ out_arg $ stats_arg)
 
 (* --- chaos --- *)
@@ -405,7 +405,7 @@ let workflow_cmd =
     | Ok families ->
         let buf = Buffer.create 4096 in
         let sat = ref 0 and unsat = ref 0 and divergent = ref 0 in
-        let failed_replay = ref 0 and index = ref 0 in
+        let index = ref 0 in
         List.iter
           (fun fam ->
             let salt =
@@ -416,19 +416,19 @@ let workflow_cmd =
             in
             Array.iter
               (fun wf ->
-                Buffer.add_string buf
-                  (Sat.report_line ~index:!index ~family:fam wf);
+                let line, comparison =
+                  Sat.report_line ~index:!index ~family:fam wf
+                in
+                Buffer.add_string buf line;
                 Buffer.add_char buf '\n';
                 incr index;
-                (match Sat.against_brute_force wf with
-                | Sat.Agree_sat w ->
-                    incr sat;
-                    if not (W.run wf w).W.completed then incr failed_replay
+                match comparison with
+                | Sat.Agree_sat _ -> incr sat
                 | Sat.Agree_unsat _ -> incr unsat
                 | Sat.Divergent d ->
                     incr divergent;
                     Format.eprintf "divergence at workflow %d: %s@."
-                      (!index - 1) d))
+                      (!index - 1) d)
               (W.workflows fam ~salt ~count seed))
           families;
         (match out with
@@ -439,10 +439,10 @@ let workflow_cmd =
             close_out oc);
         if stats then
           Format.eprintf
-            "%d workflow(s): %d sat, %d unsat, %d divergent, %d witness \
-             replay failure(s)@."
-            !index !sat !unsat !divergent !failed_replay;
-        if !divergent > 0 || !failed_replay > 0 then 1 else 0
+            "%d workflow(s): %d sat, %d unsat, %d divergent (witness replay \
+             failures included)@."
+            !index !sat !unsat !divergent;
+        if !divergent > 0 then 1 else 0
   in
   Cmd.v
     (Cmd.info "workflow"

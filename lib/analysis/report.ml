@@ -36,53 +36,38 @@ let pp ppf (r : Analyzer.report) =
     (if r.truncated then " (truncated: semantic pass skipped)" else "")
     (List.length r.findings)
 
-(* JSON string escaping, Obs.Export-compatible subset. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let finding_to_json (f : Analyzer.finding) =
   match f with
   | Analyzer.Unsatisfiable { index; binding } ->
       Printf.sprintf {|{"kind":"unsatisfiable","index":%d,"binding":"%s"}|}
-        index (escape binding)
+        index (Obs.Export.escape binding)
   | Analyzer.Vacuous { index; binding } ->
       Printf.sprintf {|{"kind":"vacuous","index":%d,"binding":"%s"}|} index
-        (escape binding)
+        (Obs.Export.escape binding)
   | Analyzer.Shadowed { index; binding; by_index; by } ->
       Printf.sprintf
         {|{"kind":"shadowed","index":%d,"binding":"%s","by_index":%d,"by":"%s"}|}
-        index (escape binding) by_index (escape by)
+        index
+        (Obs.Export.escape binding)
+        by_index (Obs.Export.escape by)
   | Analyzer.Unexercisable { index; binding } ->
       Printf.sprintf {|{"kind":"unexercisable","index":%d,"binding":"%s"}|}
-        index (escape binding)
+        index (Obs.Export.escape binding)
   | Analyzer.Temporal_excluded { index; binding; needed; budget } ->
       Printf.sprintf
         {|{"kind":"temporal-excluded","index":%d,"binding":"%s","needed":"%s","budget":"%s"}|}
-        index (escape binding)
-        (escape (Q.to_string needed))
-        (escape (Q.to_string budget))
+        index (Obs.Export.escape binding)
+        (Obs.Export.escape (Q.to_string needed))
+        (Obs.Export.escape (Q.to_string budget))
 
 let admin_to_json ~user ~perm ~server (o : Admin.outcome) =
   let s = o.Admin.stats in
   let head =
     Printf.sprintf
       {|"kind":"admin-query","user":"%s","perm":"%s","server":"%s"|}
-      (escape user)
-      (escape (Rbac.Perm.to_string perm))
-      (escape server)
+      (Obs.Export.escape user)
+      (Obs.Export.escape (Rbac.Perm.to_string perm))
+      (Obs.Export.escape server)
   in
   let tail =
     Printf.sprintf
@@ -95,7 +80,8 @@ let admin_to_json ~user ~perm ~server (o : Admin.outcome) =
       let ops_json =
         String.concat ","
           (List.map
-             (fun op -> "\"" ^ escape (Admin.op_to_string op) ^ "\"")
+             (fun op ->
+               "\"" ^ Obs.Export.escape (Admin.op_to_string op) ^ "\"")
              ops)
       in
       let steps_json =
@@ -103,14 +89,14 @@ let admin_to_json ~user ~perm ~server (o : Admin.outcome) =
           (List.map
              (fun (a, t) ->
                Printf.sprintf {|{"access":"%s","time":"%s"}|}
-                 (escape (Format.asprintf "%a" Sral.Access.pp a))
-                 (escape (Q.to_string t)))
+                 (Obs.Export.escape (Format.asprintf "%a" Sral.Access.pp a))
+                 (Obs.Export.escape (Q.to_string t)))
              witness.Safety.steps)
       in
       Printf.sprintf
         {|{%s,"verdict":"leak","ops":[%s],"entry":"%s","steps":[%s],%s}|}
         head ops_json
-        (escape witness.Safety.entry)
+        (Obs.Export.escape witness.Safety.entry)
         steps_json tail
   | Admin.Safe { explored } ->
       Printf.sprintf {|{%s,"verdict":"safe","explored":%d,%s}|} head explored
@@ -118,7 +104,7 @@ let admin_to_json ~user ~perm ~server (o : Admin.outcome) =
   | Admin.Undetermined { reason; explored } ->
       Printf.sprintf
         {|{%s,"verdict":"undetermined","reason":"%s","explored":%d,%s}|} head
-        (escape reason) explored tail
+        (Obs.Export.escape reason) explored tail
 
 let to_jsonl (r : Analyzer.report) =
   let header =

@@ -214,31 +214,13 @@ let decide_applicable ?obs ~companions ~session ~monitor ~applicable ~program
           | Some reason -> Denied reason
           | None -> Granted))
 
-let decide ?obs ?(companions = []) ~session ~monitor ~bindings ~program ~time
-    access =
+let decide_naive ?obs ?(companions = []) ~session ~monitor ~bindings ~program
+    ~time access =
   let applicable =
     List.filter (fun b -> Perm_binding.applies_to b access) bindings
   in
   decide_applicable ?obs ~companions ~session ~monitor ~applicable ~program
     ~time access
-
-let decide_naive = decide
-
-type request = {
-  session : Rbac.Session.t;
-  monitor : Monitor.t;
-  companions : Monitor.t list;
-  program : Sral.Ast.t;
-  time : Temporal.Q.t;
-  access : Sral.Access.t;
-}
-
-let batch ?obs ~bindings requests =
-  List.map
-    (fun r ->
-      decide ?obs ~companions:r.companions ~session:r.session
-        ~monitor:r.monitor ~bindings ~program:r.program ~time:r.time r.access)
-    requests
 
 (* ------------------------------------------------------------------ *)
 (* Lazy-derivative decision path.

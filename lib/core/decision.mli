@@ -31,7 +31,7 @@ type reason = Verdict.reason =
 
 type verdict = Verdict.t = Granted | Denied of reason
 
-val decide :
+val decide_naive :
   ?obs:Obs.Bus.t ->
   ?companions:Monitor.t list ->
   session:Rbac.Session.t ->
@@ -48,43 +48,11 @@ val decide :
     spatial, temporal) is bracketed with
     {!Obs.Trace.Stage_start}/[Stage_end] span events on the bus, in
     evaluation order; without it the decision is span-free and
-    allocation-identical to the seed. *)
+    allocation-identical to the seed.
 
-val decide_naive :
-  ?obs:Obs.Bus.t ->
-  ?companions:Monitor.t list ->
-  session:Rbac.Session.t ->
-  monitor:Monitor.t ->
-  bindings:Perm_binding.t list ->
-  program:Sral.Ast.t ->
-  time:Temporal.Q.t ->
-  Sral.Access.t ->
-  verdict
-(** The linear-scan reference decision — literally {!decide}.  Kept
-    under its own name as the differential oracle the lazy fast path is
-    fuzz-tested against, and as the baseline Bechamel's E13 experiment
-    measures. *)
-
-type request = {
-  session : Rbac.Session.t;
-  monitor : Monitor.t;
-  companions : Monitor.t list;
-  program : Sral.Ast.t;
-  time : Temporal.Q.t;
-  access : Sral.Access.t;
-}
-(** One pre-resolved decision input, as a shard's work queue holds it. *)
-
-val batch :
-  ?obs:Obs.Bus.t ->
-  bindings:Perm_binding.t list ->
-  request list ->
-  verdict list
-(** Decide a queue of requests against one binding store, in order —
-    the per-shard inner loop of the parallel engine.  Pure decisions:
-    nothing is recorded in the monitors (use
-    {!Coordinated.System.check_batch} for the stateful, proof-issuing
-    form).  Each request is decided exactly as {!decide} would. *)
+    The linear-scan reference decision, kept as the differential
+    oracle the lazy fast path is fuzz-tested against and as E13's
+    baseline. *)
 
 val decide_lazy :
   ?obs:Obs.Bus.t ->
@@ -99,7 +67,7 @@ val decide_lazy :
   verdict
 (** The fast path.  [applicable] is the pre-filtered binding list (from
     {!Binding_index.applicable}), in binding-store insertion order —
-    the caller is trusted to pass exactly the bindings {!decide} would
+    the caller is trusted to pass exactly the bindings {!decide_naive} would
     have selected.  [team_version] stamps the identity and order of
     [companions]: it must change whenever they do.
 
@@ -162,4 +130,4 @@ val validity_dc_check :
 (** Theorem 4.1, checked through the duration-calculus route: build the
     DC constraint [∫valid ≤ dur] and decide it with
     {!Temporal.Duration_calculus.sat} over [[t_b, t]].  Must agree with
-    the step-function route used by {!decide} (property-tested). *)
+    the step-function route used by {!decide_naive} (property-tested). *)

@@ -121,11 +121,6 @@ let check t ~session ~object_id ~program ~time access =
   | Decision.Denied _ -> ());
   verdict
 
-let check_batch t ~session ~object_id ~program accesses =
-  List.map
-    (fun (time, access) -> check t ~session ~object_id ~program ~time access)
-    accesses
-
 let arrive t ~object_id ~server ~time =
   Monitor.record_arrival (monitor t ~object_id) ~server ~time;
   Obs.Bus.emit t.bus (Obs.Trace.Arrival { time; object_id; server })

@@ -103,19 +103,6 @@ val check :
     object's monitor (the server "carries out" the access and issues
     the proof, Section 2). *)
 
-val check_batch :
-  t ->
-  session:Rbac.Session.t ->
-  object_id:string ->
-  program:Sral.Ast.t ->
-  (Temporal.Q.t * Sral.Access.t) list ->
-  Decision.verdict list
-(** Decide a timed queue of accesses for one object, in order, with
-    full {!check} semantics (bus events, audit entries, proof
-    recording on grants).  The stateful counterpart of
-    {!Decision.batch}; the E17 decision-storm benchmark drives each
-    shard through this. *)
-
 val arrive :
   t -> object_id:string -> server:string -> time:Temporal.Q.t -> unit
 (** Record a migration arrival for the object. *)

@@ -42,6 +42,8 @@ val sink : ?relevant:(string -> bool) -> t -> Obs.Sink.t
 (** The accumulator as a trace-bus subscriber: decisions (with
     per-reason denial breakdown), migrations, messages, signals, agent
     terminations and [Run_finished] (which sets [end_time]).
-    [relevant] filters by agent/object id, as in {!Event_log.sink}. *)
+    [relevant] filters by agent/object id (default: keep all) —
+    {!World} passes a membership test over its own agent table so a
+    shared control's foreign decisions don't leak into its counts. *)
 
 val pp : Format.formatter -> t -> unit

@@ -18,7 +18,7 @@ let unavailable t ~server ~time =
   | Some down -> down ~server ~time
 
 (* Fail-closed denial: the refusal is published as a Decision event so
-   it reaches the audit log, the event log and the metrics exactly like
+   it reaches the audit log, the trace and the metrics exactly like
    any other verdict — a crashed server leaves a record, never a gap. *)
 let refuse t ~object_id ~time access =
   let verdict =

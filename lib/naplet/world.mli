@@ -28,8 +28,9 @@ type t
 val create : ?config:config -> Coordinated.System.t -> t
 (** The world publishes its lifecycle events (spawns, migrations,
     messages, signals, terminations) on the control's
-    {!Coordinated.System.bus} and subscribes its own {!Event_log} and
-    {!Metrics} sinks to it, filtered to this world's agents. *)
+    {!Coordinated.System.bus} — subscribe an {!Obs.Sink} there to
+    record them — and subscribes its own {!Metrics} sink to it,
+    filtered to this world's agents. *)
 
 val manager : t -> Security_manager.t
 
@@ -122,6 +123,3 @@ val agents : t -> Agent.t list
 val metrics : t -> Metrics.t
 val channels : t -> Channel.t
 
-val events : t -> Event_log.t
-(** The run's full event log (spawns, migrations, decisions, messages,
-    signals, terminations). *)

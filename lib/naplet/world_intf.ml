@@ -56,5 +56,4 @@ module type S = sig
   val agents : t -> Agent.t list
   val metrics : t -> Metrics.t
   val channels : t -> Channel.t
-  val events : t -> Event_log.t
 end

@@ -55,7 +55,6 @@ type t = {
   mutable clock : Q.t;
   mutable appraisal : Appraisal.t option;
   mutable faults : fault_state option;
-  event_log : Event_log.t;
   metrics : Metrics.t;
   mutable processed : int;
 }
@@ -75,16 +74,14 @@ let create ?(config = default_config) control =
       clock = Q.zero;
       appraisal = None;
       faults = None;
-      event_log = Event_log.create ();
       metrics = Metrics.create ();
       processed = 0;
     }
   in
-  (* the world's stores consume the bus rather than being hand-wired
+  (* the world's metrics consume the bus rather than being hand-wired
      into the simulation loop; the membership filter keeps a shared
      control's foreign traffic out of this world's books *)
   let mine id = Hashtbl.mem t.agents id in
-  Obs.Bus.subscribe t.bus (Event_log.sink ~relevant:mine t.event_log);
   Obs.Bus.subscribe t.bus (Metrics.sink ~relevant:mine t.metrics);
   t
 
@@ -116,7 +113,6 @@ let agents t =
 
 let metrics t = t.metrics
 let channels t = t.channels
-let events t = t.event_log
 let processed_events t = t.processed
 
 let emit t ev = Obs.Bus.emit t.bus ev
@@ -301,9 +297,9 @@ and perform_migration t (agent : Agent.t) ~thread ~time (a : Sral.Access.t) =
   | Appraisal.Sound -> decide_access t agent ~thread ~time:arrival a
 
 and decide_access t (agent : Agent.t) ~thread ~time (a : Sral.Access.t) =
-  (* the verdict reaches the event log and the metrics through the
-     bus: [System.check] publishes a [Decision] event, the sinks
-     subscribed in [create] fold it in *)
+  (* the verdict reaches the trace and the metrics through the bus:
+     [System.check] publishes a [Decision] event, the metrics sink
+     subscribed in [create] folds it in *)
   let verdict =
     Security_manager.check t.manager ~object_id:agent.Agent.id
       ~program:agent.Agent.program ~time a

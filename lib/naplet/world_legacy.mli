@@ -52,4 +52,3 @@ val agent : t -> string -> Agent.t option
 val agents : t -> Agent.t list
 val metrics : t -> Metrics.t
 val channels : t -> Channel.t
-val events : t -> Event_log.t

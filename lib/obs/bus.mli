@@ -2,7 +2,7 @@
 
     Emitters ({!Coordinated.System}, {!Coordinated.Decision},
     {!Naplet.World}, …) publish {!Trace.event}s; sinks (the audit log,
-    the event log, the metrics accumulator, {!Stats}, a memory capture)
+    the metrics accumulator, {!Stats}, a memory capture)
     receive every event in subscription order.  Emission is synchronous
     and deterministic: no queue, no thread, no reordering — emitting is
     exactly a fold over the subscribed handlers.

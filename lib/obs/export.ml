@@ -19,6 +19,11 @@ let escape_into buf s =
       | c -> Buffer.add_char buf c)
     s
 
+let escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  escape_into buf s;
+  Buffer.contents buf
+
 let quoted buf s =
   Buffer.add_char buf '"';
   escape_into buf s;

@@ -13,6 +13,31 @@
     [Custom] (e.g. [Custom "read"]), which reads back as the standard
     constructor — no emitter in this repo produces such accesses. *)
 
+(** {2 JSON writer}
+
+    The one JSON string escaper and object writer in the repo: the
+    trace export, the service's JSONL debug codec, the analyzer report
+    and the workflow report all write through these, so every emitter
+    escapes the same way. *)
+
+val escape : string -> string
+(** [s] escaped for inclusion inside JSON quotes: double quote,
+    backslash, newline, carriage return and tab as their two-character
+    escapes, other control bytes as [\u00XX], every other byte
+    verbatim. *)
+
+val obj : Buffer.t -> (string * (Buffer.t -> unit)) list -> unit
+(** Append one JSON object: the fields in list order, each key
+    escaped and quoted, each value written by its function. *)
+
+val jstr : string -> Buffer.t -> unit
+(** A quoted, escaped string value for {!obj}. *)
+
+val jint : int -> Buffer.t -> unit
+val jbool : bool -> Buffer.t -> unit
+
+(** {2 Trace events} *)
+
 val to_line : Trace.event -> string
 (** One JSON object, no trailing newline. *)
 

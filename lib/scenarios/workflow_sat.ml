@@ -262,10 +262,23 @@ let pp_verdict ppf = function
   | Complete asg -> Format.fprintf ppf "sat: %s" (render_assignment asg)
   | Impossible imp -> Format.fprintf ppf "unsat: %s" (explain imp)
 
-let against_brute_force ?mode wf =
-  match (check ?mode wf, brute_force ?mode wf) with
+(* One checker run, one brute-force run and one replay of the
+   checker's witness (if any), shared by the comparison and the JSONL
+   report line. *)
+let run_both ?mode wf =
+  let verdict = check ?mode wf in
+  let brute = brute_force ?mode wf in
+  let replayed =
+    match verdict with
+    | Complete w -> Some (W.run ?mode wf w).W.completed
+    | Impossible _ -> None
+  in
+  (verdict, brute, replayed)
+
+let compare_runs (verdict, brute, replayed) =
+  match (verdict, brute) with
   | Complete w, Some w' when w = w' ->
-      if (W.run ?mode wf w).W.completed then Agree_sat w
+      if replayed = Some true then Agree_sat w
       else Divergent ("witness does not replay: " ^ render_assignment w)
   | Complete w, Some w' ->
       Divergent
@@ -279,39 +292,12 @@ let against_brute_force ?mode wf =
         (Printf.sprintf "checker unsat (%s), brute force found %s" (explain imp)
            (render_assignment w))
 
-(* Deterministic JSONL, in lib/obs/export.ml's style: fixed key order,
-   canonical escaping, ℚ rendered as num/den strings — so two runs of
-   the same corpus byte-compare. *)
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+let against_brute_force ?mode wf = compare_runs (run_both ?mode wf)
 
-let field b ~first name value =
-  if not first then Buffer.add_char b ',';
-  Buffer.add_char b '"';
-  Buffer.add_string b name;
-  Buffer.add_string b "\":";
-  Buffer.add_string b value
-
-let jstr s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  escape b s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
+(* Deterministic JSONL through Obs.Export's writer: fixed key order,
+   canonical escaping — so two runs of the same corpus byte-compare. *)
 let report_line ~index ~family (wf : W.t) =
-  let verdict = check wf in
-  let brute = brute_force wf in
+  let ((verdict, brute, replayed) as runs) = run_both wf in
   let agree =
     match (verdict, brute) with
     | Complete w, Some w' -> w = w'
@@ -319,27 +305,30 @@ let report_line ~index ~family (wf : W.t) =
     | _ -> false
   in
   let replay =
+    match replayed with
+    | None -> "n/a"
+    | Some true -> "completed"
+    | Some false -> "FAILED"
+  in
+  let outcome =
     match verdict with
-    | Impossible _ -> "n/a"
-    | Complete w -> if (W.run wf w).W.completed then "completed" else "FAILED"
+    | Complete w -> ("witness", Obs.Export.jstr (render_assignment w))
+    | Impossible imp -> ("impossible", Obs.Export.jstr (explain imp))
   in
   let b = Buffer.create 256 in
-  Buffer.add_char b '{';
-  field b ~first:true "index" (string_of_int index);
-  field b ~first:false "family" (jstr (W.family_name family));
-  field b ~first:false "tasks" (string_of_int (List.length wf.W.tasks));
-  field b ~first:false "performers"
-    (string_of_int (List.length wf.W.performers));
-  field b ~first:false "duties" (string_of_int (List.length wf.W.duties));
-  field b ~first:false "faults"
-    (match wf.W.plan with None -> "false" | Some _ -> "true");
-  field b ~first:false "verdict" (jstr (verdict_name verdict));
-  (match verdict with
-  | Complete w -> field b ~first:false "witness" (jstr (render_assignment w))
-  | Impossible imp -> field b ~first:false "impossible" (jstr (explain imp)));
-  field b ~first:false "brute"
-    (jstr (match brute with Some _ -> "sat" | None -> "unsat"));
-  field b ~first:false "agree" (if agree then "true" else "false");
-  field b ~first:false "replay" (jstr replay);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Obs.Export.(
+    obj b
+      [
+        ("index", jint index);
+        ("family", jstr (W.family_name family));
+        ("tasks", jint (List.length wf.W.tasks));
+        ("performers", jint (List.length wf.W.performers));
+        ("duties", jint (List.length wf.W.duties));
+        ("faults", jbool (Option.is_some wf.W.plan));
+        ("verdict", jstr (verdict_name verdict));
+        outcome;
+        ("brute", jstr (match brute with Some _ -> "sat" | None -> "unsat"));
+        ("agree", jbool agree);
+        ("replay", jstr replay);
+      ]);
+  (Buffer.contents b, compare_runs runs)

@@ -80,9 +80,14 @@ val explain : impossibility -> string
 val pp_verdict : Format.formatter -> verdict -> unit
 
 val report_line :
-  index:int -> family:Workflow_family.family -> Workflow_family.t -> string
+  index:int ->
+  family:Workflow_family.family ->
+  Workflow_family.t ->
+  string * comparison
 (** One deterministic JSON object (no trailing newline, fixed key
     order) describing the differential on one workflow: index, family,
     size, checker verdict, witness or impossibility, brute-force
-    verdict, agreement, and witness replay status.  Used verbatim by
-    [stacc workflow] and the E18 report so two runs byte-compare. *)
+    verdict, agreement, and witness replay status — paired with the
+    {!against_brute_force} comparison computed from the same checker,
+    brute-force and replay runs, so each runs once.  [stacc workflow]
+    writes the line verbatim, so two runs byte-compare. *)

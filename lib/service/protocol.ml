@@ -283,92 +283,83 @@ let decode_reply s =
 (* ------------------------------------------------------------------ *)
 (* JSONL debug codec (write-only). *)
 
-let json_str buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let json_field buf first name write =
-  if not !first then Buffer.add_char buf ',';
-  first := false;
-  json_str buf name;
-  Buffer.add_char buf ':';
-  write buf
+module J = Obs.Export
 
 let json_obj fields =
   let buf = Buffer.create 96 in
-  let first = ref true in
-  Buffer.add_char buf '{';
-  List.iter (fun (name, write) -> json_field buf first name write) fields;
-  Buffer.add_char buf '}';
+  J.obj buf fields;
   Buffer.contents buf
 
-let str s buf = json_str buf s
-let int i buf = Buffer.add_string buf (string_of_int i)
 let raw s buf = Buffer.add_string buf s
+
 let strs xs buf =
   Buffer.add_char buf '[';
   List.iteri
     (fun i x ->
       if i > 0 then Buffer.add_char buf ',';
-      json_str buf x)
+      J.jstr x buf)
     xs;
   Buffer.add_char buf ']'
 
 let request_to_line = function
-  | Ping -> json_obj [ ("req", str "ping") ]
+  | Ping -> json_obj [ ("req", J.jstr "ping") ]
   | Register { object_id; owner; roles; program } ->
       json_obj
         [
-          ("req", str "register");
-          ("object", str object_id);
-          ("owner", str owner);
+          ("req", J.jstr "register");
+          ("object", J.jstr object_id);
+          ("owner", J.jstr owner);
           ("roles", strs roles);
-          ("program", str (Sral.Pretty.to_string program));
+          ("program", J.jstr (Sral.Pretty.to_string program));
         ]
   | Arrive { object_id; server } ->
       json_obj
-        [ ("req", str "arrive"); ("object", str object_id); ("server", str server) ]
+        [
+          ("req", J.jstr "arrive");
+          ("object", J.jstr object_id);
+          ("server", J.jstr server);
+        ]
   | Depart { object_id } ->
-      json_obj [ ("req", str "depart"); ("object", str object_id) ]
+      json_obj [ ("req", J.jstr "depart"); ("object", J.jstr object_id) ]
   | Check { object_id; access } ->
       json_obj
         [
-          ("req", str "check");
-          ("object", str object_id);
-          ("access", str (Sral.Access.to_string access));
+          ("req", J.jstr "check");
+          ("object", J.jstr object_id);
+          ("access", J.jstr (Sral.Access.to_string access));
         ]
   | Activate { object_id; role } ->
       json_obj
-        [ ("req", str "activate"); ("object", str object_id); ("role", str role) ]
+        [
+          ("req", J.jstr "activate");
+          ("object", J.jstr object_id);
+          ("role", J.jstr role);
+        ]
   | Join { object_id; team } ->
       json_obj
-        [ ("req", str "join"); ("object", str object_id); ("team", str team) ]
-  | Subscribe -> json_obj [ ("req", str "subscribe") ]
+        [
+          ("req", J.jstr "join");
+          ("object", J.jstr object_id);
+          ("team", J.jstr team);
+        ]
+  | Subscribe -> json_obj [ ("req", J.jstr "subscribe") ]
 
 let reply_to_line = function
-  | Ack { seq } -> json_obj [ ("reply", str "ack"); ("seq", int seq) ]
+  | Ack { seq } -> json_obj [ ("reply", J.jstr "ack"); ("seq", J.jint seq) ]
   | Verdict { seq; verdict } ->
       json_obj
         [
-          ("reply", str "verdict");
-          ("seq", int seq);
-          ("verdict", raw (Obs.Export.verdict_to_json verdict));
+          ("reply", J.jstr "verdict");
+          ("seq", J.jint seq);
+          ("verdict", raw (J.verdict_to_json verdict));
         ]
   | Rejected { seq; reason } ->
       json_obj
-        [ ("reply", str "rejected"); ("seq", int seq); ("reason", str reason) ]
-  | Shed { seq } -> json_obj [ ("reply", str "shed"); ("seq", int seq) ]
+        [
+          ("reply", J.jstr "rejected");
+          ("seq", J.jint seq);
+          ("reason", J.jstr reason);
+        ]
+  | Shed { seq } -> json_obj [ ("reply", J.jstr "shed"); ("seq", J.jint seq) ]
   | Event ev ->
-      json_obj [ ("reply", str "event"); ("event", raw (Obs.Export.to_line ev)) ]
+      json_obj [ ("reply", J.jstr "event"); ("event", raw (J.to_line ev)) ]

@@ -747,56 +747,20 @@ let test_audit_empty_log_conventions () =
     (Invalid_argument "Audit_log.create: capacity 0 < 1") (fun () ->
       ignore (Audit_log.create ~capacity:0 ()))
 
-(* --- export --- *)
-
-let test_export_csv () =
-  let log = Audit_log.create () in
-  Audit_log.record log
-    { Audit_log.time = q 1; object_id = "o,1"; access = a_db;
-      verdict = Decision.Granted };
-  Audit_log.record log
-    { Audit_log.time = Q.make 3 2; object_id = "o2"; access = a_cfg;
-      verdict = Decision.Denied (Decision.Rbac_denied "no \"role\"") };
-  let csv = Export.audit_csv log in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check int) "header + 2 rows" 3 (List.length lines);
-  Alcotest.(check string) "header"
-    "time,object,operation,resource,server,verdict,reason" (List.hd lines);
-  Alcotest.(check bool) "comma field quoted" true
-    (String.length (List.nth lines 1) > 0
-    && String.sub (List.nth lines 1) 0 4 = "1,\"o");
-  Alcotest.(check bool) "rational time" true
-    (String.sub (List.nth lines 2) 0 3 = "3/2")
+(* --- export: the one JSON escaper every emitter shares --- *)
 
 let test_export_json_escaping () =
-  Alcotest.(check string) "quotes" "a\\\"b" (Export.json_escape "a\"b");
-  Alcotest.(check string) "backslash" "a\\\\b" (Export.json_escape "a\\b");
-  Alcotest.(check string) "newline" "a\\nb" (Export.json_escape "a\nb");
-  Alcotest.(check string) "csv quoting" "\"a\"\"b\"" (Export.csv_field "a\"b");
-  Alcotest.(check string) "csv plain" "plain" (Export.csv_field "plain")
-
-let test_export_bindings_json () =
-  let bindings =
+  List.iter
+    (fun (name, raw, escaped) ->
+      Alcotest.(check string) name escaped (Obs.Export.escape raw))
     [
-      Perm_binding.make
-        ~spatial:(Srac.Formula.Atom a_cfg)
-        ~spatial_scope:Perm_binding.Performed
-        ~proof_scope:Perm_binding.Team ~dur:(q 5)
-        (Rbac.Perm.make ~operation:"read" ~target:"db@s1");
+      ("quote", "a\"b", "a\\\"b");
+      ("backslash", "a\\b", "a\\\\b");
+      ("newline", "a\nb", "a\\nb");
+      ("carriage return", "a\rb", "a\\rb");
+      ("tab", "a\tb", "a\\tb");
+      ("other control byte", "a\x01b", "a\\u0001b");
     ]
-  in
-  let json = Export.bindings_json bindings in
-  let contains needle =
-    let n = String.length needle in
-    let rec scan i =
-      i + n <= String.length json
-      && (String.sub json i n = needle || scan (i + 1))
-    in
-    scan 0
-  in
-  Alcotest.(check bool) "permission" true (contains "\"permission\":\"read:db@s1\"");
-  Alcotest.(check bool) "team" true (contains "\"proofs\":\"team\"");
-  Alcotest.(check bool) "dur" true (contains "\"dur\":\"5\"")
 
 (* --- lint --- *)
 
@@ -1244,9 +1208,7 @@ let () =
         ] );
       ( "export",
         [
-          Alcotest.test_case "csv" `Quick test_export_csv;
           Alcotest.test_case "json escaping" `Quick test_export_json_escaping;
-          Alcotest.test_case "bindings json" `Quick test_export_bindings_json;
         ] );
       ( "policy-lang",
         [

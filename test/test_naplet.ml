@@ -645,75 +645,83 @@ let test_itinerary_linearize_avoiding () =
     [ "s1"; "s2"; "s4" ]
     (route ~down:(fun s -> s = "s2" || s = "s3"))
 
-(* --- event log --- *)
+(* --- event log: the world's lifecycle record is the control's trace --- *)
 
-let test_event_log_sequence () =
+(* Subscribe a memory sink to the world's bus before it runs. *)
+let capture world =
+  let sink, events = Obs.Sink.memory () in
+  Obs.Bus.subscribe
+    (Coordinated.System.bus
+       (Naplet.Security_manager.control (Naplet.World.manager world)))
+    sink;
+  events
+
+(* The agent-lifecycle subset of the trace, by kind; decision spans,
+   arrivals and run bookkeeping are not lifecycle. *)
+let lifecycle_kind : Obs.Trace.event -> string option = function
+  | Obs.Trace.Spawned _ -> Some "spawn"
+  | Obs.Trace.Migrated _ -> Some "migrate"
+  | Obs.Trace.Decision { verdict = Obs.Verdict.Granted; _ } -> Some "grant"
+  | Obs.Trace.Decision { verdict = Obs.Verdict.Denied _; _ } -> Some "deny"
+  | Obs.Trace.Message_sent _ -> Some "send"
+  | Obs.Trace.Message_received _ -> Some "recv"
+  | Obs.Trace.Signal_raised _ -> Some "signal"
+  | Obs.Trace.Completed _ -> Some "done"
+  | Obs.Trace.Aborted _ -> Some "abort"
+  | Obs.Trace.Deadlocked _ -> Some "deadlock"
+  | Obs.Trace.Fault_injected _ -> Some "fault"
+  | Obs.Trace.Retry_scheduled _ -> Some "retry"
+  | Obs.Trace.Gave_up _ -> Some "gave-up"
+  | _ -> None
+
+let test_trace_lifecycle_sequence () =
   let world = world_with_servers [ "s1"; "s2" ] in
+  let events = capture world in
   Naplet.World.spawn world ~id:"a" ~owner:"owner" ~roles:[ "worker" ]
     ~home:"s1" (prog "read x @ s1; read y @ s2; c ! 1; signal(fin)");
   ignore (Naplet.World.run world);
-  let log = Naplet.World.events world in
-  let kinds =
-    List.map
-      (fun (e : Naplet.Event_log.event) ->
-        match e.Naplet.Event_log.kind with
-        | Naplet.Event_log.Spawned _ -> "spawn"
-        | Naplet.Event_log.Migrated _ -> "migrate"
-        | Naplet.Event_log.Access_granted _ -> "grant"
-        | Naplet.Event_log.Access_denied _ -> "deny"
-        | Naplet.Event_log.Message_sent _ -> "send"
-        | Naplet.Event_log.Message_received _ -> "recv"
-        | Naplet.Event_log.Signal_raised _ -> "signal"
-        | Naplet.Event_log.Completed -> "done"
-        | Naplet.Event_log.Aborted _ -> "abort"
-        | Naplet.Event_log.Deadlocked -> "deadlock"
-        | Naplet.Event_log.Fault _ -> "fault"
-        | Naplet.Event_log.Retry _ -> "retry"
-        | Naplet.Event_log.Gave_up _ -> "gave-up")
-      (Naplet.Event_log.events log)
-  in
   Alcotest.(check (list string)) "lifecycle order"
     [ "spawn"; "grant"; "migrate"; "grant"; "send"; "signal"; "done" ]
-    kinds
+    (List.filter_map lifecycle_kind (events ()))
 
-let test_event_log_denials_recorded () =
+let test_trace_denials_recorded () =
   let policy = Rbac.Policy.create () in
   Rbac.Policy.add_user policy "owner";
   Rbac.Policy.add_role policy "mute";
   Rbac.Policy.assign_user policy "owner" "mute";
   let world = Naplet.World.create (Coordinated.System.create policy) in
+  let events = capture world in
   Naplet.World.add_server world (Naplet.Server.create "s1");
   Naplet.World.spawn world ~id:"a" ~owner:"owner" ~roles:[ "mute" ] ~home:"s1"
     (prog "read x @ s1");
   ignore (Naplet.World.run world);
-  let log = Naplet.World.events world in
-  Alcotest.(check int) "one denial event" 1
-    (Naplet.Event_log.count log (function
-      | Naplet.Event_log.Access_denied _ -> true
-      | _ -> false));
-  (* the denial carries a reason *)
-  match
-    List.find_map
-      (fun (e : Naplet.Event_log.event) ->
-        match e.Naplet.Event_log.kind with
-        | Naplet.Event_log.Access_denied (_, why) -> Some why
+  let reasons =
+    List.filter_map
+      (function
+        | Obs.Trace.Decision { verdict = Obs.Verdict.Denied why; _ } ->
+            Some (Format.asprintf "%a" Obs.Verdict.pp_reason why)
         | _ -> None)
-      (Naplet.Event_log.events log)
-  with
-  | Some why -> Alcotest.(check bool) "reason text" true (String.length why > 0)
-  | None -> Alcotest.fail "denial event missing"
+      (events ())
+  in
+  Alcotest.(check int) "one denial event" 1 (List.length reasons);
+  Alcotest.(check bool) "the denial carries a reason" true
+    (List.for_all (fun why -> String.length why > 0) reasons)
 
-let test_event_log_for_agent () =
+let test_trace_per_agent () =
   let world = world_with_servers [ "s1" ] in
+  let events = capture world in
   Naplet.World.spawn world ~id:"a1" ~owner:"owner" ~roles:[ "worker" ]
     ~home:"s1" (prog "read x @ s1");
   Naplet.World.spawn world ~id:"a2" ~owner:"owner" ~roles:[ "worker" ]
     ~home:"s1" (prog "read y @ s1");
   ignore (Naplet.World.run world);
-  let log = Naplet.World.events world in
+  let lifecycle =
+    List.filter (fun ev -> Option.is_some (lifecycle_kind ev)) (events ())
+  in
   Alcotest.(check int) "a1 events" 3
-    (List.length (Naplet.Event_log.for_agent log "a1"));
-  Alcotest.(check int) "total" 6 (Naplet.Event_log.size log)
+    (List.length
+       (List.filter (fun ev -> Obs.Trace.subject ev = Some "a1") lifecycle));
+  Alcotest.(check int) "total" 6 (List.length lifecycle)
 
 (* --- server contention --- *)
 
@@ -1054,10 +1062,10 @@ let () =
       ( "event-log",
         [
           Alcotest.test_case "lifecycle sequence" `Quick
-            test_event_log_sequence;
+            test_trace_lifecycle_sequence;
           Alcotest.test_case "denials recorded" `Quick
-            test_event_log_denials_recorded;
-          Alcotest.test_case "per agent" `Quick test_event_log_for_agent;
+            test_trace_denials_recorded;
+          Alcotest.test_case "per agent" `Quick test_trace_per_agent;
         ] );
       ( "contention",
         [

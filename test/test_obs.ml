@@ -1,8 +1,8 @@
 (* The observability spine: trace determinism, JSONL round-tripping,
-   and — the refactor's safety net — sink equivalence: the audit log,
-   the event log and the metrics accumulator, now fed exclusively by
-   the trace bus, must report entry-for-entry what the seed's hand-wired
-   recording reported.  The reference here is a plain fold over the
+   and — the refactor's safety net — sink equivalence: the audit log
+   and the metrics accumulator, now fed exclusively by the trace bus,
+   must report entry-for-entry what the seed's hand-wired recording
+   reported.  The reference here is a plain fold over the
    captured trace implementing the seed semantics directly. *)
 
 module Q = Temporal.Q
@@ -428,61 +428,7 @@ let test_sink_equivalence () =
       Alcotest.(check int)
         (Printf.sprintf "seed %d: deadlocked" seed)
         (count (function Obs.Trace.Deadlocked _ -> true | _ -> false))
-        metrics.Naplet.Metrics.deadlocked_agents;
-      (* event log = the agent-lifecycle projection of the trace *)
-      let projected =
-        List.filter_map
-          (function
-            | Obs.Trace.Spawned { time; agent; home } ->
-                Some
-                  { Naplet.Event_log.time; agent;
-                    kind = Naplet.Event_log.Spawned { home } }
-            | Obs.Trace.Migrated { time; agent; from_; to_ } ->
-                Some
-                  { Naplet.Event_log.time; agent;
-                    kind = Naplet.Event_log.Migrated { from_; to_ } }
-            | Obs.Trace.Decision { time; object_id; access; verdict } ->
-                let kind =
-                  match verdict with
-                  | Obs.Verdict.Granted -> Naplet.Event_log.Access_granted access
-                  | Obs.Verdict.Denied reason ->
-                      Naplet.Event_log.Access_denied
-                        ( access,
-                          Format.asprintf "%a" Obs.Verdict.pp_reason reason )
-                in
-                Some { Naplet.Event_log.time; agent = object_id; kind }
-            | Obs.Trace.Message_sent { time; agent; channel } ->
-                Some
-                  { Naplet.Event_log.time; agent;
-                    kind = Naplet.Event_log.Message_sent channel }
-            | Obs.Trace.Message_received { time; agent; channel } ->
-                Some
-                  { Naplet.Event_log.time; agent;
-                    kind = Naplet.Event_log.Message_received channel }
-            | Obs.Trace.Signal_raised { time; agent; signal } ->
-                Some
-                  { Naplet.Event_log.time; agent;
-                    kind = Naplet.Event_log.Signal_raised signal }
-            | Obs.Trace.Completed { time; agent } ->
-                Some
-                  { Naplet.Event_log.time; agent; kind = Naplet.Event_log.Completed }
-            | Obs.Trace.Aborted { time; agent; reason } ->
-                Some
-                  { Naplet.Event_log.time; agent;
-                    kind = Naplet.Event_log.Aborted reason }
-            | Obs.Trace.Deadlocked { time; agent } ->
-                Some
-                  { Naplet.Event_log.time; agent;
-                    kind = Naplet.Event_log.Deadlocked }
-            | _ -> None)
-          events
-      in
-      let logged = Naplet.Event_log.events (Naplet.World.events world) in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: event log = trace projection" seed)
-        true
-        (List.length projected = List.length logged
-        && List.for_all2 ( = ) projected logged))
+        metrics.Naplet.Metrics.deadlocked_agents)
 
 (* The whole trace must not depend on the decision mode: the lazy and
    the naive runs of the same coalition through the Naplet world
@@ -505,36 +451,7 @@ let test_decisions_mode_independent () =
         && List.for_all2 Obs.Trace.equal fast naive))
 
 (* ------------------------------------------------------------------ *)
-(* Satellites: event-log accessors, metrics grant rate, stats          *)
-
-let test_event_log_accessors () =
-  each_seed (fun seed rng ->
-      let _, world, _ = build_world rng in
-      ignore (Naplet.World.run world);
-      let log = Naplet.World.events world in
-      let events = Naplet.Event_log.events log in
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: size = length" seed)
-        (List.length events)
-        (Naplet.Event_log.size log);
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: count true = size" seed)
-        (Naplet.Event_log.size log)
-        (Naplet.Event_log.count log (fun _ -> true));
-      List.iter
-        (fun (agent : Naplet.Agent.t) ->
-          let id = agent.Naplet.Agent.id in
-          let expected =
-            List.filter
-              (fun (e : Naplet.Event_log.event) ->
-                String.equal e.Naplet.Event_log.agent id)
-              events
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "seed %d: for_agent %s chronological" seed id)
-            true
-            (expected = Naplet.Event_log.for_agent log id))
-        (Naplet.World.agents world))
+(* Satellites: metrics grant rate, stats                              *)
 
 let test_grant_rate_option () =
   let m = Naplet.Metrics.create () in
@@ -757,8 +674,6 @@ let () =
         ] );
       ( "satellites",
         [
-          Alcotest.test_case "event-log accessors" `Quick
-            test_event_log_accessors;
           Alcotest.test_case "grant rate is optional" `Quick
             test_grant_rate_option;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;

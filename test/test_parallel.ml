@@ -228,7 +228,7 @@ let test_backend_contract () =
              (fun () -> failwith "task-2");
            |]))
 
-(* 9. The big-coalition generator — the [stacc bench-parallel --big]
+(* 8. The big-coalition generator — the [stacc bench-parallel --big]
    workload and the ROADMAP's 10^4+-object shard sweeps: one
    2000-object coalition in team-closed blocks, replayed object-sharded
    at every configured shard count, must conform to the sequential
@@ -247,54 +247,6 @@ let test_big_coalition_conformance () =
           Alcotest.failf "STACC_TEST_SEED=%d STACC_SHARDS=%d big coalition: %s"
             Gen.offset shards d)
     shard_counts
-
-(* 8. Batch entry points agree with one-at-a-time calls. *)
-let test_batch_matches_single () =
-  Gen.each_seed ~salt:6064 ~count:25 (fun ~seed rng ->
-      let sc = Gen.coalition ~faults:false rng in
-      let render v = Format.asprintf "%a" Coordinated.Decision.pp_verdict v in
-      let replay () =
-        let control = Scenario.system sc in
-        let o = List.hd sc.Scenario.objects in
-        let session =
-          Coordinated.System.new_session control ~user:o.Scenario.owner
-        in
-        List.iter
-          (fun r ->
-            try Rbac.Session.activate session r with
-            | Rbac.Session.Not_authorized _ | Rbac.Session.Dsd_violation _ ->
-                ())
-          o.Scenario.roles;
-        Coordinated.System.arrive control ~object_id:o.Scenario.id ~server:"s1"
-          ~time:(Temporal.Q.of_int 1);
-        (control, session, o)
-      in
-      let accesses =
-        List.filteri
-          (fun i _ -> i < 10)
-          (List.filter_map
-             (function Scenario.Check (_, a) -> Some a | _ -> None)
-             sc.Scenario.events)
-      in
-      let timed =
-        List.mapi (fun i a -> (Temporal.Q.of_int (i + 2), a)) accesses
-      in
-      let control, session, o = replay () in
-      let batch =
-        Coordinated.System.check_batch control ~session ~object_id:o.Scenario.id
-          ~program:o.Scenario.program timed
-      in
-      let control', session', o' = replay () in
-      let singles =
-        List.map
-          (fun (time, a) ->
-            Coordinated.System.check control' ~session:session'
-              ~object_id:o'.Scenario.id ~program:o'.Scenario.program ~time a)
-          timed
-      in
-      Alcotest.(check (list string))
-        (Printf.sprintf "seed %d: batch = singles" seed)
-        (List.map render singles) (List.map render batch))
 
 let () =
   Alcotest.run "parallel"
@@ -325,9 +277,4 @@ let () =
       ( "backend",
         [ Alcotest.test_case "task order and errors" `Quick test_backend_contract ]
       );
-      ( "batch",
-        [
-          Alcotest.test_case "check_batch = repeated check" `Quick
-            test_batch_matches_single;
-        ] );
     ]

@@ -233,7 +233,8 @@ let test_report_lines () =
     String.concat "\n"
       (Array.to_list
          (Array.mapi
-            (fun i wf -> Sat.report_line ~index:i ~family:W.Adversarial wf)
+            (fun i wf ->
+              fst (Sat.report_line ~index:i ~family:W.Adversarial wf))
             batch))
   in
   let a = render () in
