@@ -564,8 +564,7 @@ let fastpath_check ?bus ~mode ~objects () =
                 ~target:(Printf.sprintf "aux%d@s9" i)))
   in
   let control =
-    Coordinated.System.create ~mode ~bindings ~log_capacity:1024 ?bus
-      (policy ())
+    Coordinated.System.create ~mode ~bindings ?bus (policy ())
   in
   let session = Coordinated.System.new_session control ~user:"u" in
   Rbac.Session.activate session "r";
@@ -1116,9 +1115,14 @@ let e21 () =
      machine interns a couple of residuals and answers from
      nullability.
 
-   Last the allocation gate: a burst of direct, uninstrumented
-   steady-state [Decision.decide_lazy] calls must allocate ~0 minor
-   words per decision (exits 1 above 1.0 words/decision).
+   Last two allocation gates on the warm-hit workload:
+   - production's path: warm [System.check]s through a default system
+     (null clock, no sink) must allocate at most 256 minor words per
+     check;
+   - the decision core: direct steady-state [Decision.decide_lazy]
+     calls on a sink-less bus must allocate ~0 minor words per
+     decision (at most 1.0).
+   Either budget exceeded exits 1.
 
    Env knobs for CI: [E22_GATE_COUNT] sizes the differential gate
    (default 300); [E22_CHECKS] sizes each latency block (default
@@ -1191,7 +1195,7 @@ let e22 () =
   in
   let fresh ~mode ~bindings =
     let control =
-      Coordinated.System.create ~mode ~bindings ~log_capacity:64 (policy ())
+      Coordinated.System.create ~mode ~bindings (policy ())
     in
     let session = Coordinated.System.new_session control ~user:"u" in
     Rbac.Session.activate session "r";
@@ -1233,31 +1237,45 @@ let e22 () =
     per_call checks check);
   row "cold (first decision)" (fun mode ->
     per_call (min checks 400) (fun () -> fresh ~mode ~bindings:hit_bindings ()));
-  (* 3. allocation gate: the direct steady-state path, no bus, no
-     recording — two warm calls settle the residual arena, then the
-     burst must stay out of the minor heap *)
+  (* 3. allocation gates: warm calls settle the residual arena, then
+     each burst is read off the minor heap *)
+  let words_per_call rounds f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to rounds do
+      ignore (f ())
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int rounds
+  in
+  let gate name ~budget ~unit per_call rounds =
+    Printf.printf "  allocation (%s): %.1f minor words/%s over %d calls\n%!"
+      name per_call unit rounds;
+    if per_call > budget then begin
+      Printf.printf "  allocation gate FAILED (budget: %.1f words/%s)\n%!"
+        budget unit;
+      exit 1
+    end
+  in
+  let check = fresh ~mode:Coordinated.System.Lazy ~bindings:hit_bindings in
+  for _ = 1 to 64 do
+    ignore (check ())
+  done;
+  let rounds = 10_000 in
+  gate "System.check" ~budget:256. ~unit:"check"
+    (words_per_call rounds check) rounds;
   let session = Rbac.Session.create (policy ()) ~user:"u" in
   Rbac.Session.activate session "r";
   let monitor = Coordinated.Monitor.create ~object_id:"o0" in
   Coordinated.Monitor.record_arrival monitor ~server:"s1" ~time:Q.zero;
+  let bus = Obs.Bus.create () in
   let decide () =
-    Coordinated.Decision.decide_lazy ~session ~monitor ~applicable:hit_bindings
-      ~team_version:0 ~program ~time:Q.one access
+    Coordinated.Decision.decide_lazy ~bus ~session ~monitor
+      ~applicable:hit_bindings ~team_version:0 ~program ~time:Q.one access
   in
   ignore (decide ());
   ignore (decide ());
   let burst = 100_000 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to burst do
-    ignore (decide ())
-  done;
-  let per_decision = (Gc.minor_words () -. w0) /. float_of_int burst in
-  Printf.printf "  allocation: %.4f minor words/decision over %d calls\n%!"
-    per_decision burst;
-  if per_decision > 1.0 then begin
-    Printf.printf "  allocation gate FAILED (budget: 1.0 words/decision)\n%!";
-    exit 1
-  end
+  gate "decide_lazy" ~budget:1.0 ~unit:"decision" (words_per_call burst decide)
+    burst
 
 (* ------------------------------------------------------------------ *)
 (* Runner                                                               *)

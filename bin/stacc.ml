@@ -1027,6 +1027,7 @@ let simulate_cmd =
         Format.eprintf "error: %s@." msg;
         rc
     | Ok control, Ok program ->
+        let log = Coordinated.Audit_log.attach (Coordinated.System.bus control) in
         let world = Naplet.World.create control in
         List.iter
           (fun s -> Naplet.World.add_server world (Naplet.Server.create s))
@@ -1041,11 +1042,9 @@ let simulate_cmd =
         Naplet.World.spawn world ~id:"agent-1" ~owner ~roles ~home program;
         let metrics = Naplet.World.run world in
         Format.printf "%a@.@." Naplet.Metrics.pp metrics;
-        Format.printf "--- audit log ---@.%a@.@." Coordinated.Audit_log.pp
-          (Coordinated.System.log control);
+        Format.printf "--- audit log ---@.%a@.@." Coordinated.Audit_log.pp log;
         Format.printf "--- timeline ---@.%s@."
-          (Coordinated.Timeline.render ~width:48
-             (Coordinated.System.log control));
+          (Coordinated.Timeline.render ~width:48 log);
         0
   in
   Cmd.v

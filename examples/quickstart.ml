@@ -40,7 +40,9 @@ bind read:db@s2 spatial "seq(read cfg @ s1, read db @ s2)" scope performed dur 1
 |}
   in
 
-  (* 4. Emulate the mobile computation in the Naplet world. *)
+  (* 4. Emulate the mobile computation in the Naplet world, recording
+     every decision in an audit log. *)
+  let log = Coordinated.Audit_log.attach (Coordinated.System.bus control) in
   let world = Naplet.World.create control in
   List.iter
     (fun s -> Naplet.World.add_server world (Naplet.Server.create s))
@@ -53,7 +55,6 @@ bind read:db@s2 spatial "seq(read cfg @ s1, read db @ s2)" scope performed dur 1
   Format.printf "--- simulation ---@.%a@.@." Naplet.Metrics.pp metrics;
 
   (* 5. Inspect the audit trail — as a log and as a timeline. *)
-  Format.printf "--- audit log ---@.%a@.@." Coordinated.Audit_log.pp
-    (Coordinated.System.log control);
+  Format.printf "--- audit log ---@.%a@.@." Coordinated.Audit_log.pp log;
   Format.printf "--- timeline ---@.%s@."
-    (Coordinated.Timeline.render ~width:40 (Coordinated.System.log control))
+    (Coordinated.Timeline.render ~width:40 log)

@@ -5,88 +5,26 @@ type entry = {
   verdict : Decision.verdict;
 }
 
-(* Ring buffer over [buf]: retained entries are the [len] slots starting
-   at [start] (mod capacity).  In unbounded mode the buffer only grows
-   and [start] stays 0.  Lifetime statistics ([total], [granted_total],
-   the per-object/per-server count tables) are updated in O(1) at record
-   time and never forget evicted entries. *)
+(* Entries newest-first; the counters make [size]/[granted_count]
+   O(1). *)
 type t = {
-  mutable buf : entry option array;
-  mutable start : int;
-  mutable len : int;
-  capacity : int option;
+  mutable rev_entries : entry list;
   mutable total : int;
   mutable granted_total : int;
-  object_counts : (string, int) Hashtbl.t;
-  server_counts : (string, int) Hashtbl.t;
 }
 
-let create ?capacity () =
-  (match capacity with
-  | Some c when c < 1 ->
-      invalid_arg (Printf.sprintf "Audit_log.create: capacity %d < 1" c)
-  | _ -> ());
-  (* bounded mode allocates its ring in full so the modulus is always
-     the array length; unbounded mode starts small and doubles *)
-  let initial = match capacity with Some c -> c | None -> 16 in
-  {
-    buf = Array.make initial None;
-    start = 0;
-    len = 0;
-    capacity;
-    total = 0;
-    granted_total = 0;
-    object_counts = Hashtbl.create 16;
-    server_counts = Hashtbl.create 16;
-  }
-
-let bump table key =
-  Hashtbl.replace table key
-    (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
-
-let grow log =
-  let bigger = Array.make (2 * Array.length log.buf) None in
-  (* unbounded mode never wraps, so the live region is a prefix *)
-  Array.blit log.buf 0 bigger 0 log.len;
-  log.buf <- bigger
+let create () = { rev_entries = []; total = 0; granted_total = 0 }
 
 let record log e =
+  log.rev_entries <- e :: log.rev_entries;
   log.total <- log.total + 1;
   if Decision.is_granted e.verdict then
-    log.granted_total <- log.granted_total + 1;
-  bump log.object_counts e.object_id;
-  bump log.server_counts e.access.Sral.Access.server;
-  match log.capacity with
-  | None ->
-      if log.len = Array.length log.buf then grow log;
-      log.buf.(log.len) <- Some e;
-      log.len <- log.len + 1
-  | Some cap ->
-      if log.len < cap then begin
-        log.buf.((log.start + log.len) mod Array.length log.buf) <- Some e;
-        log.len <- log.len + 1
-      end
-      else begin
-        (* full: overwrite the oldest slot and rotate *)
-        log.buf.(log.start) <- Some e;
-        log.start <- (log.start + 1) mod Array.length log.buf
-      end
+    log.granted_total <- log.granted_total + 1
 
 let size log = log.total
-let retained log = log.len
 let granted_count log = log.granted_total
 let denied_count log = log.total - log.granted_total
-
-let count_by_object log id =
-  Option.value ~default:0 (Hashtbl.find_opt log.object_counts id)
-
-let count_by_server log server =
-  Option.value ~default:0 (Hashtbl.find_opt log.server_counts server)
-
-let entries log =
-  List.filter_map
-    (fun i -> log.buf.((log.start + i) mod Array.length log.buf))
-    (List.init log.len Fun.id)
+let entries log = List.rev log.rev_entries
 
 let granted log =
   List.filter (fun e -> Decision.is_granted e.verdict) (entries log)
@@ -109,6 +47,11 @@ let sink log =
     | Obs.Trace.Decision { time; object_id; access; verdict } ->
         record log { time; object_id; access; verdict }
     | _ -> ())
+
+let attach bus =
+  let log = create () in
+  Obs.Bus.subscribe bus (sink log);
+  log
 
 let pp_entry ppf e =
   Format.fprintf ppf "[%a] %s: %a -> %a" Temporal.Q.pp e.time e.object_id

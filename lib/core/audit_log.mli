@@ -1,19 +1,14 @@
 (** Audit log of coordinated access-control decisions.
 
-    The log is a {e sink} over the observability bus: it has no
-    recording wiring of its own — {!Coordinated.System.check} emits an
-    {!Obs.Trace.Decision} event and {!sink} turns it into an entry.
-    ({!record} remains public for building logs by hand in tests.)
+    The log is an opt-in {e sink} over the observability bus: it has no
+    recording wiring of its own.  {!Coordinated.System.check} emits an
+    {!Obs.Trace.Decision} event, and a log {!attach}ed to the system's
+    bus turns it into an entry.  A system with no log attached builds
+    no such event.  ({!record} remains public for building logs by hand
+    in tests.)
 
-    Statistics ({!size}, {!granted_count}, {!grant_rate},
-    {!count_by_object}, {!count_by_server}) are maintained
-    incrementally at {!record} time — O(1) per record, O(1) per query —
-    instead of re-walking the entry list.  They count over the log's
-    whole lifetime.
-
-    With [~capacity] the log keeps only the most recent entries (a ring
-    buffer, for long emulations); the lifetime counters still cover
-    every decision ever recorded, evicted or not. *)
+    The log keeps every entry.  {!size} and {!granted_count} are
+    maintained at {!record} time, O(1) per query. *)
 
 type entry = {
   time : Temporal.Q.t;
@@ -24,53 +19,41 @@ type entry = {
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Unbounded unless [capacity] is given.
-    @raise Invalid_argument if [capacity < 1]. *)
-
+val create : unit -> t
 val record : t -> entry -> unit
 
 val entries : t -> entry list
-(** Retained entries, in record order (everything, when unbounded). *)
+(** In record order. *)
 
 val size : t -> int
-(** Lifetime number of recorded decisions, O(1).  In unbounded mode
-    this equals [List.length (entries t)]; in ring mode it keeps
-    counting past evictions. *)
-
-val retained : t -> int
-(** Entries currently held — [min size capacity] in ring mode. *)
+(** Number of recorded decisions, O(1). *)
 
 val granted_count : t -> int
-(** Lifetime granted decisions, O(1). *)
+(** Granted decisions, O(1). *)
 
 val denied_count : t -> int
-(** Lifetime denied decisions, O(1). *)
+(** Denied decisions, O(1). *)
 
 val granted : t -> entry list
-(** Granted entries among {!entries} (retained only). *)
+(** Granted entries, in record order. *)
 
 val denied : t -> entry list
 
 val grant_rate : t -> float
-(** Lifetime granted/size.  NaN-free: 1.0 on an empty log. *)
-
-val count_by_object : t -> string -> int
-(** Lifetime decisions concerning the object, O(1). *)
-
-val count_by_server : t -> string -> int
-(** Lifetime decisions at the server, O(1). *)
+(** granted/size.  NaN-free: 1.0 on an empty log. *)
 
 val by_object : t -> string -> entry list
-(** Retained entries concerning the object. *)
+(** Entries concerning the object. *)
 
 val by_server : t -> string -> entry list
 
 val sink : t -> Obs.Sink.t
 (** The log as a trace-bus subscriber: records one entry per
-    {!Obs.Trace.Decision} event and ignores every other variant.
-    {!Coordinated.System} subscribes this at creation, so decisions
-    reach the log through the bus rather than by direct calls. *)
+    {!Obs.Trace.Decision} event and ignores every other variant. *)
+
+val attach : Obs.Bus.t -> t
+(** A fresh log subscribed to the bus: it records every decision
+    published there from now on. *)
 
 val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit

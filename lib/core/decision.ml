@@ -152,44 +152,49 @@ let first_temporal_failure ~monitor ~time applicable =
           Some (Temporal_expired { binding = Perm_binding.key b; spent }))
     applicable
 
-(* Bracket [f]'s evaluation with Stage_start/Stage_end span events on
-   the bus, measuring host-clock nanoseconds through the bus clock
-   (zero under the default null clock, keeping traces deterministic).
-   With no bus the stage runs untouched — the un-instrumented fast
-   path is byte-for-byte the seed's. *)
-let span ~obs ~monitor ~time stage ok_of f =
-  match obs with
-  | None -> f ()
-  | Some bus ->
-      let object_id = Monitor.object_id monitor in
-      Obs.Bus.emit bus (Obs.Trace.Stage_start { time; object_id; stage });
-      let t0 = Obs.Bus.now_ns bus in
-      let result = f () in
-      let elapsed_ns = Int64.sub (Obs.Bus.now_ns bus) t0 in
-      Obs.Bus.emit bus
-        (Obs.Trace.Stage_end
-           { time; object_id; stage; ok = ok_of result; elapsed_ns });
-      result
+(* Stage spans, shared by both decision paths.  [stage_start] emits
+   Stage_start and returns the bus clock reading; [stage_end] emits the
+   matching Stage_end with the elapsed host-clock nanoseconds (zero
+   under the default null clock, keeping traces deterministic).  On a
+   bus with no sink each is one branch: no event is built and no clock
+   is read. *)
+let stage_start bus ~monitor ~time stage =
+  if Obs.Bus.observed bus then begin
+    Obs.Bus.emit bus
+      (Obs.Trace.Stage_start
+         { time; object_id = Monitor.object_id monitor; stage });
+    Obs.Bus.now_ns bus
+  end
+  else 0L
 
-(* Full recomputation over an already-filtered applicable-binding list. *)
-let decide_applicable ?obs ~companions ~session ~monitor ~applicable ~program
+let stage_end bus ~monitor ~time stage t0 ok =
+  if Obs.Bus.observed bus then
+    let elapsed_ns = Int64.sub (Obs.Bus.now_ns bus) t0 in
+    Obs.Bus.emit bus
+      (Obs.Trace.Stage_end
+         { time; object_id = Monitor.object_id monitor; stage; ok; elapsed_ns })
+
+(* Full recomputation: every applicable binding is refreshed and
+   spatially checked before the verdict is read. *)
+let decide_naive ?(companions = []) ~bus ~session ~monitor ~bindings ~program
     ~time access =
-  let rbac =
-    span ~obs ~monitor ~time Obs.Trace.Rbac
-      (function Rbac.Engine.Granted -> true | Rbac.Engine.Denied _ -> false)
-      (fun () -> Rbac.Engine.decide_access session access)
+  let applicable =
+    List.filter (fun b -> Perm_binding.applies_to b access) bindings
   in
+  let t0 = stage_start bus ~monitor ~time Obs.Trace.Rbac in
+  let rbac = Rbac.Engine.decide_access session access in
+  stage_end bus ~monitor ~time Obs.Trace.Rbac t0 (Rbac.Engine.is_granted rbac);
+  let t0 = stage_start bus ~monitor ~time Obs.Trace.Spatial in
+  List.iter
+    (refresh_one ~session ~monitor ~companions ~program ~time)
+    applicable;
   let spatial_results =
-    span ~obs ~monitor ~time Obs.Trace.Spatial
-      (List.for_all (fun (_, r) -> Result.is_ok r))
-      (fun () ->
-        List.iter
-          (refresh_one ~session ~monitor ~companions ~program ~time)
-          applicable;
-        List.map
-          (fun b -> (b, spatial_ok ~monitor ~companions ~program ~access b))
-          applicable)
+    List.map
+      (fun b -> (b, spatial_ok ~monitor ~companions ~program ~access b))
+      applicable
   in
+  stage_end bus ~monitor ~time Obs.Trace.Spatial t0
+    (List.for_all (fun (_, r) -> Result.is_ok r) spatial_results);
   match rbac with
   | Rbac.Engine.Denied why -> Denied (Rbac_denied why)
   | Rbac.Engine.Granted -> (
@@ -207,20 +212,11 @@ let decide_applicable ?obs ~companions ~session ~monitor ~applicable ~program
       match spatial_failure with
       | Some reason -> Denied reason
       | None -> (
-          match
-            span ~obs ~monitor ~time Obs.Trace.Temporal Option.is_none
-              (fun () -> first_temporal_failure ~monitor ~time applicable)
-          with
-          | Some reason -> Denied reason
-          | None -> Granted))
-
-let decide_naive ?obs ?(companions = []) ~session ~monitor ~bindings ~program
-    ~time access =
-  let applicable =
-    List.filter (fun b -> Perm_binding.applies_to b access) bindings
-  in
-  decide_applicable ?obs ~companions ~session ~monitor ~applicable ~program
-    ~time access
+          let t0 = stage_start bus ~monitor ~time Obs.Trace.Temporal in
+          let temporal = first_temporal_failure ~monitor ~time applicable in
+          stage_end bus ~monitor ~time Obs.Trace.Temporal t0
+            (Option.is_none temporal);
+          match temporal with Some reason -> Denied reason | None -> Granted))
 
 (* ------------------------------------------------------------------ *)
 (* Lazy-derivative decision path.
@@ -587,79 +583,40 @@ let rec first_temporal_failure_lazy ~session ~monitor ~time = function
       | `Expired spent ->
           Some (Temporal_expired { binding = Perm_binding.key b; spent }))
 
-let decide_lazy ?obs ?(companions = []) ~session ~monitor ~applicable
+(* The stages run in the naive order and emit the same spans, but the
+   spatial stage stops at the first failing binding: the evaluations
+   it skips have no observable effect, they only warm caches that later
+   decisions fill identically.  Under an RBAC denial that first failure
+   is needed only for the spatial span's [ok] bit, so it is computed
+   only when the bus is observed. *)
+let decide_lazy ?(companions = []) ~bus ~session ~monitor ~applicable
     ~team_version ~program ~time access =
-  match obs with
-  | None -> (
-      (* uninstrumented fast path: no span closures, short-circuits at
-         the first spatial failure (the skipped evaluations have no
-         observable effect — they only warm caches that later
-         decisions recompute identically) *)
-      let rbac = rbac_cached ~session ~monitor access in
-      refresh_all_lazy ~session ~monitor ~companions ~program ~time
-        ~team_version applicable;
-      match rbac with
-      | Rbac.Engine.Denied why -> Denied (Rbac_denied why)
-      | Rbac.Engine.Granted -> (
-          match
-            first_spatial_failure_lazy ~session ~monitor ~companions ~program
-              ~access ~team_version applicable
-          with
-          | Some reason -> Denied reason
-          | None -> (
-              match
-                first_temporal_failure_lazy ~session ~monitor ~time applicable
-              with
-              | Some reason -> Denied reason
-              | None -> Granted)))
-  | Some _ -> (
-      (* instrumented: identical stage bracketing to decide_naive so
-         traces are byte-comparable *)
-      let rbac =
-        span ~obs ~monitor ~time Obs.Trace.Rbac
-          (function
-            | Rbac.Engine.Granted -> true
-            | Rbac.Engine.Denied _ -> false)
-          (fun () -> rbac_cached ~session ~monitor access)
+  let t0 = stage_start bus ~monitor ~time Obs.Trace.Rbac in
+  let rbac = rbac_cached ~session ~monitor access in
+  let rbac_ok = Rbac.Engine.is_granted rbac in
+  stage_end bus ~monitor ~time Obs.Trace.Rbac t0 rbac_ok;
+  let t0 = stage_start bus ~monitor ~time Obs.Trace.Spatial in
+  refresh_all_lazy ~session ~monitor ~companions ~program ~time ~team_version
+    applicable;
+  let spatial_failure =
+    if rbac_ok || Obs.Bus.observed bus then
+      first_spatial_failure_lazy ~session ~monitor ~companions ~program
+        ~access ~team_version applicable
+    else None
+  in
+  stage_end bus ~monitor ~time Obs.Trace.Spatial t0
+    (Option.is_none spatial_failure);
+  match (rbac, spatial_failure) with
+  | Rbac.Engine.Denied why, _ -> Denied (Rbac_denied why)
+  | Rbac.Engine.Granted, Some reason -> Denied reason
+  | Rbac.Engine.Granted, None -> (
+      let t0 = stage_start bus ~monitor ~time Obs.Trace.Temporal in
+      let temporal =
+        first_temporal_failure_lazy ~session ~monitor ~time applicable
       in
-      let spatial_results =
-        span ~obs ~monitor ~time Obs.Trace.Spatial
-          (List.for_all (fun (_, r) -> Result.is_ok r))
-          (fun () ->
-            refresh_all_lazy ~session ~monitor ~companions ~program ~time
-              ~team_version applicable;
-            List.map
-              (fun b ->
-                ( b,
-                  spatial_ok_lazy ~session ~monitor ~companions ~program
-                    ~access ~team_version b ))
-              applicable)
-      in
-      match rbac with
-      | Rbac.Engine.Denied why -> Denied (Rbac_denied why)
-      | Rbac.Engine.Granted -> (
-          let spatial_failure =
-            List.find_map
-              (fun (b, spatial) ->
-                match spatial with
-                | Ok () -> None
-                | Error detail ->
-                    Some
-                      (Spatial_violation
-                         { binding = Perm_binding.key b; detail }))
-              spatial_results
-          in
-          match spatial_failure with
-          | Some reason -> Denied reason
-          | None -> (
-              match
-                span ~obs ~monitor ~time Obs.Trace.Temporal Option.is_none
-                  (fun () ->
-                    first_temporal_failure_lazy ~session ~monitor ~time
-                      applicable)
-              with
-              | Some reason -> Denied reason
-              | None -> Granted)))
+      stage_end bus ~monitor ~time Obs.Trace.Temporal t0
+        (Option.is_none temporal);
+      match temporal with Some reason -> Denied reason | None -> Granted)
 
 let refresh_activation_lazy ?(companions = []) ~session ~monitor ~bindings
     ~team_version ~program ~time () =

@@ -32,8 +32,8 @@ type reason = Verdict.reason =
 type verdict = Verdict.t = Granted | Denied of reason
 
 val decide_naive :
-  ?obs:Obs.Bus.t ->
   ?companions:Monitor.t list ->
+  bus:Obs.Bus.t ->
   session:Rbac.Session.t ->
   monitor:Monitor.t ->
   bindings:Perm_binding.t list ->
@@ -44,19 +44,19 @@ val decide_naive :
 (** Decide the access at the given time.  Inspects only bindings whose
     permission pattern covers the access.  [companions] are the
     monitors of the object's teammates, consulted by bindings with
-    [Team] proof scope.  With [obs], each pipeline stage (rbac,
-    spatial, temporal) is bracketed with
-    {!Obs.Trace.Stage_start}/[Stage_end] span events on the bus, in
-    evaluation order; without it the decision is span-free and
-    allocation-identical to the seed.
+    [Team] proof scope.  Each pipeline stage (rbac, spatial, temporal)
+    is bracketed with {!Obs.Trace.Stage_start}/[Stage_end] span events
+    on [bus], in evaluation order; the temporal stage runs only when
+    the first two pass.  On a bus with no sink ({!Obs.Bus.observed} is
+    false) no span event is built and the bus clock is not read.
 
     The linear-scan reference decision, kept as the differential
     oracle the lazy fast path is fuzz-tested against and as E13's
     baseline. *)
 
 val decide_lazy :
-  ?obs:Obs.Bus.t ->
   ?companions:Monitor.t list ->
+  bus:Obs.Bus.t ->
   session:Rbac.Session.t ->
   monitor:Monitor.t ->
   applicable:Perm_binding.t list ->
@@ -84,11 +84,11 @@ val decide_lazy :
     or [team_version] moves.  A binding whose machine reaches
     {!Srac.Lazy_dfa.State_limit} is answered by the eager oracles from
     then on.  RBAC verdicts and role checks are cached per access /
-    binding, stamped by {!Rbac.Session.version}.  With [obs] the three
-    stage spans are emitted exactly as the naive path does; without it
-    the decision short-circuits at the first failure and the warm path
-    performs zero allocation (benchmarked in E22, differentially fuzzed
-    in [test/test_fuzz.ml]). *)
+    binding, stamped by {!Rbac.Session.version}.  The three stage spans
+    are emitted exactly as the naive path emits them, but the spatial
+    stage stops at the first failing binding.  On an unobserved bus the
+    warm path performs zero allocation (benchmarked in E22,
+    differentially fuzzed in [test/test_fuzz.ml]). *)
 
 val refresh_activation :
   ?companions:Monitor.t list ->

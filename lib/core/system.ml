@@ -10,16 +10,11 @@ type t = {
   teams : (string, string) Hashtbl.t;  (* object_id -> team name *)
   rosters : (string, String_set.t) Hashtbl.t;  (* team name -> members *)
   mutable teams_version : int;
-  log : Audit_log.t;
   bus : Obs.Bus.t;
 }
 
-let create ?(mode = Lazy) ?(bindings = []) ?log_capacity ?bus policy =
+let create ?(mode = Lazy) ?(bindings = []) ?bus policy =
   let bus = match bus with Some b -> b | None -> Obs.Bus.create () in
-  let log = Audit_log.create ?capacity:log_capacity () in
-  (* the audit log no longer records on its own: it is the bus's first
-     subscriber, fed one Decision event per check *)
-  Obs.Bus.subscribe bus (Audit_log.sink log);
   {
     policy;
     mode;
@@ -28,7 +23,6 @@ let create ?(mode = Lazy) ?(bindings = []) ?log_capacity ?bus policy =
     teams = Hashtbl.create 8;
     rosters = Hashtbl.create 8;
     teams_version = 0;
-    log;
     bus;
   }
 
@@ -44,7 +38,6 @@ let mode t = t.mode
 let bindings t = Binding_index.to_list t.index
 let add_binding t b = Binding_index.add t.index b
 let applicable_bindings t access = Binding_index.applicable t.index access
-let log t = t.log
 let bus t = t.bus
 
 let monitor t ~object_id =
@@ -103,19 +96,21 @@ let check t ~session ~object_id ~program ~time access =
   let verdict =
     match t.mode with
     | Naive ->
-        Decision.decide_naive ~obs:t.bus
+        Decision.decide_naive ~bus:t.bus
           ~companions:(companions_scan t ~object_id)
           ~session ~monitor:m
           ~bindings:(Binding_index.to_list t.index)
           ~program ~time access
     | Lazy ->
-        Decision.decide_lazy ~obs:t.bus
+        Decision.decide_lazy ~bus:t.bus
           ~companions:(companions t ~object_id)
           ~session ~monitor:m
           ~applicable:(Binding_index.applicable t.index access)
           ~team_version:t.teams_version ~program ~time access
   in
-  Obs.Bus.emit t.bus (Obs.Trace.Decision { time; object_id; access; verdict });
+  if Obs.Bus.observed t.bus then
+    Obs.Bus.emit t.bus
+      (Obs.Trace.Decision { time; object_id; access; verdict });
   (match verdict with
   | Decision.Granted -> Monitor.record_access m access ~time
   | Decision.Denied _ -> ());
@@ -123,7 +118,8 @@ let check t ~session ~object_id ~program ~time access =
 
 let arrive t ~object_id ~server ~time =
   Monitor.record_arrival (monitor t ~object_id) ~server ~time;
-  Obs.Bus.emit t.bus (Obs.Trace.Arrival { time; object_id; server })
+  if Obs.Bus.observed t.bus then
+    Obs.Bus.emit t.bus (Obs.Trace.Arrival { time; object_id; server })
 
 let refresh t ~session ~object_id ~program ~time =
   let monitor = monitor t ~object_id in

@@ -1,8 +1,10 @@
 (** Facade: a coordinated spatio-temporal access-control system.
 
     Wires the RBAC policy, the spatio-temporal bindings, the per-object
-    monitors and the audit log into the single object a server (or the
-    Naplet emulation's security manager) consults.
+    monitors and the trace bus into the single object a server (or the
+    Naplet emulation's security manager) consults.  Nothing is recorded
+    unless a caller subscribes a sink to the {!bus} — an
+    {!Audit_log.attach}ed log, a capture, a stats accumulator.
 
     Two decision modes share one observable behavior:
 
@@ -28,25 +30,21 @@ type decision_mode = Naive | Lazy
 val create :
   ?mode:decision_mode ->
   ?bindings:Perm_binding.t list ->
-  ?log_capacity:int ->
   ?bus:Obs.Bus.t ->
   Rbac.Policy.t ->
   t
-(** [log_capacity] bounds the audit log (ring mode, for long
-    emulations); lifetime counters stay exact either way.  [bus] is the
-    observability spine the system publishes on (default: a fresh bus
-    with the deterministic null clock); pass a bus built with a
-    monotonic clock to give decision spans real durations.  The audit
-    log is subscribed to the bus at creation, before any caller
-    sinks. *)
+(** [bus] is the observability spine the system publishes on (default:
+    a fresh bus with the deterministic null clock and no sink); pass a
+    bus built with a monotonic clock to give decision spans real
+    durations.  Creation subscribes nothing. *)
 
 val clone : t -> t
 (** A pristine replica: same decision mode, same bindings (copied into
     a fresh index), the {e same} policy object, but fresh monitors,
-    teams, audit log and bus.  This is the shard-safe entry point the
+    teams and a fresh sink-less bus.  This is the shard-safe entry point the
     parallel engine uses: each OCaml 5 domain decides against its own
     clone, so no mutable decision state (monitors, residual caches,
-    rosters, logs) is ever shared between domains.  The shared policy
+    rosters, sinks) is ever shared between domains.  The shared policy
     must not be mutated while clones are live on other domains —
     concurrent {e reads} of an unmutated policy are safe. *)
 
@@ -66,13 +64,12 @@ val applicable_bindings : t -> Sral.Access.t -> Perm_binding.t list
 (** The bindings {!check} consults for this access, in insertion order
     — resolved through the index.  Exposed for tests and tooling. *)
 
-val log : t -> Audit_log.t
-
 val bus : t -> Obs.Bus.t
 (** The system's trace bus.  {!check} emits per-stage span events and
     one {!Obs.Trace.Decision} per decision on it;
     {!arrive} emits {!Obs.Trace.Arrival}.  Subscribe sinks here to
-    observe (or record) everything the system does. *)
+    observe (or record) everything the system does; while the bus has
+    no sink, no event is built. *)
 
 val monitor : t -> object_id:string -> Monitor.t
 (** The monitor for a mobile object, created on first use. *)
@@ -98,9 +95,9 @@ val check :
   time:Temporal.Q.t ->
   Sral.Access.t ->
   Decision.verdict
-(** Decide, publish the decision on the {!bus} (which the audit log
-    records), and — when granted — record the execution proof in the
-    object's monitor (the server "carries out" the access and issues
+(** Decide, publish the decision on the {!bus} (where an attached
+    audit log records it), and — when granted — record the execution
+    proof in the object's monitor (the server "carries out" the access and issues
     the proof, Section 2). *)
 
 val arrive :

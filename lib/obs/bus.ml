@@ -15,6 +15,7 @@ let emit t ev =
   t.emitted <- t.emitted + 1;
   List.iter (fun s -> Sink.handle s ev) t.sinks
 
+let observed t = t.sinks <> []
 let now_ns t = t.clock ()
 let emitted t = t.emitted
 let sinks t = List.map Sink.name t.sinks

@@ -28,6 +28,11 @@ val subscribe : t -> Sink.t -> unit
 val emit : t -> Trace.event -> unit
 (** Deliver the event to every sink, in subscription order. *)
 
+val observed : t -> bool
+(** Whether any sink is subscribed.  Emitters test it before building
+    an event or reading the clock, so an unobserved bus costs one
+    branch per emission point. *)
+
 val now_ns : t -> int64
 (** Read the bus clock (for span measurement by emitters). *)
 

@@ -60,7 +60,7 @@ let object_sharded ?mode ~shards sc =
   in
   (* The canonical audit log is rebuilt by replaying the merged trace
      through a fresh log sink — same mechanism the live system uses, so
-     rendering and lifetime counters come out byte-identical to the
+     rendering and counters come out byte-identical to the
      sequential run's. *)
   let log = Coordinated.Audit_log.create () in
   let sink = Coordinated.Audit_log.sink log in

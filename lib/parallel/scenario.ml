@@ -79,6 +79,7 @@ let chunk_of n rev_acc =
 
 let replay ~control ~owns t =
   let bus = Coordinated.System.bus control in
+  let log = Coordinated.Audit_log.attach bus in
   let captured = ref [] and captured_n = ref 0 in
   Obs.Bus.subscribe bus
     (Obs.Sink.make ~name:"shard-capture" (fun ev ->
@@ -179,7 +180,6 @@ let replay ~control ~owns t =
           }
           :: !steps)
     t.events;
-  let log = Coordinated.System.log control in
   {
     steps = List.rev !steps;
     granted = Coordinated.Audit_log.granted_count log;

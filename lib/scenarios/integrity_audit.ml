@@ -146,8 +146,7 @@ let install_contents world =
       | None -> assert false)
     placement
 
-let report_of world control metrics trace =
-  let log = Coordinated.System.log control in
+let report_of world log metrics trace =
   let granted_accesses =
     List.map
       (fun (e : Coordinated.Audit_log.entry) -> e.Coordinated.Audit_log.access)
@@ -203,6 +202,7 @@ let run_parallel ?deadline ~clones () =
   | None -> ());
   let capture, trace = Obs.Sink.memory () in
   Obs.Bus.subscribe (Coordinated.System.bus control) capture;
+  let log = Coordinated.Audit_log.attach (Coordinated.System.bus control) in
   let world = Naplet.World.create control in
   List.iter
     (fun s -> Naplet.World.add_server world (Naplet.Server.create s))
@@ -225,7 +225,7 @@ let run_parallel ?deadline ~clones () =
     | None -> 0
   in
   {
-    base = report_of world control metrics trace;
+    base = report_of world log metrics trace;
     clones_used = List.length clone_plans;
     reports_collected;
   }
@@ -234,6 +234,7 @@ let run ?deadline ?(respect_order = true) ?(tamper_contents = []) () =
   let control = build_control ~deadline in
   let capture, trace = Obs.Sink.memory () in
   Obs.Bus.subscribe (Coordinated.System.bus control) capture;
+  let log = Coordinated.Audit_log.attach (Coordinated.System.bus control) in
   let world = Naplet.World.create control in
   List.iter
     (fun s -> Naplet.World.add_server world (Naplet.Server.create s))
@@ -257,7 +258,6 @@ let run ?deadline ?(respect_order = true) ?(tamper_contents = []) () =
   let metrics = Naplet.World.run world in
   (* hash every module whose access was granted, reading contents from
      its server — the mobile code's computation, replayed *)
-  let log = Coordinated.System.log control in
   let granted_accesses =
     List.map
       (fun (e : Coordinated.Audit_log.entry) -> e.Coordinated.Audit_log.access)

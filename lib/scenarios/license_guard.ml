@@ -39,6 +39,7 @@ let run ?(s1_uses = 7) ?(s2_uses = 3) ?(limit = 5) ?global_limit ?period () =
            ~scheme:Temporal.Validity.Whole_journey
            (Rbac.Perm.make ~operation:"execute" ~target:"rsw@*"))
   | None -> ());
+  let log = Coordinated.Audit_log.attach (Coordinated.System.bus control) in
   let world = Naplet.World.create control in
   List.iter
     (fun s -> Naplet.World.add_server world (Naplet.Server.create s))
@@ -51,7 +52,6 @@ let run ?(s1_uses = 7) ?(s2_uses = 3) ?(limit = 5) ?global_limit ?period () =
   Naplet.World.spawn world ~id:"trial-naplet" ~owner:"guest"
     ~roles:[ "trial_user" ] ~home:"s1" program;
   let _metrics = Naplet.World.run world in
-  let log = Coordinated.System.log control in
   let granted_at s =
     List.length
       (List.filter

@@ -30,6 +30,7 @@ let run ?(session_start = Q.of_int 22) ?(edits = 8) ?(edit_hours = Q.one)
       Naplet.World.step_cost = Q.zero;
     }
   in
+  let log = Coordinated.Audit_log.attach (Coordinated.System.bus control) in
   let world = Naplet.World.create ~config control in
   List.iter
     (fun s ->
@@ -48,7 +49,6 @@ let run ?(session_start = Q.of_int 22) ?(edits = 8) ?(edit_hours = Q.one)
   Naplet.World.spawn world ~id:"editor-naplet" ~owner:"editor"
     ~roles:[ "issue_editor" ] ~home:"press1" program;
   let _ = Naplet.World.run world in
-  let log = Coordinated.System.log control in
   let entries = Coordinated.Audit_log.entries log in
   (* shift times: the world clock starts at 0 = session_start *)
   let hour_of (e : Coordinated.Audit_log.entry) =

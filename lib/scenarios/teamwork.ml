@@ -25,6 +25,7 @@ let run ?(share_proofs = true) () =
          (if share_proofs then Coordinated.Perm_binding.Team
           else Coordinated.Perm_binding.Own)
        (Rbac.Perm.make ~operation:"write" ~target:"vault@s2"));
+  let log = Coordinated.Audit_log.attach (Coordinated.System.bus control) in
   let world = Naplet.World.create control in
   List.iter
     (fun s -> Naplet.World.add_server world (Naplet.Server.create s))
@@ -36,7 +37,6 @@ let run ?(share_proofs = true) () =
     ~roles:[ "surveyor" ] ~home:"s2"
     (Sral.Parser.program "wait(manifest_read); write vault @ s2");
   let _metrics = Naplet.World.run world in
-  let log = Coordinated.System.log control in
   let by obj pred =
     List.length
       (List.filter

@@ -52,6 +52,7 @@ let build_control ~deadline =
 
 let run ?(cheat = false) ?deadline () =
   let control = build_control ~deadline in
+  let log = Coordinated.Audit_log.attach (Coordinated.System.bus control) in
   let world = Naplet.World.create control in
   List.iter
     (fun s -> Naplet.World.add_server world (Naplet.Server.create s))
@@ -80,7 +81,6 @@ let run ?(cheat = false) ?deadline () =
       (Sral.Parser.program "wait(reviewed); op(publish) issue @ press")
   end;
   let metrics = Naplet.World.run world in
-  let log = Coordinated.System.log control in
   let granted a =
     List.exists
       (fun (e : Coordinated.Audit_log.entry) ->

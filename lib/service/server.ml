@@ -46,11 +46,10 @@ let create ?(config = default_config) ~base () =
 let open_conn t =
   let id = t.next_conn in
   t.next_conn <- id + 1;
-  let system = System.clone t.base in
   let c =
     {
       id;
-      system;
+      system = System.clone t.base;
       decoder = Frame.Decoder.create ~max_frame:t.config.max_frame ();
       objects = Hashtbl.create 8;
       events = Queue.create ();
@@ -62,11 +61,6 @@ let open_conn t =
       malformed = 0;
     }
   in
-  (* capture from the start; events only accumulate once subscribed so
-     an uninterested connection costs nothing *)
-  Obs.Bus.subscribe (System.bus system)
-    (Obs.Sink.make ~name:(Printf.sprintf "conn-%d-capture" id) (fun ev ->
-         if c.subscribed then Queue.add ev c.events));
   Hashtbl.replace t.conns id c;
   id
 
@@ -111,7 +105,14 @@ let exec c (req : Protocol.request) : Protocol.reply =
   match req with
   | Ping -> Ack { seq }
   | Subscribe ->
-      c.subscribed <- true;
+      (* the capture sink is the clone's only one: until it exists the
+         bus is unobserved and the decision path builds no event *)
+      if not c.subscribed then begin
+        c.subscribed <- true;
+        Obs.Bus.subscribe (System.bus c.system)
+          (Obs.Sink.make ~name:(agent_of c ^ "-capture") (fun ev ->
+               Queue.add ev c.events))
+      end;
       Ack { seq }
   | Register { object_id; owner; roles; program } -> (
       if Hashtbl.mem c.objects object_id then

@@ -38,9 +38,10 @@ val create : ?config:config -> base:Coordinated.System.t -> unit -> t
     server is live). *)
 
 val open_conn : t -> int
-(** A fresh connection id.  The clone's trace bus gets a capture sink
-    immediately, so a later [Subscribe] streams events from the moment
-    it executes. *)
+(** A fresh connection id.  The clone's trace bus has no sink until the
+    connection's first [Subscribe] executes, which subscribes a capture
+    sink; events stream from that moment on, and a repeated [Subscribe]
+    changes nothing. *)
 
 val close_conn : t -> conn:int -> unit
 

@@ -198,13 +198,38 @@ let test_decide_not_arrived () =
 
 let test_granted_records_proof () =
   let control, session = setup () in
+  let log = Audit_log.attach (System.bus control) in
   ignore
     (System.check control ~session ~object_id:"o"
        ~program:(prog "read db @ s1") ~time:(q 1) a_db);
   let m = System.monitor control ~object_id:"o" in
   Alcotest.(check bool) "proof recorded" true
     (Srac.Proof.holds (Monitor.proofs m) a_db);
-  Alcotest.(check int) "log size" 1 (Audit_log.size (System.log control))
+  Alcotest.(check int) "log size" 1 (Audit_log.size log)
+
+(* A system subscribes no sink of its own, and an unobserved check
+   decides and records exactly as an observed one. *)
+let test_unobserved_check () =
+  let control, session = setup () in
+  Alcotest.(check (list string))
+    "no sinks" [] (Obs.Bus.sinks (System.bus control));
+  let observed, observed_session = setup () in
+  let capture, trace = Obs.Sink.memory () in
+  Obs.Bus.subscribe (System.bus observed) capture;
+  let check control session =
+    System.check control ~session ~object_id:"o" ~program:(prog "read db @ s1")
+      ~time:(q 1) a_db
+  in
+  let v = check control session in
+  Alcotest.(check bool) "granted" true (Decision.is_granted v);
+  let m = System.monitor control ~object_id:"o" in
+  Alcotest.(check bool) "proof recorded" true
+    (Srac.Proof.holds (Monitor.proofs m) a_db);
+  Alcotest.(check int) "no event built" 0
+    (Obs.Bus.emitted (System.bus control));
+  Alcotest.(check bool) "same verdict observed" true
+    (v = check observed observed_session);
+  Alcotest.(check bool) "observed emitted" true (trace () <> [])
 
 let test_denied_no_proof () =
   let c = Srac.Formula.at_most 0 (Srac.Selector.Resource "db") in
@@ -634,7 +659,7 @@ let random_entry rng t =
 
 let test_audit_counters_agree_with_entries () =
   (* 10k mixed records: every O(1) counter equals the O(n)
-     recomputation from the retained entries *)
+     recomputation from the entries *)
   let rng = Random.State.make [| 2025; 8 |] in
   let log = Audit_log.create () in
   for t = 1 to 10_000 do
@@ -642,8 +667,6 @@ let test_audit_counters_agree_with_entries () =
   done;
   let entries = Audit_log.entries log in
   Alcotest.(check int) "size" (List.length entries) (Audit_log.size log);
-  Alcotest.(check int) "retained" (List.length entries)
-    (Audit_log.retained log);
   Alcotest.(check int) "granted"
     (List.length
        (List.filter
@@ -659,93 +682,15 @@ let test_audit_counters_agree_with_entries () =
   Alcotest.(check (float 1e-9)) "grant rate"
     (float_of_int (Audit_log.granted_count log)
     /. float_of_int (Audit_log.size log))
-    (Audit_log.grant_rate log);
-  List.iter
-    (fun id ->
-      Alcotest.(check int)
-        (Printf.sprintf "count_by_object %s" id)
-        (List.length (Audit_log.by_object log id))
-        (Audit_log.count_by_object log id))
-    (List.init 7 (Printf.sprintf "o%d"));
-  List.iter
-    (fun s ->
-      Alcotest.(check int)
-        (Printf.sprintf "count_by_server %s" s)
-        (List.length (Audit_log.by_server log s))
-        (Audit_log.count_by_server log s))
-    [ "s1"; "s2"; "s3" ]
-
-let test_audit_ring_mode () =
-  (* capacity 100, 250 records: the ring retains the newest 100 while
-     lifetime counters keep counting the evicted ones *)
-  let rng = Random.State.make [| 2025; 9 |] in
-  let log = Audit_log.create ~capacity:100 () in
-  let granted_lifetime = ref 0 in
-  for t = 1 to 250 do
-    let e = random_entry rng t in
-    if Decision.is_granted e.Audit_log.verdict then incr granted_lifetime;
-    Audit_log.record log e
-  done;
-  Alcotest.(check int) "lifetime size" 250 (Audit_log.size log);
-  Alcotest.(check int) "retained capped" 100 (Audit_log.retained log);
-  let entries = Audit_log.entries log in
-  Alcotest.(check int) "entries = retained" 100 (List.length entries);
-  (* oldest retained entry is record #151, newest is #250, in order *)
-  Alcotest.(check string) "oldest survivor" "151"
-    (Q.to_string (List.hd entries).Audit_log.time);
-  Alcotest.(check string) "newest survivor" "250"
-    (Q.to_string (List.nth entries 99).Audit_log.time);
-  Alcotest.(check bool) "retained in record order" true
-    (List.for_all2
-       (fun (e : Audit_log.entry) t -> Q.equal e.time (q t))
-       entries
-       (List.init 100 (fun i -> 151 + i)));
-  Alcotest.(check int) "lifetime granted exact" !granted_lifetime
-    (Audit_log.granted_count log);
-  Alcotest.(check int) "lifetime denied exact" (250 - !granted_lifetime)
-    (Audit_log.denied_count log);
-  Alcotest.(check (float 1e-9)) "lifetime grant rate"
-    (float_of_int !granted_lifetime /. 250.)
     (Audit_log.grant_rate log)
-
-let test_audit_ring_boundary () =
-  (* the eviction boundary exactly: at capacity the ring is full but
-     nothing has been evicted; one more record evicts exactly the
-     oldest entry *)
-  let capacity = 5 in
-  let rng = Random.State.make [| 2025; 11 |] in
-  let log = Audit_log.create ~capacity () in
-  for t = 1 to capacity do
-    Audit_log.record log (random_entry rng t)
-  done;
-  Alcotest.(check int) "at capacity: size" capacity (Audit_log.size log);
-  Alcotest.(check int) "at capacity: retained" capacity (Audit_log.retained log);
-  Alcotest.(check (list string)) "at capacity: nothing evicted"
-    (List.init capacity (fun i -> string_of_int (i + 1)))
-    (List.map
-       (fun (e : Audit_log.entry) -> Q.to_string e.time)
-       (Audit_log.entries log));
-  Audit_log.record log (random_entry rng (capacity + 1));
-  Alcotest.(check int) "capacity+1: lifetime size" (capacity + 1)
-    (Audit_log.size log);
-  Alcotest.(check int) "capacity+1: retained stays capped" capacity
-    (Audit_log.retained log);
-  Alcotest.(check (list string)) "capacity+1: exactly the oldest evicted"
-    (List.init capacity (fun i -> string_of_int (i + 2)))
-    (List.map
-       (fun (e : Audit_log.entry) -> Q.to_string e.time)
-       (Audit_log.entries log))
 
 let test_audit_empty_log_conventions () =
   let log = Audit_log.create () in
   Alcotest.(check (float 0.0)) "empty rate is 1.0" 1.0
     (Audit_log.grant_rate log);
   Alcotest.(check int) "empty size" 0 (Audit_log.size log);
-  Alcotest.(check int) "unknown object count" 0
-    (Audit_log.count_by_object log "ghost");
-  Alcotest.check_raises "capacity < 1 rejected"
-    (Invalid_argument "Audit_log.create: capacity 0 < 1") (fun () ->
-      ignore (Audit_log.create ~capacity:0 ()))
+  Alcotest.(check int) "unknown object" 0
+    (List.length (Audit_log.by_object log "ghost"))
 
 (* --- export: the one JSON escaper every emitter shares --- *)
 
@@ -1077,6 +1022,7 @@ let fixture name =
 let test_valve_matches_naive () =
   let run mode =
     let control = System.of_policy_text ~mode (fixture "explode.policy") in
+    let log = Audit_log.attach (System.bus control) in
     let capture, trace = Obs.Sink.memory () in
     Obs.Bus.subscribe (System.bus control) capture;
     let world = Naplet.World.create control in
@@ -1085,17 +1031,16 @@ let test_valve_matches_naive () =
       ~home:"s1"
       (prog (fixture "explode.sral"));
     ignore (Naplet.World.run world);
-    (control, trace ())
+    (control, log, trace ())
   in
-  let lazy_, lazy_trace = run System.Lazy in
-  let naive, naive_trace = run System.Naive in
-  let log control = Format.asprintf "%a" Audit_log.pp (System.log control) in
-  Alcotest.(check string) "audit log" (log naive) (log lazy_);
+  let lazy_, lazy_log, lazy_trace = run System.Lazy in
+  let _, naive_log, naive_trace = run System.Naive in
+  let render = Format.asprintf "%a" Audit_log.pp in
+  Alcotest.(check string) "audit log" (render naive_log) (render lazy_log);
   Alcotest.(check bool) "trace" true
     (List.equal Obs.Trace.equal naive_trace lazy_trace);
   Alcotest.(check (pair int int)) "two grants, one denial" (2, 1)
-    ( Audit_log.granted_count (System.log lazy_),
-      Audit_log.denied_count (System.log lazy_) );
+    (Audit_log.granted_count lazy_log, Audit_log.denied_count lazy_log);
   let slots =
     (Monitor.residuals (System.monitor lazy_ ~object_id:"agent-1"))
       .Residual.slots
@@ -1130,6 +1075,8 @@ let () =
           Alcotest.test_case "not arrived" `Quick test_decide_not_arrived;
           Alcotest.test_case "grant records proof" `Quick
             test_granted_records_proof;
+          Alcotest.test_case "unobserved check decides alike" `Quick
+            test_unobserved_check;
           Alcotest.test_case "denial records no proof" `Quick
             test_denied_no_proof;
           Alcotest.test_case "dc cross validation" `Quick
@@ -1185,9 +1132,6 @@ let () =
           Alcotest.test_case "log" `Quick test_audit_log;
           Alcotest.test_case "counters agree with entries" `Quick
             test_audit_counters_agree_with_entries;
-          Alcotest.test_case "ring mode" `Quick test_audit_ring_mode;
-          Alcotest.test_case "ring eviction boundary" `Quick
-            test_audit_ring_boundary;
           Alcotest.test_case "empty-log conventions" `Quick
             test_audit_empty_log_conventions;
         ] );

@@ -15,6 +15,7 @@ let build_world rng =
   let policy = Gen.policy rng in
   let bindings = Gen.bindings rng in
   let control = Coordinated.System.create ~bindings policy in
+  let log = Coordinated.Audit_log.attach (Coordinated.System.bus control) in
   let world = Naplet.World.create control in
   let servers = [ "s1"; "s2" ] in
   List.iter
@@ -39,7 +40,7 @@ let build_world rng =
       ~roles:[ "ra"; "rb"; "rc" ]
       ~home:"s1" program
   done;
-  (control, world)
+  (control, log, world)
 
 let each_seed f = Gen.each_seed ~salt:7777 ~count:40 (fun ~seed rng -> f seed rng)
 
@@ -47,7 +48,7 @@ let each_seed f = Gen.each_seed ~salt:7777 ~count:40 (fun ~seed rng -> f seed rn
    role the owner is actually authorized for. *)
 let test_grants_are_rbac_sound () =
   each_seed (fun seed rng ->
-      let control, world = build_world rng in
+      let control, log, world = build_world rng in
       ignore (Naplet.World.run world);
       let policy = Coordinated.System.policy control in
       List.iter
@@ -75,15 +76,14 @@ let test_grants_are_rbac_sound () =
               (Printf.sprintf "seed %d: grant is authorized" seed)
               true allowed
           end)
-        (Coordinated.Audit_log.entries (Coordinated.System.log control)))
+        (Coordinated.Audit_log.entries log))
 
 (* 2. Proofs = grants: each object's performed trace is exactly its
    granted audit entries, in order. *)
 let test_proofs_match_audit_log () =
   each_seed (fun seed rng ->
-      let control, world = build_world rng in
+      let control, log, world = build_world rng in
       ignore (Naplet.World.run world);
-      let log = Coordinated.System.log control in
       List.iter
         (fun (agent : Naplet.Agent.t) ->
           let id = agent.Naplet.Agent.id in
@@ -112,11 +112,10 @@ let test_deterministic_replay () =
   each_seed (fun seed _ ->
       let run () =
         let rng = Random.State.make [| 7777; seed |] in
-        let control, world = build_world rng in
+        let _, log, world = build_world rng in
         let metrics = Naplet.World.run world in
         let log_render =
-          Format.asprintf "%a" Coordinated.Audit_log.pp
-            (Coordinated.System.log control)
+          Format.asprintf "%a" Coordinated.Audit_log.pp log
         in
         ( metrics.Naplet.Metrics.granted,
           metrics.Naplet.Metrics.denied,
@@ -132,9 +131,8 @@ let test_deterministic_replay () =
    status counts partition the population. *)
 let test_metric_consistency () =
   each_seed (fun seed rng ->
-      let control, world = build_world rng in
+      let _, log, world = build_world rng in
       let metrics = Naplet.World.run world in
-      let log = Coordinated.System.log control in
       Alcotest.(check int)
         (Printf.sprintf "seed %d: log size" seed)
         (Coordinated.Audit_log.size log)
@@ -153,7 +151,7 @@ let test_metric_consistency () =
    grants exceed what the budget could possibly allow. *)
 let test_duration_budget_never_negative () =
   each_seed (fun seed rng ->
-      let control, world = build_world rng in
+      let control, _, world = build_world rng in
       ignore (Naplet.World.run world);
       List.iter
         (fun (agent : Naplet.Agent.t) ->
@@ -282,8 +280,8 @@ let test_differential_lazy_repeated_checks () =
              (render_trace o_lazy.Parallel.Scenario.trace)
              (render_trace o_naive.Parallel.Scenario.trace)))
 
-(* The uninstrumented branch ([?obs:None], the zero-allocation one)
-   has no bus to compare, so drive Decision.decide_lazy and
+(* On a bus with no sink (the zero-allocation path) there are no
+   events to compare, so drive Decision.decide_lazy and
    Decision.decide_naive directly against side-by-side monitors fed
    identical histories: verdicts, clock, arrivals, proof count and every
    binding's activation function must stay in lockstep through
@@ -313,6 +311,7 @@ let test_differential_lazy_direct () =
       in
       let m_lazy = M.create ~object_id:"obj" in
       let m_naive = M.create ~object_id:"obj" in
+      let bus = Obs.Bus.create () in
       let random_access () =
         let r = Gen.pick rng resources and s = Gen.pick rng servers in
         if Random.State.bool rng then Sral.Access.read r ~at:s
@@ -335,11 +334,11 @@ let test_differential_lazy_direct () =
         | _ -> (
             let access = random_access () in
             let v_naive =
-              D.decide_naive ~session ~monitor:m_naive ~bindings ~program
-                ~time:!time access
+              D.decide_naive ~bus ~session ~monitor:m_naive ~bindings
+                ~program ~time:!time access
             in
             let v_lazy =
-              D.decide_lazy ~session ~monitor:m_lazy
+              D.decide_lazy ~bus ~session ~monitor:m_lazy
                 ~applicable:(Coordinated.Binding_index.applicable index access)
                 ~team_version:0 ~program ~time:!time access
             in

@@ -20,6 +20,7 @@ grant deliverer write:*@*
 bind write:vault@s2 spatial "seq(read manifest @ s1, write vault @ s2)" scope performed
 |}
   in
+  let log = Coordinated.Audit_log.attach (Coordinated.System.bus control) in
   let world = Naplet.World.create control in
   List.iter
     (fun s -> Naplet.World.add_server world (Naplet.Server.create s))
@@ -33,7 +34,6 @@ bind write:vault@s2 spatial "seq(read manifest @ s1, write vault @ s2)" scope pe
   let metrics = Naplet.World.run world in
   Alcotest.(check int) "grants" 2 metrics.Naplet.Metrics.granted;
   Alcotest.(check int) "denial" 1 metrics.Naplet.Metrics.denied;
-  let log = Coordinated.System.log control in
   let rogue_entries = Coordinated.Audit_log.by_object log "rogue" in
   Alcotest.(check bool) "rogue denied" true
     (List.for_all
@@ -202,13 +202,13 @@ let test_dc_stepfn_agreement_in_sim () =
   Rbac.Policy.assign_user policy "u" "r";
   Rbac.Policy.grant policy "r" (Rbac.Perm.make ~operation:"read" ~target:"*@*");
   let control = Coordinated.System.create ~bindings:[ binding ] policy in
+  let log = Coordinated.Audit_log.attach (Coordinated.System.bus control) in
   let world = Naplet.World.create control in
   Naplet.World.add_server world (Naplet.Server.create "s1");
   Naplet.World.spawn world ~id:"x" ~owner:"u" ~roles:[ "r" ] ~home:"s1"
     (prog "read a @ s1; read a @ s1; read a @ s1; read a @ s1; read a @ s1; read a @ s1");
   ignore (Naplet.World.run world);
   let m = Coordinated.System.monitor control ~object_id:"x" in
-  let log = Coordinated.System.log control in
   List.iter
     (fun (e : Coordinated.Audit_log.entry) ->
       let dc =

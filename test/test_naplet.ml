@@ -431,6 +431,11 @@ let test_world_producer_consumer () =
 
 let test_world_signal_ordering () =
   let world = world_with_servers [ "s1" ] in
+  let log =
+    Coordinated.Audit_log.attach
+      (Coordinated.System.bus
+         (Naplet.Security_manager.control (Naplet.World.manager world)))
+  in
   (* the waiter's access must happen after the signaler's *)
   Naplet.World.spawn world ~id:"waiter" ~owner:"owner" ~roles:[ "worker" ]
     ~home:"s1" (prog "wait(go); read late @ s1");
@@ -438,7 +443,6 @@ let test_world_signal_ordering () =
     ~home:"s1" (prog "read early @ s1; signal(go)");
   let metrics = Naplet.World.run world in
   Alcotest.(check int) "both done" 2 metrics.Naplet.Metrics.completed_agents;
-  let log = Coordinated.System.log (Naplet.Security_manager.control (Naplet.World.manager world)) in
   let order =
     List.map
       (fun (e : Coordinated.Audit_log.entry) ->

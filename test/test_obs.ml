@@ -364,6 +364,7 @@ let reason_bucket = function
 let test_sink_equivalence () =
   each_seed (fun seed rng ->
       let control, world, trace = build_world rng in
+      let log = Coordinated.Audit_log.attach (Coordinated.System.bus control) in
       let metrics = Naplet.World.run world in
       let events = trace () in
       (* audit log = the Decision events, entry for entry *)
@@ -375,7 +376,7 @@ let test_sink_equivalence () =
             | _ -> None)
           events
       in
-      let entries = Coordinated.Audit_log.entries (Coordinated.System.log control) in
+      let entries = Coordinated.Audit_log.entries log in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: audit log = trace decisions" seed)
         true

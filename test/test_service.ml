@@ -296,6 +296,41 @@ let test_server_subscribe_streams_events () =
       | _ -> Alcotest.fail "expected exactly one Decision event")
   | _ -> Alcotest.fail "last reply is not the verdict")
 
+(* The capture sink exists only from the first Subscribe on: an
+   earlier check's events are not streamed, and a second Subscribe does
+   not duplicate later ones. *)
+let test_server_late_subscribe () =
+  let server = Server.create ~base:(Script.base_system ()) () in
+  let check conn =
+    feed_req server conn
+      (Check { object_id = "obj"; access = Sral.Access.read "r1" ~at:"s1" })
+  in
+  let run ~subscribes =
+    let conn = Server.open_conn server in
+    ignore (register server conn);
+    ignore (feed_req server conn (Arrive { object_id = "obj"; server = "s1" }));
+    (match check conn with
+    | [ Verdict _ ] -> ()
+    | _ -> Alcotest.fail "unsubscribed check streamed events");
+    for _ = 1 to subscribes do
+      match feed_req server conn Subscribe with
+      | [ Ack _ ] -> ()
+      | _ -> Alcotest.fail "subscribe streamed an earlier event"
+    done;
+    List.filter_map
+      (function Protocol.Event ev -> Some ev | _ -> None)
+      (check conn)
+  in
+  let once = run ~subscribes:1 and twice = run ~subscribes:2 in
+  Alcotest.(check int) "one Decision event" 1
+    (List.length
+       (List.filter
+          (function Obs.Trace.Decision _ -> true | _ -> false)
+          twice));
+  Alcotest.(check bool) "spans streamed" true (List.length once > 1);
+  Alcotest.(check int) "second subscribe duplicates nothing"
+    (List.length once) (List.length twice)
+
 let test_server_malformed_kills () =
   let server = Server.create ~base:(Script.base_system ()) () in
   let conn = Server.open_conn server in
@@ -519,6 +554,8 @@ let () =
             test_server_depart;
           Alcotest.test_case "subscribe streams trace events" `Quick
             test_server_subscribe_streams_events;
+          Alcotest.test_case "late subscribe streams later events once" `Quick
+            test_server_late_subscribe;
           Alcotest.test_case "malformed payload kills fail-closed" `Quick
             test_server_malformed_kills;
           Alcotest.test_case "oversized frame kills fail-closed" `Quick
