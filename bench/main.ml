@@ -539,10 +539,11 @@ let e12 () =
 (* ------------------------------------------------------------------ *)
 (* E13 — decision fast path: check latency vs coalition size.  [Naive]
    is the seed's linear path (binding scan + companion fold over every
-   object in the coalition); [Lazy] resolves bindings through
-   Binding_index, companions through team rosters and history-scope
-   constraints through per-monitor derivative residuals.  The naive
-   curve should grow with the object count, the lazy one stay flat.
+   object in the coalition); [Lazy] takes the applicable bindings from
+   Binding_index's per-access memo, companions from the per-object
+   cache stamped with the team version, and history-scope constraints
+   from per-monitor derivative residuals.  The naive curve should grow
+   with the object count, the lazy one stay flat.
 
    The workload, shared with E14: one binding that matters plus 15
    that never match the probed access, and a coalition of [objects]
@@ -1117,7 +1118,7 @@ let e21 () =
 
    Last two allocation gates on the warm-hit workload:
    - production's path: warm [System.check]s through a default system
-     (null clock, no sink) must allocate at most 256 minor words per
+     (null clock, no sink) must allocate at most 32 minor words per
      check;
    - the decision core: direct steady-state [Decision.decide_lazy]
      calls on a sink-less bus must allocate ~0 minor words per
@@ -1260,7 +1261,7 @@ let e22 () =
     ignore (check ())
   done;
   let rounds = 10_000 in
-  gate "System.check" ~budget:256. ~unit:"check"
+  gate "System.check" ~budget:32. ~unit:"check"
     (words_per_call rounds check) rounds;
   let session = Rbac.Session.create (policy ()) ~user:"u" in
   Rbac.Session.activate session "r";

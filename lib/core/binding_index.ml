@@ -1,91 +1,34 @@
-(* Append-only store of permission bindings with a bucket index over
-   the (operation, resource, server) pattern of each binding's
-   permission.  Buckets are keyed by the pattern fields verbatim
-   (wildcards included), so a lookup probes at most the 8 combinations
-   of concrete-vs-"*" per field instead of scanning every binding. *)
+(* Append-only store of permission bindings with a per-access memo of
+   the applicable list.  Which bindings apply to an access is a fact
+   about the policy, not about the request, so a warm lookup is one
+   hashtable probe that hands out a list built once.  The memo is
+   dropped on [add] (the policy moved) and when it reaches [memo_cap]
+   entries, so a stream of distinct access names cannot grow it. *)
+
+let memo_cap = 1024
 
 type t = {
-  mutable slots : Perm_binding.t option array;
-  mutable len : int;
-  buckets : (string, int list ref) Hashtbl.t;  (* reverse insertion order *)
+  mutable bindings : Perm_binding.t list;  (* insertion order *)
+  memo : Perm_binding.t list Residual.Access_tbl.t;
 }
 
-let create () =
-  { slots = Array.make 8 None; len = 0; buckets = Hashtbl.create 16 }
+let of_list bindings = { bindings; memo = Residual.Access_tbl.create 16 }
 
-let length t = t.len
-
-let bucket_key ~operation ~resource ~server =
-  operation ^ ":" ^ resource ^ "@" ^ server
-
-(* Where does this binding's pattern live?  The decomposition mirrors
-   Rbac.Perm.matches exactly: structured targets bucket on their two
-   fields; the unstructured "*" matches every structured access target;
-   any other unstructured pattern matches no coalition access (accesses
-   are always spelled "resource@server") and is not indexed at all. *)
-let classify (b : Perm_binding.t) =
-  let p = b.Perm_binding.perm in
-  match Rbac.Perm.split_target p.Rbac.Perm.target with
-  | r, Some s ->
-      Some (bucket_key ~operation:p.Rbac.Perm.operation ~resource:r ~server:s)
-  | "*", None ->
-      Some (bucket_key ~operation:p.Rbac.Perm.operation ~resource:"*" ~server:"*")
-  | _, None -> None
+let length t = List.length t.bindings
+let to_list t = t.bindings
 
 let add t b =
-  if t.len = Array.length t.slots then begin
-    let bigger = Array.make (2 * t.len) None in
-    Array.blit t.slots 0 bigger 0 t.len;
-    t.slots <- bigger
-  end;
-  let i = t.len in
-  t.slots.(i) <- Some b;
-  t.len <- i + 1;
-  match classify b with
-  | None -> ()
-  | Some key -> (
-      match Hashtbl.find_opt t.buckets key with
-      | Some r -> r := i :: !r
-      | None -> Hashtbl.add t.buckets key (ref [ i ]))
-
-let of_list bindings =
-  let t = create () in
-  List.iter (add t) bindings;
-  t
-
-let to_list t =
-  List.filter_map (fun i -> t.slots.(i)) (List.init t.len Fun.id)
+  t.bindings <- t.bindings @ [ b ];
+  Residual.Access_tbl.reset t.memo
 
 let applicable t (a : Sral.Access.t) =
-  let operation = Sral.Access.operation_name a.Sral.Access.op in
-  let resource, server =
-    (* same first-'@' split the matcher applies to the access target *)
-    match Rbac.Perm.split_target (a.resource ^ "@" ^ a.server) with
-    | r, Some s -> (r, s)
-    | r, None -> (r, "")
-  in
-  let alts field = if field = "*" then [ "*" ] else [ field; "*" ] in
-  let indices =
-    List.fold_left
-      (fun acc operation ->
-        List.fold_left
-          (fun acc resource ->
-            List.fold_left
-              (fun acc server ->
-                match
-                  Hashtbl.find_opt t.buckets
-                    (bucket_key ~operation ~resource ~server)
-                with
-                | Some r -> List.rev_append !r acc
-                | None -> acc)
-              acc (alts server))
-          acc (alts resource))
-      [] (alts operation)
-  in
-  (* ascending slot index = binding-store insertion order, the order the
-     linear scan would have produced *)
-  let indices = List.sort_uniq Int.compare indices in
-  let candidates = List.filter_map (fun i -> t.slots.(i)) indices in
-  (* buckets are a conservative over-approximation (string collisions in
-     exotic resource names are possible); the matcher has the last word *)
-  List.filter (fun b -> Perm_binding.applies_to b a) candidates
+  match Residual.Access_tbl.find t.memo a with
+  | bindings -> bindings
+  | exception Not_found ->
+      let bindings =
+        List.filter (fun b -> Perm_binding.applies_to b a) t.bindings
+      in
+      if Residual.Access_tbl.length t.memo >= memo_cap then
+        Residual.Access_tbl.reset t.memo;
+      Residual.Access_tbl.add t.memo a bindings;
+      bindings

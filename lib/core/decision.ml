@@ -21,7 +21,7 @@ let pp_verdict = Verdict.pp
 let program_scope_ok ~monitor ~program (binding : Perm_binding.t) c =
   (* the check depends only on (program, constraint), both fixed for the
      object's lifetime — memoized per binding in the monitor *)
-  Monitor.memo_spatial monitor ~key:(Perm_binding.key binding) ~program
+  Monitor.memo_spatial monitor ~binding ~program
     (fun () ->
       let outcome =
         Srac.Program_sat.check ~proofs:Srac.Proof.always
@@ -290,9 +290,9 @@ let slot_may_ok ~session slot (b : Perm_binding.t) =
 
 (* The Program-scope outcome is fixed by (program, constraint,
    modality).  [program_scope_ok]'s monitor memo already exploits
-   that, but its key is a formatted permission string rebuilt on every
-   probe; the slot re-caches the result against the program's physical
-   identity so the warm path touches no allocator.  A
+   that, but its probe hashes the binding and allocates an option; the
+   slot re-caches the result against the program's physical identity
+   so the warm path touches no allocator.  A
    structurally-equal-but-distinct program falls through to the memo,
    which compares with [Ast.equal] — slower, never wrong. *)
 let program_ok_cached ~monitor ~program slot (b : Perm_binding.t) c =

@@ -6,7 +6,7 @@ type t = {
   mutable visits : (string * Q.t) list;  (* reverse order *)
   activations : (string, (Q.t * bool) list ref) Hashtbl.t;
       (* per key, reverse-order change list *)
-  spatial_memo : (string, Sral.Ast.t * (unit, string) result) Hashtbl.t;
+  spatial_memo : (Sral.Ast.t * (unit, string) result) Residual.Binding_tbl.t;
   residuals : Residual.store;
   mutable clock : Q.t;
   mutable history_epoch : int;
@@ -18,7 +18,7 @@ let create ~object_id =
     proofs = Srac.Proof.create ();
     visits = [];
     activations = Hashtbl.create 8;
-    spatial_memo = Hashtbl.create 8;
+    spatial_memo = Residual.Binding_tbl.create 8;
     residuals = Residual.create ();
     clock = Q.zero;
     history_epoch = 0;
@@ -76,13 +76,13 @@ let activation_fn m ~key =
 
 let is_active_at m ~key t = Temporal.Step_fn.value_at (activation_fn m ~key) t
 
-let memo_spatial m ~key ~program compute =
-  match Hashtbl.find_opt m.spatial_memo key with
+let memo_spatial m ~binding ~program compute =
+  match Residual.Binding_tbl.find_opt m.spatial_memo binding with
   | Some (cached_program, value) when Sral.Ast.equal cached_program program ->
       value
   | _ ->
       let value = compute () in
-      Hashtbl.replace m.spatial_memo key (program, value);
+      Residual.Binding_tbl.replace m.spatial_memo binding (program, value);
       value
 
 let now m = m.clock

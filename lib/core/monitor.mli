@@ -61,15 +61,17 @@ val is_active_at : t -> key:string -> Temporal.Q.t -> bool
 
 val memo_spatial :
   t ->
-  key:string ->
+  binding:Perm_binding.t ->
   program:Sral.Ast.t ->
   (unit -> (unit, string) result) ->
   (unit, string) result
-(** Memoize a program-level spatial check per binding key: the object's
+(** Memoize a program-level spatial check per binding: the object's
     program is fixed for its lifetime and the program-scope check does
     not depend on runtime state, so recomputing the automata on every
-    decision is pure waste.  The cache invalidates if a different
-    program is presented under the same key. *)
+    decision is pure waste.  Keyed by the binding {e physically}, like
+    {!Residual} slots: two bindings on one permission may carry
+    different constraints.  The cache invalidates if a different
+    program is presented for the same binding. *)
 
 val now : t -> Temporal.Q.t
 (** Largest time seen so far (zero initially). *)

@@ -60,8 +60,8 @@ type slot = {
   mutable may_ok : bool;  (* Rbac.Session.may for the binding's perm *)
   mutable prog_program : Sral.Ast.t option;
       (* the program [prog_result] was computed for, by identity — the
-         monitor's spatial memo keys on a formatted permission string
-         rebuilt per probe, too costly for the warm path *)
+         monitor's spatial memo compares programs structurally, too
+         costly for the warm path *)
   mutable prog_result : (unit, string) result;
 }
 

@@ -10,6 +10,8 @@ type t = {
   teams : (string, string) Hashtbl.t;  (* object_id -> team name *)
   rosters : (string, String_set.t) Hashtbl.t;  (* team name -> members *)
   mutable teams_version : int;
+  companion_cache : (string, int * Monitor.t list) Hashtbl.t;
+      (* object_id -> (teams_version, its companions' monitors) *)
   bus : Obs.Bus.t;
 }
 
@@ -23,6 +25,7 @@ let create ?(mode = Lazy) ?(bindings = []) ?bus policy =
     teams = Hashtbl.create 8;
     rosters = Hashtbl.create 8;
     teams_version = 0;
+    companion_cache = Hashtbl.create 8;
     bus;
   }
 
@@ -41,9 +44,9 @@ let applicable_bindings t access = Binding_index.applicable t.index access
 let bus t = t.bus
 
 let monitor t ~object_id =
-  match Hashtbl.find_opt t.monitors object_id with
-  | Some m -> m
-  | None ->
+  match Hashtbl.find t.monitors object_id with
+  | m -> m
+  | exception Not_found ->
       let m = Monitor.create ~object_id in
       Hashtbl.add t.monitors object_id m;
       m
@@ -85,8 +88,21 @@ let teammates_scan t ~object_id =
         t.teams []
       |> List.sort String.compare
 
+(* Monitors are never replaced and membership moves only through
+   [join_team], which bumps [teams_version]: a list stamped with the
+   current version is still exact.  Objects outside every team skip
+   the cache, so it holds only team members. *)
 let companions t ~object_id =
-  List.map (fun id -> monitor t ~object_id:id) (teammates t ~object_id)
+  if not (Hashtbl.mem t.teams object_id) then []
+  else
+    match Hashtbl.find t.companion_cache object_id with
+    | version, monitors when version = t.teams_version -> monitors
+    | _ | (exception Not_found) ->
+        let monitors =
+          List.map (fun id -> monitor t ~object_id:id) (teammates t ~object_id)
+        in
+        Hashtbl.replace t.companion_cache object_id (t.teams_version, monitors);
+        monitors
 
 let companions_scan t ~object_id =
   List.map (fun id -> monitor t ~object_id:id) (teammates_scan t ~object_id)

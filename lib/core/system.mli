@@ -8,9 +8,10 @@
 
     Two decision modes share one observable behavior:
 
-    - [Lazy] (the default) resolves applicable bindings through
-      {!Binding_index}, looks companions up in precomputed team
-      rosters, and evaluates history-scope spatial constraints
+    - [Lazy] (the default) takes the applicable bindings from
+      {!Binding_index}'s per-access memo, the companions' monitors
+      from a per-object cache stamped with the team-membership
+      version, and evaluates history-scope spatial constraints
       incrementally as memoized Brzozowski-derivative residuals
       ({!Decision.decide_lazy} over {!Srac.Lazy_dfa}).
     - [Naive] is the seed's linear path — full binding scan, companion
@@ -58,7 +59,7 @@ val bindings : t -> Perm_binding.t list
 (** In insertion order. *)
 
 val add_binding : t -> Perm_binding.t -> unit
-(** Amortized O(1) append (the seed rebuilt the whole list per add). *)
+(** Append; drops the index's per-access memo. *)
 
 val applicable_bindings : t -> Sral.Access.t -> Perm_binding.t list
 (** The bindings {!check} consults for this access, in insertion order
@@ -83,7 +84,10 @@ val join_team : t -> object_id:string -> team:string -> unit
 val team_of : t -> object_id:string -> string option
 val teammates : t -> object_id:string -> string list
 (** Other members of the object's team, sorted.  O(|team|) via the
-    precomputed roster. *)
+    precomputed roster.  [Lazy]-mode checks read the same members'
+    monitors from a per-object companion cache: each entry is stamped
+    with the membership version that {!join_team} bumps, and an object
+    in no team gets no entry. *)
 
 val new_session : t -> user:string -> Rbac.Session.t
 

@@ -65,6 +65,10 @@ type t = {
   mutable a_reason : string array;  (* abort reason when [st_aborted] *)
   mutable a_location : int array;  (* server id, -1 before dispatch *)
   mutable a_retries : int array;
+  mutable a_step : event array;
+      (* row [i]'s [Step i], built once at spawn: a scheduled step then
+         writes an already-promoted value into [Sim]'s payload array,
+         and the heap's sifts record no young pointers *)
   mutable n_agents : int;
   (* server column, indexed by [snames] id; migration targets that were
      never registered intern an id but keep a [None] slot *)
@@ -98,6 +102,7 @@ let create ?(config = default_config) control =
       a_reason = [||];
       a_location = [||];
       a_retries = [||];
+      a_step = [||];
       n_agents = 0;
       snames = Intern.create ();
       srv = [||];
@@ -197,7 +202,7 @@ let processed_events t = t.processed
 
 let emit t ev = Obs.Bus.emit t.bus ev
 
-let schedule_step t i ~time = Sim.schedule t.events ~time (Step i)
+let schedule_step t i ~time = Sim.schedule t.events ~time t.a_step.(i)
 
 let at t ~time action = Sim.schedule t.events ~time (Admin action)
 
@@ -272,7 +277,8 @@ let grow_agents t ~program ~machine needed =
     t.a_end <- col t.a_end Q.zero;
     t.a_reason <- col t.a_reason "";
     t.a_location <- col t.a_location (-1);
-    t.a_retries <- col t.a_retries 0
+    t.a_retries <- col t.a_retries 0;
+    t.a_step <- col t.a_step (Step (-1))
   end
 
 let spawn ?team t ~id ~owner ~roles ~home program =
@@ -297,6 +303,7 @@ let spawn ?team t ~id ~owner ~roles ~home program =
   t.a_reason.(i) <- "";
   t.a_location.(i) <- -1;
   t.a_retries.(i) <- 0;
+  t.a_step.(i) <- Step i;
   t.n_agents <- i + 1;
   (match team with
   | Some team ->

@@ -70,8 +70,8 @@ let test_monitor_activation_fn () =
 
 (* --- decisions --- *)
 
-let setup ?(bindings = []) () =
-  let control = System.create ~bindings (base_policy ()) in
+let setup ?mode ?(bindings = []) () =
+  let control = System.create ?mode ~bindings (base_policy ()) in
   let session = session_of control in
   System.arrive control ~object_id:"o" ~server:"s1" ~time:Q.zero;
   (control, session)
@@ -405,6 +405,37 @@ let aggregate_preserves_decisions =
       in
       run bindings = run aggregated)
 
+(* Two bindings on one permission with different Program-scope
+   constraints.  The program [read db @ s1] satisfies [True] but every
+   execution breaks "at most 0 db reads", so the strict binding denies
+   whichever binding is stored first, in either mode. *)
+let test_program_memo_per_binding () =
+  let perm = Rbac.Perm.make ~operation:"read" ~target:"*@*" in
+  let lax = Perm_binding.make ~spatial:Srac.Formula.True perm in
+  let strict =
+    Perm_binding.make
+      ~spatial:(Srac.Formula.at_most 0 (Srac.Selector.Resource "db"))
+      ~spatial_modality:Srac.Program_sat.Forall perm
+  in
+  List.iter
+    (fun (mode, bindings) ->
+      let control, session = setup ~mode ~bindings () in
+      match
+        System.check control ~session ~object_id:"o"
+          ~program:(prog "read db @ s1") ~time:(q 1) a_db
+      with
+      | Decision.Denied (Decision.Spatial_violation _) -> ()
+      | v ->
+          Alcotest.fail
+            (Format.asprintf "expected a spatial denial, got %a"
+               Decision.pp_verdict v))
+    [
+      (System.Naive, [ lax; strict ]);
+      (System.Naive, [ strict; lax ]);
+      (System.Lazy, [ lax; strict ]);
+      (System.Lazy, [ strict; lax ]);
+    ]
+
 (* --- team proof scope --- *)
 
 let test_team_history () =
@@ -462,6 +493,41 @@ let test_own_scope_ignores_teammates () =
   | v ->
       Alcotest.fail
         (Format.asprintf "own scope should deny: %a" Decision.pp_verdict v)
+
+(* The companion cache must follow membership: the helper joins the
+   worker's team after the worker's first check, and the team budget
+   (at most 2 db reads) then counts the helper's read too.  A
+   companion list cached before the join would grant the third read. *)
+let test_team_join_after_check () =
+  let binding =
+    Perm_binding.make
+      ~spatial:(Srac.Formula.at_most 2 (Srac.Selector.Resource "db"))
+      ~spatial_scope:Perm_binding.Performed ~proof_scope:Perm_binding.Team
+      perm_db
+  in
+  let run mode =
+    let control = System.create ~mode ~bindings:[ binding ] (base_policy ()) in
+    let program = prog "read db @ s1" in
+    List.iter
+      (fun object_id ->
+        System.arrive control ~object_id ~server:"s1" ~time:Q.zero)
+      [ "worker"; "helper" ];
+    System.join_team control ~object_id:"worker" ~team:"t1";
+    let worker = session_of control and helper = session_of control in
+    let check session object_id t =
+      Format.asprintf "%a" Decision.pp_verdict
+        (System.check control ~session ~object_id ~program ~time:(q t) a_db)
+    in
+    let first = check helper "helper" 1 in
+    let second = check worker "worker" 2 in
+    System.join_team control ~object_id:"helper" ~team:"t1";
+    [ first; second; check worker "worker" 3 ]
+  in
+  let lazy_ = run System.Lazy in
+  Alcotest.(check (list string)) "lazy = naive" (run System.Naive) lazy_;
+  Alcotest.(check (list bool)) "the join counts the helper's read"
+    [ true; true; false ]
+    (List.map (String.equal "granted") lazy_)
 
 (* --- cache invalidation (the fast path's residual and RBAC caches
    must never serve a stale grant) --- *)
@@ -587,27 +653,50 @@ let index_agrees_with_linear_scan =
         | _ ->
             pick [ "db"; "cfg"; "*" ] ^ "@" ^ pick [ "s1"; "s2"; "*" ]
       in
+      let binding () =
+        Perm_binding.make
+          (Rbac.Perm.make ~operation:(operation ()) ~target:(target ()))
+      in
       let bindings =
-        List.init
-          (Random.State.int rng 12)
+        ref (List.init (Random.State.int rng 12) (fun _ -> binding ()))
+      in
+      let index = Binding_index.of_list !bindings in
+      let access () =
+        Sral.Generate.access ~resources:[ "db"; "cfg"; "log" ]
+          ~servers:[ "s1"; "s2"; "s3" ] rng
+      in
+      let agrees a =
+        List.equal ( == )
+          (Binding_index.applicable index a)
+          (List.filter (fun b -> Perm_binding.applies_to b a) !bindings)
+      in
+      (* [add]s interleaved with lookups: every access seen so far is
+         re-queried after each round, so a memo entry that outlived an
+         [add] would be caught *)
+      let seen = ref [] in
+      let interleaved =
+        List.for_all
           (fun _ ->
-            Perm_binding.make
-              (Rbac.Perm.make ~operation:(operation ()) ~target:(target ())))
+            if Random.State.int rng 3 = 0 then begin
+              let b = binding () in
+              Binding_index.add index b;
+              bindings := !bindings @ [ b ]
+            end;
+            seen := access () :: access () :: !seen;
+            List.for_all agrees !seen)
+          (List.init 6 Fun.id)
       in
-      let index = Binding_index.of_list bindings in
-      let accesses =
-        List.init 6 (fun _ ->
-            Sral.Generate.access ~resources:[ "db"; "cfg"; "log" ]
-              ~servers:[ "s1"; "s2"; "s3" ] rng)
+      (* more distinct accesses than the memo holds, then the early
+         ones again *)
+      let flood =
+        List.init (Binding_index.memo_cap + 1) (fun i ->
+            Sral.Access.read (Printf.sprintf "r%d" i) ~at:(pick [ "s1"; "s2" ]))
       in
-      List.for_all
-        (fun a ->
-          let via_index = Binding_index.applicable index a in
-          let via_scan =
-            List.filter (fun b -> Perm_binding.applies_to b a) bindings
-          in
-          via_index = via_scan)
-        accesses)
+      interleaved
+      && List.for_all agrees flood
+      && List.for_all agrees !seen
+      && List.for_all agrees flood
+      && List.equal ( == ) (Binding_index.to_list index) !bindings)
 
 let test_index_append_and_order () =
   let b1 = Perm_binding.make (Rbac.Perm.make ~operation:"read" ~target:"*@*") in
@@ -615,13 +704,14 @@ let test_index_append_and_order () =
   let b3 = Perm_binding.make (Rbac.Perm.make ~operation:"*" ~target:"db@s1") in
   let index = Binding_index.of_list [ b1; b2 ] in
   Alcotest.(check int) "length counts" 2 (Binding_index.length index);
+  Alcotest.(check bool) "applicable before the add" true
+    (List.equal ( == ) (Binding_index.applicable index a_db) [ b1; b2 ]);
   Binding_index.add index b3;
   Alcotest.(check int) "length bumps" 3 (Binding_index.length index);
   Alcotest.(check bool) "insertion order preserved" true
-    (Binding_index.to_list index == [ b1; b2; b3 ]
-    || Binding_index.to_list index = [ b1; b2; b3 ]);
+    (List.equal ( == ) (Binding_index.to_list index) [ b1; b2; b3 ]);
   Alcotest.(check bool) "applicable in insertion order" true
-    (Binding_index.applicable index a_db = [ b1; b2; b3 ])
+    (List.equal ( == ) (Binding_index.applicable index a_db) [ b1; b2; b3 ])
 
 (* --- audit log --- *)
 
@@ -1081,6 +1171,8 @@ let () =
             test_denied_no_proof;
           Alcotest.test_case "dc cross validation" `Quick
             test_dc_cross_validation;
+          Alcotest.test_case "program memo per binding" `Quick
+            test_program_memo_per_binding;
         ] );
       ( "aggregate",
         [
@@ -1100,6 +1192,8 @@ let () =
         [
           Alcotest.test_case "team history" `Quick test_team_history;
           Alcotest.test_case "own scope" `Quick test_own_scope_ignores_teammates;
+          Alcotest.test_case "join after check" `Quick
+            test_team_join_after_check;
         ] );
       ( "verdict-cache",
         [
