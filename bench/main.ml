@@ -1268,9 +1268,11 @@ let e22 () =
   let monitor = Coordinated.Monitor.create ~object_id:"o0" in
   Coordinated.Monitor.record_arrival monitor ~server:"s1" ~time:Q.zero;
   let bus = Obs.Bus.create () in
+  let outcomes = Coordinated.Residual.Program_outcomes.create () in
   let decide () =
     Coordinated.Decision.decide_lazy ~bus ~session ~monitor
-      ~applicable:hit_bindings ~team_version:0 ~program ~time:Q.one access
+      ~applicable:hit_bindings ~team_version:0 ~outcomes ~program ~time:Q.one
+      access
   in
   ignore (decide ());
   ignore (decide ());

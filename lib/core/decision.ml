@@ -18,10 +18,11 @@ let pp_verdict = Verdict.pp
    constraint?  Future accesses *will* carry execution proofs once
    performed, so Definition 3.6's Pr_x conjunct is vacuously true here;
    proofs bite in the history-based scope below. *)
-let program_scope_ok ~monitor ~program (binding : Perm_binding.t) c =
-  (* the check depends only on (program, constraint), both fixed for the
-     object's lifetime — memoized per binding in the monitor *)
-  Monitor.memo_spatial monitor ~binding ~program
+let program_scope_ok ~outcomes ~program (binding : Perm_binding.t) c =
+  (* the check depends only on (program, constraint), not on the object
+     running the program — computed once per (binding, program) in the
+     table a system shares with its clones *)
+  Residual.Program_outcomes.find_or_compute outcomes ~binding ~program
     (fun () ->
       let outcome =
         Srac.Program_sat.check ~proofs:Srac.Proof.always
@@ -71,12 +72,12 @@ let performed_scope_ok ~monitor ~companions ~access b c =
     | Ok () -> Ok ()
     | Error detail -> Error ("history: " ^ detail)
 
-let spatial_ok ~monitor ~companions ~program ~access
+let spatial_ok ~monitor ~companions ~outcomes ~program ~access
     (binding : Perm_binding.t) =
   match binding.spatial with
   | None -> Ok ()
   | Some c -> (
-      let program_side () = program_scope_ok ~monitor ~program binding c in
+      let program_side () = program_scope_ok ~outcomes ~program binding c in
       let performed_side () =
         performed_scope_ok ~monitor ~companions ~access binding c
       in
@@ -112,7 +113,7 @@ let temporal_state ~monitor ~time (binding : Perm_binding.t) =
    constraint — so validity time accrues from the start of the journey,
    not from the first request.  The grant decision may additionally use
    the history-based scope. *)
-let refresh_one ~session ~monitor ~companions ~program ~time
+let refresh_one ~session ~monitor ~companions ~outcomes ~program ~time
     (b : Perm_binding.t) =
   let rbac_ok =
     Rbac.Session.may session ~operation:b.perm.Rbac.Perm.operation
@@ -124,7 +125,7 @@ let refresh_one ~session ~monitor ~companions ~program ~time
     | Some c -> (
         match b.spatial_scope with
         | Perm_binding.Program | Perm_binding.Both ->
-            Result.is_ok (program_scope_ok ~monitor ~program b c)
+            Result.is_ok (program_scope_ok ~outcomes ~program b c)
         | Perm_binding.Performed ->
             (* history scope: active while what actually happened can
                still be extended into a satisfying trace — prohibitions
@@ -136,8 +137,10 @@ let refresh_one ~session ~monitor ~companions ~program ~time
     (rbac_ok && spatial_active)
 
 let refresh_activation ?(companions = []) ~session ~monitor ~bindings
-    ~program ~time () =
-  List.iter (refresh_one ~session ~monitor ~companions ~program ~time) bindings
+    ~outcomes ~program ~time () =
+  List.iter
+    (refresh_one ~session ~monitor ~companions ~outcomes ~program ~time)
+    bindings
 
 (* The temporal tail of the decision, in binding order.  It reads the
    query time, so it is recomputed on every decision. *)
@@ -176,8 +179,8 @@ let stage_end bus ~monitor ~time stage t0 ok =
 
 (* Full recomputation: every applicable binding is refreshed and
    spatially checked before the verdict is read. *)
-let decide_naive ?(companions = []) ~bus ~session ~monitor ~bindings ~program
-    ~time access =
+let decide_naive ?(companions = []) ~bus ~session ~monitor ~bindings
+    ~outcomes ~program ~time access =
   let applicable =
     List.filter (fun b -> Perm_binding.applies_to b access) bindings
   in
@@ -186,11 +189,12 @@ let decide_naive ?(companions = []) ~bus ~session ~monitor ~bindings ~program
   stage_end bus ~monitor ~time Obs.Trace.Rbac t0 (Rbac.Engine.is_granted rbac);
   let t0 = stage_start bus ~monitor ~time Obs.Trace.Spatial in
   List.iter
-    (refresh_one ~session ~monitor ~companions ~program ~time)
+    (refresh_one ~session ~monitor ~companions ~outcomes ~program ~time)
     applicable;
   let spatial_results =
     List.map
-      (fun b -> (b, spatial_ok ~monitor ~companions ~program ~access b))
+      (fun b ->
+        (b, spatial_ok ~monitor ~companions ~outcomes ~program ~access b))
       applicable
   in
   stage_end bus ~monitor ~time Obs.Trace.Spatial t0
@@ -289,17 +293,17 @@ let slot_may_ok ~session slot (b : Perm_binding.t) =
   end
 
 (* The Program-scope outcome is fixed by (program, constraint,
-   modality).  [program_scope_ok]'s monitor memo already exploits
-   that, but its probe hashes the binding and allocates an option; the
-   slot re-caches the result against the program's physical identity
-   so the warm path touches no allocator.  A
-   structurally-equal-but-distinct program falls through to the memo,
+   modality).  [program_scope_ok]'s shared table already exploits
+   that, but its probe hashes the binding and the program; the slot
+   re-caches the result against the program's physical identity so
+   the warm path touches no allocator.  A
+   structurally-equal-but-distinct program falls through to the table,
    which compares with [Ast.equal] — slower, never wrong. *)
-let program_ok_cached ~monitor ~program slot (b : Perm_binding.t) c =
+let program_ok_cached ~outcomes ~program slot (b : Perm_binding.t) c =
   match slot.Residual.prog_program with
   | Some p when p == program -> slot.Residual.prog_result
   | _ ->
-      let r = program_scope_ok ~monitor ~program b c in
+      let r = program_scope_ok ~outcomes ~program b c in
       slot.Residual.prog_program <- Some program;
       slot.Residual.prog_result <- r;
       r
@@ -319,6 +323,9 @@ let rbac_cached ~session ~monitor access =
       verdict
   | exception Not_found ->
       let verdict = Rbac.Engine.decide_access session access in
+      (* keyed by the requested access, which comes off the wire *)
+      if Residual.Access_tbl.length store.Residual.rbac >= Residual.rbac_cap
+      then Residual.Access_tbl.reset store.Residual.rbac;
       Residual.Access_tbl.add store.Residual.rbac access
         { Residual.r_session = session; r_version = v; r_verdict = verdict };
       verdict
@@ -468,7 +475,7 @@ let scope_state ~monitor ~companions ~team_version machine slot
 let feasible_eager ~monitor ~companions b c =
   Srac.Program_sat.prefix_feasible ~performed:(history ~monitor ~companions b) c
 
-let refresh_one_lazy ~session ~monitor ~companions ~program ~time
+let refresh_one_lazy ~session ~monitor ~companions ~outcomes ~program ~time
     ~team_version (b : Perm_binding.t) =
   let slot = get_slot ~session ~monitor b in
   let rbac_ok = slot_may_ok ~session slot b in
@@ -478,7 +485,7 @@ let refresh_one_lazy ~session ~monitor ~companions ~program ~time
     | Some c -> (
         match b.spatial_scope with
         | Perm_binding.Program | Perm_binding.Both ->
-            Result.is_ok (program_ok_cached ~monitor ~program slot b c)
+            Result.is_ok (program_ok_cached ~outcomes ~program slot b c)
         | Perm_binding.Performed -> (
             match slot.Residual.machine with
             | None -> feasible_eager ~monitor ~companions b c
@@ -496,13 +503,13 @@ let refresh_one_lazy ~session ~monitor ~companions ~program ~time
   Monitor.set_active_cell monitor slot.Residual.cell ~time
     (rbac_ok && spatial_active)
 
-let rec refresh_all_lazy ~session ~monitor ~companions ~program ~time
-    ~team_version = function
+let rec refresh_all_lazy ~session ~monitor ~companions ~outcomes ~program
+    ~time ~team_version = function
   | [] -> ()
   | b :: rest ->
-      refresh_one_lazy ~session ~monitor ~companions ~program ~time
+      refresh_one_lazy ~session ~monitor ~companions ~outcomes ~program ~time
         ~team_version b;
-      refresh_all_lazy ~session ~monitor ~companions ~program ~time
+      refresh_all_lazy ~session ~monitor ~companions ~outcomes ~program ~time
         ~team_version rest
 
 let performed_ok_lazy ~session ~monitor ~companions ~access ~team_version
@@ -527,35 +534,35 @@ let performed_ok_lazy ~session ~monitor ~companions ~access ~team_version
           slot.Residual.machine <- None;
           performed_scope_ok ~monitor ~companions ~access b c)
 
-let spatial_ok_lazy ~session ~monitor ~companions ~program ~access
+let spatial_ok_lazy ~session ~monitor ~companions ~outcomes ~program ~access
     ~team_version (b : Perm_binding.t) =
   match b.spatial with
   | None -> Ok ()
   | Some c -> (
       let slot = get_slot ~session ~monitor b in
       match b.spatial_scope with
-      | Perm_binding.Program -> program_ok_cached ~monitor ~program slot b c
+      | Perm_binding.Program -> program_ok_cached ~outcomes ~program slot b c
       | Perm_binding.Performed ->
           performed_ok_lazy ~session ~monitor ~companions ~access ~team_version
             b c
       | Perm_binding.Both -> (
-          match program_ok_cached ~monitor ~program slot b c with
+          match program_ok_cached ~outcomes ~program slot b c with
           | Ok () ->
               performed_ok_lazy ~session ~monitor ~companions ~access
                 ~team_version b c
           | Error _ as failure -> failure))
 
-let rec first_spatial_failure_lazy ~session ~monitor ~companions ~program
-    ~access ~team_version = function
+let rec first_spatial_failure_lazy ~session ~monitor ~companions ~outcomes
+    ~program ~access ~team_version = function
   | [] -> None
   | b :: rest -> (
       match
-        spatial_ok_lazy ~session ~monitor ~companions ~program ~access
-          ~team_version b
+        spatial_ok_lazy ~session ~monitor ~companions ~outcomes ~program
+          ~access ~team_version b
       with
       | Ok () ->
-          first_spatial_failure_lazy ~session ~monitor ~companions ~program
-            ~access ~team_version rest
+          first_spatial_failure_lazy ~session ~monitor ~companions ~outcomes
+            ~program ~access ~team_version rest
       | Error detail ->
           Some (Spatial_violation { binding = Perm_binding.key b; detail }))
 
@@ -590,18 +597,18 @@ let rec first_temporal_failure_lazy ~session ~monitor ~time = function
    is needed only for the spatial span's [ok] bit, so it is computed
    only when the bus is observed. *)
 let decide_lazy ?(companions = []) ~bus ~session ~monitor ~applicable
-    ~team_version ~program ~time access =
+    ~team_version ~outcomes ~program ~time access =
   let t0 = stage_start bus ~monitor ~time Obs.Trace.Rbac in
   let rbac = rbac_cached ~session ~monitor access in
   let rbac_ok = Rbac.Engine.is_granted rbac in
   stage_end bus ~monitor ~time Obs.Trace.Rbac t0 rbac_ok;
   let t0 = stage_start bus ~monitor ~time Obs.Trace.Spatial in
-  refresh_all_lazy ~session ~monitor ~companions ~program ~time ~team_version
-    applicable;
+  refresh_all_lazy ~session ~monitor ~companions ~outcomes ~program ~time
+    ~team_version applicable;
   let spatial_failure =
     if rbac_ok || Obs.Bus.observed bus then
-      first_spatial_failure_lazy ~session ~monitor ~companions ~program
-        ~access ~team_version applicable
+      first_spatial_failure_lazy ~session ~monitor ~companions ~outcomes
+        ~program ~access ~team_version applicable
     else None
   in
   stage_end bus ~monitor ~time Obs.Trace.Spatial t0
@@ -619,9 +626,9 @@ let decide_lazy ?(companions = []) ~bus ~session ~monitor ~applicable
       match temporal with Some reason -> Denied reason | None -> Granted)
 
 let refresh_activation_lazy ?(companions = []) ~session ~monitor ~bindings
-    ~team_version ~program ~time () =
-  refresh_all_lazy ~session ~monitor ~companions ~program ~time ~team_version
-    bindings
+    ~team_version ~outcomes ~program ~time () =
+  refresh_all_lazy ~session ~monitor ~companions ~outcomes ~program ~time
+    ~team_version bindings
 
 let validity_dc_check ~monitor ~(binding : Perm_binding.t) ~time =
   match binding.dur with

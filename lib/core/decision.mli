@@ -37,6 +37,7 @@ val decide_naive :
   session:Rbac.Session.t ->
   monitor:Monitor.t ->
   bindings:Perm_binding.t list ->
+  outcomes:Residual.Program_outcomes.t ->
   program:Sral.Ast.t ->
   time:Temporal.Q.t ->
   Sral.Access.t ->
@@ -47,7 +48,10 @@ val decide_naive :
     [Team] proof scope.  Each pipeline stage (rbac, spatial, temporal)
     is bracketed with {!Obs.Trace.Stage_start}/[Stage_end] span events
     on [bus], in evaluation order; the temporal stage runs only when
-    the first two pass.  On a bus with no sink ({!Obs.Bus.observed} is
+    the first two pass.  Program-scope outcomes are read from (and
+    added to) [outcomes], the table a system shares with its clones:
+    [check(P, C)] depends on the program and the binding, not on the
+    object.  On a bus with no sink ({!Obs.Bus.observed} is
     false) no span event is built and the bus clock is not read.
 
     The linear-scan reference decision, kept as the differential
@@ -61,6 +65,7 @@ val decide_lazy :
   monitor:Monitor.t ->
   applicable:Perm_binding.t list ->
   team_version:int ->
+  outcomes:Residual.Program_outcomes.t ->
   program:Sral.Ast.t ->
   time:Temporal.Q.t ->
   Sral.Access.t ->
@@ -95,6 +100,7 @@ val refresh_activation :
   session:Rbac.Session.t ->
   monitor:Monitor.t ->
   bindings:Perm_binding.t list ->
+  outcomes:Residual.Program_outcomes.t ->
   program:Sral.Ast.t ->
   time:Temporal.Q.t ->
   unit ->
@@ -110,6 +116,7 @@ val refresh_activation_lazy :
   monitor:Monitor.t ->
   bindings:Perm_binding.t list ->
   team_version:int ->
+  outcomes:Residual.Program_outcomes.t ->
   program:Sral.Ast.t ->
   time:Temporal.Q.t ->
   unit ->

@@ -6,7 +6,6 @@ type t = {
   mutable visits : (string * Q.t) list;  (* reverse order *)
   activations : (string, (Q.t * bool) list ref) Hashtbl.t;
       (* per key, reverse-order change list *)
-  spatial_memo : (Sral.Ast.t * (unit, string) result) Residual.Binding_tbl.t;
   residuals : Residual.store;
   mutable clock : Q.t;
   mutable history_epoch : int;
@@ -18,7 +17,6 @@ let create ~object_id =
     proofs = Srac.Proof.create ();
     visits = [];
     activations = Hashtbl.create 8;
-    spatial_memo = Residual.Binding_tbl.create 8;
     residuals = Residual.create ();
     clock = Q.zero;
     history_epoch = 0;
@@ -75,15 +73,6 @@ let activation_fn m ~key =
   | Some r -> Temporal.Step_fn.of_changes ~init:false (List.rev !r)
 
 let is_active_at m ~key t = Temporal.Step_fn.value_at (activation_fn m ~key) t
-
-let memo_spatial m ~binding ~program compute =
-  match Residual.Binding_tbl.find_opt m.spatial_memo binding with
-  | Some (cached_program, value) when Sral.Ast.equal cached_program program ->
-      value
-  | _ ->
-      let value = compute () in
-      Residual.Binding_tbl.replace m.spatial_memo binding (program, value);
-      value
 
 let now m = m.clock
 

@@ -55,23 +55,12 @@ val set_active_cell : t -> Residual.cell -> time:Temporal.Q.t -> bool -> unit
 val residuals : t -> Residual.store
 (** The monitor's lazy-decision state (binding slots, per-access RBAC
     verdicts).  Owned by the monitor so its lifetime matches the proof
-    store the residual cursors index into. *)
+    store the residual cursors index into.  Everything a monitor holds
+    is about its own object: Program-scope outcomes depend only on the
+    program and the binding, so they live in the table a system shares
+    with its clones ({!Residual.Program_outcomes}), not here. *)
 
 val is_active_at : t -> key:string -> Temporal.Q.t -> bool
-
-val memo_spatial :
-  t ->
-  binding:Perm_binding.t ->
-  program:Sral.Ast.t ->
-  (unit -> (unit, string) result) ->
-  (unit, string) result
-(** Memoize a program-level spatial check per binding: the object's
-    program is fixed for its lifetime and the program-scope check does
-    not depend on runtime state, so recomputing the automata on every
-    decision is pure waste.  Keyed by the binding {e physically}, like
-    {!Residual} slots: two bindings on one permission may carry
-    different constraints.  The cache invalidates if a different
-    program is presented for the same binding. *)
 
 val now : t -> Temporal.Q.t
 (** Largest time seen so far (zero initially). *)

@@ -1,13 +1,15 @@
-(* Per-monitor state of the lazy-derivative decision path
-   (Decision.decide_lazy).
+(* Lazy-decision state (Decision.decide_lazy): per monitor, and the
+   Program-scope outcomes a base system shares with its clones.
 
    Each monitor owns one [store]: a slot per permission binding it has
    evaluated (holding the binding's lazy constraint machine, residual
    cursors into the object's / team's performed history, a
-   version-stamped RBAC activation bit and the binding's activation
-   change cell) plus a per-access RBAC verdict cache.  Everything here
-   is stamp-invalidated, never evicted: the bindings and accesses a
-   monitor sees are bounded by the policy, not by traffic.
+   version-stamped RBAC activation bit, the binding's activation change
+   cell and the last Program-scope outcome by program identity) plus a
+   per-access RBAC verdict cache.  The slots are stamp-invalidated,
+   never evicted: a monitor sees only the policy's bindings.  The RBAC
+   cache is keyed by the requested access, which comes off the wire, so
+   it is dropped when it reaches [rbac_cap] entries.
 
    Slots are keyed by the binding value *physically*: bindings are
    immutable and the binding index hands out the same objects on every
@@ -60,8 +62,8 @@ type slot = {
   mutable may_ok : bool;  (* Rbac.Session.may for the binding's perm *)
   mutable prog_program : Sral.Ast.t option;
       (* the program [prog_result] was computed for, by identity — the
-         monitor's spatial memo compares programs structurally, too
-         costly for the warm path *)
+         shared [Program_outcomes] table compares programs
+         structurally, too costly for the warm path *)
   mutable prog_result : (unit, string) result;
 }
 
@@ -73,4 +75,72 @@ type rbac_entry = {
 
 type store = { slots : slot Binding_tbl.t; rbac : rbac_entry Access_tbl.t }
 
+let rbac_cap = 256
+
 let create () = { slots = Binding_tbl.create 8; rbac = Access_tbl.create 8 }
+
+(* Program-scope outcomes, one per (binding, program), shared by a base
+   system and every clone of it — across domains, since the parallel
+   engine and the service decide on clones in parallel.  The outcome of
+   [check(P, C)] depends on the program and the binding's constraint
+   and modality only, not on the object running the program.
+
+   The table is an immutable map published through an [Atomic]: a read
+   is one [Atomic.get] and a lookup, a miss computes the outcome and
+   publishes a new map by compare-and-set.  Losing a race only means
+   the outcome was computed twice.  Keys are the binding physically
+   (as slots are) and the program by [Sral.Ast.equal], bucketed by
+   [Hashtbl.hash].  Programs arrive from clients, so the table starts
+   over when it reaches [cap] entries. *)
+module Program_outcomes = struct
+  module Int_map = Map.Make (Int)
+
+  type entry = {
+    binding : Perm_binding.t;
+    program : Sral.Ast.t;
+    outcome : (unit, string) result;
+  }
+
+  type table = { size : int; buckets : entry list Int_map.t }
+  type t = table Atomic.t
+
+  let cap = 4096
+  let empty = { size = 0; buckets = Int_map.empty }
+  let create () = Atomic.make empty
+  let size t = (Atomic.get t).size
+
+  let bucket table h =
+    match Int_map.find h table.buckets with
+    | es -> es
+    | exception Not_found -> []
+
+  let rec find binding program = function
+    | [] -> None
+    | e :: rest ->
+        if e.binding == binding && Sral.Ast.equal e.program program then
+          Some e.outcome
+        else find binding program rest
+
+  let rec publish t h entry =
+    let current = Atomic.get t in
+    match find entry.binding entry.program (bucket current h) with
+    | Some _ -> ()
+    | None ->
+        let base = if current.size >= cap then empty else current in
+        let next =
+          {
+            size = base.size + 1;
+            buckets = Int_map.add h (entry :: bucket base h) base.buckets;
+          }
+        in
+        if not (Atomic.compare_and_set t current next) then publish t h entry
+
+  let find_or_compute t ~binding ~program compute =
+    let h = (Hashtbl.hash binding * 65599) lxor Hashtbl.hash program in
+    match find binding program (bucket (Atomic.get t) h) with
+    | Some outcome -> outcome
+    | None ->
+        let outcome = compute () in
+        publish t h { binding; program; outcome };
+        outcome
+end

@@ -12,10 +12,11 @@ type t = {
   mutable teams_version : int;
   companion_cache : (string, int * Monitor.t list) Hashtbl.t;
       (* object_id -> (teams_version, its companions' monitors) *)
+  outcomes : Residual.Program_outcomes.t;  (* shared with every clone *)
   bus : Obs.Bus.t;
 }
 
-let create ?(mode = Lazy) ?(bindings = []) ?bus policy =
+let make ~mode ~bindings ~outcomes ?bus policy =
   let bus = match bus with Some b -> b | None -> Obs.Bus.create () in
   {
     policy;
@@ -26,11 +27,17 @@ let create ?(mode = Lazy) ?(bindings = []) ?bus policy =
     rosters = Hashtbl.create 8;
     teams_version = 0;
     companion_cache = Hashtbl.create 8;
+    outcomes;
     bus;
   }
 
+let create ?(mode = Lazy) ?(bindings = []) ?bus policy =
+  make ~mode ~bindings ~outcomes:(Residual.Program_outcomes.create ()) ?bus
+    policy
+
 let clone t =
-  create ~mode:t.mode ~bindings:(Binding_index.to_list t.index) t.policy
+  make ~mode:t.mode ~bindings:(Binding_index.to_list t.index)
+    ~outcomes:t.outcomes t.policy
 
 let of_policy_text ?mode text =
   let parsed = Policy_lang.parse text in
@@ -42,6 +49,7 @@ let bindings t = Binding_index.to_list t.index
 let add_binding t b = Binding_index.add t.index b
 let applicable_bindings t access = Binding_index.applicable t.index access
 let bus t = t.bus
+let program_outcomes t = Residual.Program_outcomes.size t.outcomes
 
 let monitor t ~object_id =
   match Hashtbl.find t.monitors object_id with
@@ -116,13 +124,14 @@ let check t ~session ~object_id ~program ~time access =
           ~companions:(companions_scan t ~object_id)
           ~session ~monitor:m
           ~bindings:(Binding_index.to_list t.index)
-          ~program ~time access
+          ~outcomes:t.outcomes ~program ~time access
     | Lazy ->
         Decision.decide_lazy ~bus:t.bus
           ~companions:(companions t ~object_id)
           ~session ~monitor:m
           ~applicable:(Binding_index.applicable t.index access)
-          ~team_version:t.teams_version ~program ~time access
+          ~team_version:t.teams_version ~outcomes:t.outcomes ~program ~time
+          access
   in
   if Obs.Bus.observed t.bus then
     Obs.Bus.emit t.bus
@@ -144,9 +153,9 @@ let refresh t ~session ~object_id ~program ~time =
   | Naive ->
       Decision.refresh_activation
         ~companions:(companions_scan t ~object_id)
-        ~session ~monitor ~bindings ~program ~time ()
+        ~session ~monitor ~bindings ~outcomes:t.outcomes ~program ~time ()
   | Lazy ->
       Decision.refresh_activation_lazy
         ~companions:(companions t ~object_id)
-        ~session ~monitor ~bindings ~team_version:t.teams_version ~program
-        ~time ()
+        ~session ~monitor ~bindings ~team_version:t.teams_version
+        ~outcomes:t.outcomes ~program ~time ()

@@ -19,6 +19,9 @@
       scratch on every decision —
       kept as the differential oracle and the E13 baseline.
 
+    Both modes read Program-scope outcomes from one table per base
+    system, shared with every {!clone} (see {!program_outcomes}).
+
     The differential fuzz suite ([test/test_fuzz.ml]) checks that both
     modes produce identical verdicts (including denial reasons),
     identical audit logs and identical trace spans on randomized
@@ -44,10 +47,18 @@ val clone : t -> t
     a fresh index), the {e same} policy object, but fresh monitors,
     teams and a fresh sink-less bus.  This is the shard-safe entry point the
     parallel engine uses: each OCaml 5 domain decides against its own
-    clone, so no mutable decision state (monitors, residual caches,
+    clone, so no per-object decision state (monitors, residual caches,
     rosters, sinks) is ever shared between domains.  The shared policy
     must not be mutated while clones are live on other domains —
-    concurrent {e reads} of an unmutated policy are safe. *)
+    concurrent {e reads} of an unmutated policy are safe.
+
+    The one thing a clone shares with its base (and every other clone)
+    is the table of Program-scope outcomes, one per (binding, program):
+    [check(P, C)] is a fact about the program and the constraint, so an
+    object registering a program some other connection or replica
+    already checked reuses that outcome.  The table is an immutable map
+    published through [Atomic], safe to read and extend from any
+    domain without a lock ({!Residual.Program_outcomes}). *)
 
 val of_policy_text : ?mode:decision_mode -> string -> t
 (** Build from {!Policy_lang} text.  @raise Policy_lang.Error *)
@@ -64,6 +75,13 @@ val add_binding : t -> Perm_binding.t -> unit
 val applicable_bindings : t -> Sral.Access.t -> Perm_binding.t list
 (** The bindings {!check} consults for this access, in insertion order
     — resolved through the index.  Exposed for tests and tooling. *)
+
+val program_outcomes : t -> int
+(** Entries in the Program-scope outcome table the system shares with
+    its clones: one per (binding, program) checked so far, with
+    programs compared structurally.  The table starts over at
+    {!Residual.Program_outcomes.cap} entries, so this never exceeds
+    it.  A read-only gauge for tests and tooling. *)
 
 val bus : t -> Obs.Bus.t
 (** The system's trace bus.  {!check} emits per-stage span events and

@@ -436,6 +436,251 @@ let test_program_memo_per_binding () =
       (System.Lazy, [ strict; lax ]);
     ]
 
+(* --- Program-scope outcomes shared by a base system and its clones --- *)
+
+module Outcomes = Residual.Program_outcomes
+
+(* A physically distinct, structurally equal copy of a program — what
+   a second connection registering the same program hands the system. *)
+let copy_program (p : Sral.Ast.t) : Sral.Ast.t =
+  Marshal.from_string (Marshal.to_string p []) 0
+
+let direct_outcome (b : Perm_binding.t) program =
+  match b.Perm_binding.spatial with
+  | None -> Ok ()
+  | Some c ->
+      let o =
+        Srac.Program_sat.check ~proofs:Srac.Proof.always
+          ~modality:b.Perm_binding.spatial_modality program c
+      in
+      if o.Srac.Program_sat.holds then Ok ()
+      else Error (Format.asprintf "%a" Srac.Formula.pp c)
+
+let test_outcomes_equal_direct_check () =
+  let resources = [ "r1"; "r2"; "r3" ] and servers = [ "s1"; "s2" ] in
+  let accesses =
+    List.concat_map
+      (fun r -> List.map (fun s -> Sral.Access.read r ~at:s) servers)
+      resources
+  in
+  Gen.each_seed ~salt:1919 ~count:40 (fun ~seed rng ->
+      let perm = Rbac.Perm.make ~operation:"read" ~target:"*@*" in
+      let bindings =
+        Array.init 4 (fun _ ->
+            Perm_binding.make
+              ~spatial:(Gen.srac_formula ~accesses rng)
+              ~spatial_modality:
+                (if Random.State.bool rng then Srac.Program_sat.Exists
+                 else Srac.Program_sat.Forall)
+              perm)
+      in
+      let programs =
+        Array.init 5 (fun _ ->
+            Sral.Generate.program ~allow_io:false ~resources ~servers
+              ~size:(2 + Random.State.int rng 6)
+              rng)
+      in
+      let table = Outcomes.create () in
+      let computed = ref [] in
+      for _ = 1 to 30 do
+        let bi = Random.State.int rng 4 and pi = Random.State.int rng 5 in
+        let program =
+          if Random.State.bool rng then programs.(pi)
+          else copy_program programs.(pi)
+        in
+        let binding = bindings.(bi) in
+        let expected = direct_outcome binding program in
+        let got =
+          Outcomes.find_or_compute table ~binding ~program (fun () ->
+              if
+                List.exists
+                  (fun (b, p) -> b = bi && Sral.Ast.equal programs.(p) program)
+                  !computed
+              then Alcotest.failf "seed %d: (%d, %d) computed twice" seed bi pi;
+              computed := (bi, pi) :: !computed;
+              expected)
+        in
+        if got <> expected then
+          Alcotest.failf "seed %d: binding %d, program %d: stale outcome" seed
+            bi pi
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: one entry per distinct pair" seed)
+        (List.length !computed) (Outcomes.size table))
+
+(* Two bindings on one permission with different Program-scope
+   constraints, in both orders, on a base system and two clones that
+   register physically distinct copies of one program: every copy gets
+   the base's verdict, and the shared table holds one entry per
+   binding. *)
+let test_outcomes_shared_by_clones () =
+  let perm = Rbac.Perm.make ~operation:"read" ~target:"*@*" in
+  let lax = Perm_binding.make ~spatial:Srac.Formula.True perm in
+  let strict =
+    Perm_binding.make
+      ~spatial:(Srac.Formula.at_most 0 (Srac.Selector.Resource "db"))
+      ~spatial_modality:Srac.Program_sat.Forall perm
+  in
+  let program = prog "read db @ s1" in
+  List.iter
+    (fun (mode, bindings) ->
+      let base, _ = setup ~mode ~bindings () in
+      let verdict control =
+        let session = session_of control in
+        System.arrive control ~object_id:"o" ~server:"s1" ~time:Q.zero;
+        Format.asprintf "%a" Decision.pp_verdict
+          (System.check control ~session ~object_id:"o"
+             ~program:(copy_program program) ~time:(q 1) a_db)
+      in
+      let from_base =
+        let session = session_of base in
+        System.check base ~session ~object_id:"o" ~program ~time:(q 1) a_db
+      in
+      (match from_base with
+      | Decision.Denied (Decision.Spatial_violation _) -> ()
+      | v ->
+          Alcotest.failf "expected a spatial denial, got %a" Decision.pp_verdict
+            v);
+      let expected = Format.asprintf "%a" Decision.pp_verdict from_base in
+      let c1 = System.clone base and c2 = System.clone base in
+      Alcotest.(check (list string))
+        "clones decide as the base" [ expected; expected ]
+        [ verdict c1; verdict c2 ];
+      Alcotest.(check int) "one entry per binding" 2
+        (System.program_outcomes base);
+      Alcotest.(check int) "the clones read the same table" 2
+        (System.program_outcomes c2);
+      let session = session_of c1 in
+      System.arrive c1 ~object_id:"p" ~server:"s1" ~time:Q.zero;
+      ignore
+        (System.check c1 ~session ~object_id:"p"
+           ~program:(prog "read cfg @ s1") ~time:(q 1) a_cfg);
+      Alcotest.(check int) "a clone's new program reaches the base" 4
+        (System.program_outcomes base))
+    [
+      (System.Naive, [ lax; strict ]);
+      (System.Naive, [ strict; lax ]);
+      (System.Lazy, [ lax; strict ]);
+      (System.Lazy, [ strict; lax ]);
+    ]
+
+(* A base plus N clones, each registering the same K programs (as
+   distinct copies): K entries per Program/Both binding, none for a
+   Performed-scope binding or one without a constraint. *)
+let test_outcomes_one_per_program () =
+  let perm op = Rbac.Perm.make ~operation:op ~target:"*@*" in
+  let c = Srac.Formula.at_most 1 (Srac.Selector.Resource "db") in
+  let bindings =
+    [
+      Perm_binding.make ~spatial:c ~spatial_scope:Perm_binding.Program
+        (perm "read");
+      Perm_binding.make ~spatial:c ~spatial_scope:Perm_binding.Both
+        (perm "read");
+      Perm_binding.make ~spatial:c ~spatial_scope:Perm_binding.Performed
+        (perm "read");
+      Perm_binding.make (perm "read");
+    ]
+  in
+  let programs =
+    List.map prog
+      [
+        "read db @ s1";
+        "read db @ s1; read db @ s1";
+        "read cfg @ s1";
+        "read cfg @ s1; read db @ s1";
+      ]
+  in
+  List.iter
+    (fun mode ->
+      let base = System.create ~mode ~bindings (base_policy ()) in
+      let register control =
+        let session = session_of control in
+        List.iteri
+          (fun i program ->
+            let object_id = Printf.sprintf "o%d" i in
+            System.arrive control ~object_id ~server:"s1" ~time:Q.zero;
+            System.refresh control ~session ~object_id
+              ~program:(copy_program program) ~time:Q.zero;
+            ignore
+              (System.check control ~session ~object_id
+                 ~program:(copy_program program) ~time:(q 1) a_db))
+          programs
+      in
+      register base;
+      let k = List.length programs in
+      Alcotest.(check int) "base: K per Program/Both binding" (2 * k)
+        (System.program_outcomes base);
+      for _ = 1 to 3 do
+        register (System.clone base)
+      done;
+      Alcotest.(check int) "clones add nothing" (2 * k)
+        (System.program_outcomes base))
+    [ System.Naive; System.Lazy ]
+
+(* More distinct programs than the table holds: it starts over at its
+   cap, and verdicts stay equal to Naive mode's. *)
+let test_outcomes_bounded () =
+  let binding =
+    Perm_binding.make
+      ~spatial:(Srac.Formula.at_most 0 (Srac.Selector.Resource "r7"))
+      ~spatial_modality:Srac.Program_sat.Forall
+      (Rbac.Perm.make ~operation:"read" ~target:"*@*")
+  in
+  let n = Outcomes.cap + 50 in
+  let run mode =
+    let control = System.create ~mode ~bindings:[ binding ] (base_policy ()) in
+    let session = session_of control in
+    let peak = ref 0 in
+    let verdicts =
+      List.init n (fun i ->
+          let object_id = Printf.sprintf "o%d" i in
+          System.arrive control ~object_id ~server:"s1" ~time:Q.zero;
+          let program = prog (Printf.sprintf "read r%d @ s1" i) in
+          let v =
+            System.check control ~session ~object_id ~program ~time:(q 1)
+              (read_ (Printf.sprintf "r%d" i) "s1")
+          in
+          peak := max !peak (System.program_outcomes control);
+          Format.asprintf "%a" Decision.pp_verdict v)
+    in
+    Alcotest.(check bool)
+      "the table stays at or under its cap" true
+      (!peak <= Outcomes.cap && System.program_outcomes control < n);
+    verdicts
+  in
+  let lazy_ = run System.Lazy in
+  Alcotest.(check (list string)) "lazy = naive" (run System.Naive) lazy_;
+  Alcotest.(check bool) "r7 is denied" true
+    (not (String.equal (List.nth lazy_ 7) "granted"))
+
+(* The per-monitor RBAC verdict cache is keyed by the requested access,
+   which comes off the wire: a stream of distinct names must not grow
+   it past its cap. *)
+let test_rbac_cache_bounded () =
+  let run mode =
+    let control, session = setup ~mode () in
+    let verdicts =
+      List.init 5000 (fun i ->
+          let op =
+            if i mod 3 = 0 then Sral.Access.write else Sral.Access.read
+          in
+          let access = op (Printf.sprintf "x%d" i) ~at:"s1" in
+          Format.asprintf "%a" Decision.pp_verdict
+            (System.check control ~session ~object_id:"o"
+               ~program:(prog "read db @ s1") ~time:(q (i + 1)) access))
+    in
+    let store = Monitor.residuals (System.monitor control ~object_id:"o") in
+    let rbac = store.Residual.rbac in
+    (verdicts, Residual.Access_tbl.length rbac)
+  in
+  let lazy_, size = run System.Lazy in
+  let naive, _ = run System.Naive in
+  Alcotest.(check (list string)) "lazy = naive" naive lazy_;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d entries, cap %d" size Residual.rbac_cap)
+    true
+    (size > 0 && size <= Residual.rbac_cap)
+
 (* --- team proof scope --- *)
 
 let test_team_history () =
@@ -1173,6 +1418,18 @@ let () =
             test_dc_cross_validation;
           Alcotest.test_case "program memo per binding" `Quick
             test_program_memo_per_binding;
+          Alcotest.test_case "rbac cache bounded" `Quick
+            test_rbac_cache_bounded;
+        ] );
+      ( "outcome-table",
+        [
+          Alcotest.test_case "table = direct Program_sat.check" `Quick
+            test_outcomes_equal_direct_check;
+          Alcotest.test_case "shared by clones" `Quick
+            test_outcomes_shared_by_clones;
+          Alcotest.test_case "one entry per (binding, program)" `Quick
+            test_outcomes_one_per_program;
+          Alcotest.test_case "bounded, = naive" `Quick test_outcomes_bounded;
         ] );
       ( "aggregate",
         [

@@ -312,6 +312,7 @@ let test_differential_lazy_direct () =
       let m_lazy = M.create ~object_id:"obj" in
       let m_naive = M.create ~object_id:"obj" in
       let bus = Obs.Bus.create () in
+      let outcomes = Coordinated.Residual.Program_outcomes.create () in
       let random_access () =
         let r = Gen.pick rng resources and s = Gen.pick rng servers in
         if Random.State.bool rng then Sral.Access.read r ~at:s
@@ -326,21 +327,21 @@ let test_differential_lazy_direct () =
             M.record_arrival m_lazy ~server ~time:!time;
             M.record_arrival m_naive ~server ~time:!time
         | 1 ->
-            D.refresh_activation ~session ~monitor:m_naive ~bindings ~program
-              ~time:!time ();
+            D.refresh_activation ~session ~monitor:m_naive ~bindings
+              ~outcomes ~program ~time:!time ();
             D.refresh_activation_lazy ~session ~monitor:m_lazy ~bindings
-              ~team_version:0 ~program ~time:!time ()
+              ~team_version:0 ~outcomes ~program ~time:!time ()
         | 2 -> toggle_role ()
         | _ -> (
             let access = random_access () in
             let v_naive =
               D.decide_naive ~bus ~session ~monitor:m_naive ~bindings
-                ~program ~time:!time access
+                ~outcomes ~program ~time:!time access
             in
             let v_lazy =
               D.decide_lazy ~bus ~session ~monitor:m_lazy
                 ~applicable:(Coordinated.Binding_index.applicable index access)
-                ~team_version:0 ~program ~time:!time access
+                ~team_version:0 ~outcomes ~program ~time:!time access
             in
             if v_naive <> v_lazy then
               Alcotest.failf

@@ -228,7 +228,92 @@ let test_backend_contract () =
              (fun () -> failwith "task-2");
            |]))
 
-(* 8. The big-coalition generator — the [stacc bench-parallel --big]
+(* 8. Clones of one base share its Program-scope outcome table across
+   domains.  Each shard's clone checks every program (registered as a
+   physically distinct copy, starting at a different offset so the
+   domains race on the same entries) while the others extend the same
+   table: verdicts must equal a sequential run on an unshared base, and
+   the table must end with one entry per (binding, distinct program). *)
+let test_shared_outcomes_across_domains () =
+  let module System = Coordinated.System in
+  let module PB = Coordinated.Perm_binding in
+  let rng = Random.State.make [| 1919; Gen.offset |] in
+  let resources = [ "r1"; "r2"; "r3" ] and servers = [ "s1"; "s2" ] in
+  let perm = Rbac.Perm.make ~operation:"read" ~target:"*@*" in
+  let bindings =
+    [
+      PB.make
+        ~spatial:(Srac.Formula.at_most 1 (Srac.Selector.Resource "r1"))
+        ~spatial_modality:Srac.Program_sat.Forall perm;
+      PB.make
+        ~spatial:(Srac.Formula.at_most 2 (Srac.Selector.Server "s2"))
+        ~spatial_scope:PB.Both perm;
+    ]
+  in
+  let programs =
+    Array.init 200 (fun _ ->
+        Sral.Generate.program ~allow_io:false ~resources ~servers
+          ~size:(3 + Random.State.int rng 8)
+          rng)
+  in
+  let distinct =
+    Array.to_list programs
+    |> List.sort_uniq Sral.Ast.compare
+    |> List.length
+  in
+  let n = Array.length programs in
+  let base_of () =
+    let policy = Rbac.Policy.create () in
+    Rbac.Policy.add_user policy "u";
+    Rbac.Policy.add_role policy "r";
+    Rbac.Policy.assign_user policy "u" "r";
+    Rbac.Policy.grant policy "r" perm;
+    System.create ~bindings policy
+  in
+  let access = Sral.Access.read "r1" ~at:"s1" in
+  let run system ~offset =
+    let session = System.new_session system ~user:"u" in
+    Rbac.Session.activate session "r";
+    let verdicts = Array.make n "" in
+    for k = 0 to n - 1 do
+      let i = (k + offset) mod n in
+      let object_id = Printf.sprintf "o%d" i in
+      let program : Sral.Ast.t =
+        Marshal.from_string (Marshal.to_string programs.(i) []) 0
+      in
+      System.arrive system ~object_id ~server:"s1" ~time:Temporal.Q.zero;
+      verdicts.(i) <-
+        Format.asprintf "%a" Coordinated.Decision.pp_verdict
+          (System.check system ~session ~object_id ~program
+             ~time:Temporal.Q.one access)
+    done;
+    verdicts
+  in
+  let expected = run (base_of ()) ~offset:0 in
+  Alcotest.(check bool) "programs give both verdicts" true
+    (Array.exists (String.equal "granted") expected
+    && not (Array.for_all (String.equal "granted") expected));
+  List.iter
+    (fun shards ->
+      let base = base_of () in
+      let results =
+        P.Backend.parallel
+          (Array.init shards (fun d () ->
+               run (System.clone base) ~offset:(d * n / shards)))
+      in
+      Array.iteri
+        (fun d verdicts ->
+          Alcotest.(check (array string))
+            (Printf.sprintf "shards=%d clone %d = sequential" shards d)
+            expected verdicts)
+        results;
+      Alcotest.(check int)
+        (Printf.sprintf "shards=%d: one entry per (binding, program)" shards)
+        (2 * distinct)
+        (System.program_outcomes base))
+    shard_counts
+
+(* 9. The big-coalition generator — the [stacc bench-parallel --big]
    workload and the ROADMAP's 10^4+-object shard sweeps: one
    2000-object coalition in team-closed blocks, replayed object-sharded
    at every configured shard count, must conform to the sequential
@@ -275,6 +360,10 @@ let () =
         [ Alcotest.test_case "by-index interleave" `Quick test_merge_by_index ]
       );
       ( "backend",
-        [ Alcotest.test_case "task order and errors" `Quick test_backend_contract ]
-      );
+        [
+          Alcotest.test_case "task order and errors" `Quick
+            test_backend_contract;
+          Alcotest.test_case "clones share program outcomes across domains"
+            `Quick test_shared_outcomes_across_domains;
+        ] );
     ]
