@@ -138,77 +138,13 @@ let analyze ?world (parsed : Coordinated.Policy_lang.t) =
       bindings.(i).Pb.spatial <> None && Dfa.is_empty (Dfa.complement dfa.(i))
     in
     let n = Array.length bindings in
-    (* Activation state at runtime is keyed by the binding's permission
-       string (Monitor.set_active), so bindings sharing one permission
-       alias a single monitor slot whose value is the *last* same-key
-       binding's activation at each refresh.  Removing such a loser
-       rewires the slot for every surviving same-key binding, which the
-       language-inclusion reasoning cannot see — that is only sound in
-       the cases slot_safe admits. *)
-    let key_of i = Pb.key bindings.(i) in
-    (* the single concrete access a wildcard-free pattern denotes *)
-    let pattern_access i =
-      let p = bindings.(i).Pb.perm in
-      let op = p.Rbac.Perm.operation and target = p.Rbac.Perm.target in
-      if String.contains op '*' || String.contains target '*' then None
-      else
-        match String.index_opt target '@' with
-        | None -> None
-        | Some at ->
-            Some
-              (Sral.Access.make
-                 ~op:(Sral.Access.operation_of_name op)
-                 ~resource:(String.sub target 0 at)
-                 ~server:
-                   (String.sub target (at + 1)
-                      (String.length target - at - 1)))
-    in
-    (* does a decision-time spatial pass on the key's single access
-       imply the binding's activation?  (Performed-scope activation is
-       prefix feasibility over mentioned accesses ∪ history: the access
-       itself must be a legal extension symbol.) *)
-    let activation_transparent i =
-      match bindings.(i).Pb.spatial_scope with
-      | Pb.Program -> true
-      | Pb.Performed | Pb.Both -> (
-          match bindings.(i).Pb.spatial with
-          | None -> true
-          | Some c -> (
-              match pattern_access i with
-              | None -> false
-              | Some a ->
-                  List.exists (Sral.Access.equal a)
-                    (Srac.Formula.accesses c)))
-    in
-    let slot_safe wi li =
-      let group = ref [] in
-      for i = n - 1 downto 0 do
-        if i <> li && String.equal (key_of i) (key_of li) then
-          group := i :: !group
-      done;
-      match !group with
-      | [] -> true (* private slot: removal deletes it outright *)
-      | group when List.exists (fun i -> i > li) group ->
-          (* a later same-key binding overwrites the slot at every
-             refresh either way: the slot's history is unchanged *)
-          true
-      | group ->
-          (* [l] is the slot's last writer: after removal the slot
-             holds the previous writer's activation.  Sound when the
-             whole group shares the concrete single-access pattern with
-             the winner, nobody accrues a duration against the slot,
-             and each survivor's activation is implied by its own
-             decision-time spatial pass. *)
-          String.equal (key_of wi) (key_of li)
-          && pattern_access li <> None
-          && List.for_all (fun i -> bindings.(i).Pb.dur = None) group
-          && List.for_all activation_transparent group
-    in
     (* [shadows w l]: winner [w] grants everywhere loser [l] does, so
        removing [l] changes no outcome.  [l] must carry no duration
        (language inclusion makes [l]'s activation at least [w]'s, but a
        duration budget would then also burn at least as fast, and [l]
-       could expire where [w] still grants). *)
+       could expire where [w] still grants).  Each binding keeps its own
+       activation history at runtime, so removing [l] leaves every
+       survivor's history as it was. *)
     let shadows wi li =
       wi <> li
       && (not unsat.(wi))
@@ -218,7 +154,6 @@ let analyze ?world (parsed : Coordinated.Policy_lang.t) =
       && bindings.(wi).Pb.spatial_modality = bindings.(li).Pb.spatial_modality
       && bindings.(wi).Pb.proof_scope = bindings.(li).Pb.proof_scope
       && Dfa.subset dfa.(wi) dfa.(li)
-      && slot_safe wi li
       &&
       (* Performed-scope activation is restricted-alphabet feasibility:
          the loser's alphabet must not lack extension accesses the

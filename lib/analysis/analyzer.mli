@@ -16,15 +16,9 @@
       proof scope agree, [L(C_w) ⊆ L(C_l)] by product-DFA inclusion,
       [l] carries no duration, and (for [Performed] scope) [C_w]'s
       mentioned accesses are among [C_l]'s, so [l]'s restricted-alphabet
-      activation is implied by [w]'s.  Because runtime activation state
-      is keyed by the permission string, bindings sharing [l]'s
-      permission alias one monitor slot; when [l] is that slot's last
-      writer, the finding additionally requires the same-key group to
-      share a concrete single-access pattern with [w], carry no
-      durations, and have activation implied by its own decision-time
-      spatial pass — otherwise removing [l] could rewire the group's
-      temporal accounting.  Removing [l] then changes no grant/deny
-      outcome.
+      activation is implied by [w]'s.  Each binding keeps its own
+      activation history at runtime (bindings sharing [l]'s permission
+      included), so removing [l] then changes no grant/deny outcome.
     - {b Unexercisable}: in the given world, no performable trace
       exercises the binding — the product of constraint language,
       reachable-itinerary language and "ends with a pattern-covered

@@ -89,9 +89,8 @@ let spatial_ok ~monitor ~companions ~outcomes ~program ~access
           | Ok () -> performed_side ()
           | Error _ as failure -> failure))
 
-let temporal_state ~monitor ~time (binding : Perm_binding.t) =
-  let key = Perm_binding.key binding in
-  let active = Monitor.activation_fn monitor ~key in
+let temporal_state ~monitor ~time cell (binding : Perm_binding.t) =
+  let active = Residual.step_fn cell in
   match Monitor.arrivals monitor with
   | [] -> `Not_arrived
   | arrivals ->
@@ -133,7 +132,7 @@ let refresh_one ~session ~monitor ~companions ~outcomes ~program ~time
             Srac.Program_sat.prefix_feasible
               ~performed:(history ~monitor ~companions b) c)
   in
-  Monitor.set_active monitor ~key:(Perm_binding.key b) ~time
+  Monitor.set_active monitor (Monitor.activation monitor b) ~time
     (rbac_ok && spatial_active)
 
 let refresh_activation ?(companions = []) ~session ~monitor ~bindings
@@ -147,7 +146,8 @@ let refresh_activation ?(companions = []) ~session ~monitor ~bindings
 let first_temporal_failure ~monitor ~time applicable =
   List.find_map
     (fun b ->
-      match temporal_state ~monitor ~time b with
+      let cell = Monitor.activation monitor b in
+      match temporal_state ~monitor ~time cell b with
       | `Valid -> None
       | `Inactive -> Some (Not_active (Perm_binding.key b))
       | `Not_arrived -> Some Not_arrived
@@ -253,7 +253,7 @@ let get_slot ~session ~monitor (b : Perm_binding.t) =
       let slot =
         {
           Residual.machine;
-          cell = Monitor.activation_cell monitor ~key:(Perm_binding.key b);
+          cell = Monitor.activation monitor b;
           own_state = 0;
           own_consumed = 0;
           team_state = -1;
@@ -500,7 +500,7 @@ let refresh_one_lazy ~session ~monitor ~companions ~outcomes ~program ~time
                     slot.Residual.machine <- None;
                     feasible_eager ~monitor ~companions b c)))
   in
-  Monitor.set_active_cell monitor slot.Residual.cell ~time
+  Monitor.set_active monitor slot.Residual.cell ~time
     (rbac_ok && spatial_active)
 
 let rec refresh_all_lazy ~session ~monitor ~companions ~outcomes ~program
@@ -577,7 +577,7 @@ let temporal_state_lazy ~monitor ~time slot (b : Perm_binding.t) =
            state — the cell head.  Expiry needs a budget, so the
            remaining distinction is only Valid/Inactive. *)
         if Residual.active_now slot.Residual.cell then `Valid else `Inactive
-    | Some _ -> temporal_state ~monitor ~time b
+    | Some _ -> temporal_state ~monitor ~time slot.Residual.cell b
 
 let rec first_temporal_failure_lazy ~session ~monitor ~time = function
   | [] -> None
@@ -637,8 +637,7 @@ let validity_dc_check ~monitor ~(binding : Perm_binding.t) ~time =
       match Monitor.arrivals monitor with
       | [] -> false
       | arrivals ->
-          let key = Perm_binding.key binding in
-          let active = Monitor.activation_fn monitor ~key in
+          let active = Monitor.activation_fn monitor binding in
           let valid =
             Temporal.Validity.valid_fn ~scheme:binding.scheme ~arrivals
               ~dur:binding.dur active

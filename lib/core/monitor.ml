@@ -4,8 +4,8 @@ type t = {
   object_id : string;
   proofs : Srac.Proof.store;
   mutable visits : (string * Q.t) list;  (* reverse order *)
-  activations : (string, (Q.t * bool) list ref) Hashtbl.t;
-      (* per key, reverse-order change list *)
+  activations : Residual.cell Residual.Binding_tbl.t;
+      (* per binding, physically — as the residual slots are keyed *)
   residuals : Residual.store;
   mutable clock : Q.t;
   mutable history_epoch : int;
@@ -16,7 +16,7 @@ let create ~object_id =
     object_id;
     proofs = Srac.Proof.create ();
     visits = [];
-    activations = Hashtbl.create 8;
+    activations = Residual.Binding_tbl.create 8;
     residuals = Residual.create ();
     clock = Q.zero;
     history_epoch = 0;
@@ -49,30 +49,22 @@ let record_access m a ~time =
 
 let performed m = Srac.Proof.performed_trace m.proofs
 
-let changes_ref m key =
-  match Hashtbl.find_opt m.activations key with
-  | Some r -> r
+let activation m b =
+  match Residual.Binding_tbl.find_opt m.activations b with
+  | Some c -> c
   | None ->
-      let r = ref [] in
-      Hashtbl.add m.activations key r;
-      r
+      let c = ref [] in
+      Residual.Binding_tbl.add m.activations b c;
+      c
 
-let set_active_cell m (r : Residual.cell) ~time state =
+let set_active m (c : Residual.cell) ~time state =
   advance m time;
-  let current = match !r with [] -> false | (_, v) :: _ -> v in
-  if not (Bool.equal current state) then r := (time, state) :: !r
+  if not (Bool.equal (Residual.active_now c) state) then
+    c := (time, state) :: !c
 
-let set_active m ~key ~time state = set_active_cell m (changes_ref m key) ~time state
+let activation_fn m b = Residual.step_fn (activation m b)
 
-let activation_cell m ~key = changes_ref m key
 let residuals m = m.residuals
-
-let activation_fn m ~key =
-  match Hashtbl.find_opt m.activations key with
-  | None -> Temporal.Step_fn.const false
-  | Some r -> Temporal.Step_fn.of_changes ~init:false (List.rev !r)
-
-let is_active_at m ~key t = Temporal.Step_fn.value_at (activation_fn m ~key) t
 
 let now m = m.clock
 

@@ -2,8 +2,8 @@
 
     One monitor follows one mobile object through its journey: the
     servers it arrived at (and when), the execution proofs of the
-    accesses it performed, and the activation history of each bound
-    permission.  It is the state both halves of the coordinated
+    accesses it performed, and the activation history of each
+    permission binding.  It is the state both halves of the coordinated
     decision read: the spatial checker consumes the proof store, the
     temporal checker the activation step functions and arrival times.
 
@@ -35,22 +35,20 @@ val record_access : t -> Sral.Access.t -> time:Temporal.Q.t -> unit
 val performed : t -> Sral.Trace.t
 (** The trace performed so far, in time order. *)
 
-val set_active : t -> key:string -> time:Temporal.Q.t -> bool -> unit
-(** Record a permission-activation state change (keyed by
-    {!Perm_binding.key}).  Idempotent when the state does not change. *)
+val activation : t -> Perm_binding.t -> Residual.cell
+(** The binding's activation-change cell, created empty on first use.
+    Each binding has its own history, keyed physically (as
+    {!Residual} slots are): two bindings on one permission keep
+    separate activation histories and spend separate [dur] budgets.
+    The lazy decision path caches the cell in the binding's slot. *)
 
-val activation_fn : t -> key:string -> Temporal.Step_fn.t
-(** The permission's [active(perm, ·)] function so far; initially
-    constant-false. *)
+val set_active : t -> Residual.cell -> time:Temporal.Q.t -> bool -> unit
+(** Record an activation state change in the cell at [time], advancing
+    the clock.  Idempotent when the state does not change. *)
 
-val activation_cell : t -> key:string -> Residual.cell
-(** The key's raw activation-change cell, creating it empty if absent.
-    The lazy decision path caches it per binding slot so refreshes and
-    current-state reads skip the hashtable probe. *)
-
-val set_active_cell : t -> Residual.cell -> time:Temporal.Q.t -> bool -> unit
-(** {!set_active} against an already-resolved cell: same clock
-    advancement, no key lookup. *)
+val activation_fn : t -> Perm_binding.t -> Temporal.Step_fn.t
+(** The binding's [active(perm, ·)] function so far; constant-false
+    for a binding never refreshed on this monitor. *)
 
 val residuals : t -> Residual.store
 (** The monitor's lazy-decision state (binding slots, per-access RBAC
@@ -59,8 +57,6 @@ val residuals : t -> Residual.store
     is about its own object: Program-scope outcomes depend only on the
     program and the binding, so they live in the table a system shares
     with its clones ({!Residual.Program_outcomes}), not here. *)
-
-val is_active_at : t -> key:string -> Temporal.Q.t -> bool
 
 val now : t -> Temporal.Q.t
 (** Largest time seen so far (zero initially). *)

@@ -11,13 +11,13 @@
    cache is keyed by the requested access, which comes off the wire, so
    it is dropped when it reaches [rbac_cap] entries.
 
-   Slots are keyed by the binding value *physically*: bindings are
-   immutable and the binding index hands out the same objects on every
-   lookup, and two structurally-equal bindings are semantically
-   interchangeable, so distinct slots for them are merely harmless
-   duplicates.  (Keying by [Perm_binding.key] would be wrong: two
-   bindings may share a permission but carry different spatial
-   constraints.) *)
+   Slots, like the monitor's activation cells, are keyed by the binding
+   value *physically*: bindings are immutable and the binding index
+   hands out the same objects on every lookup, and two
+   structurally-equal bindings are semantically interchangeable, so
+   distinct slots for them are merely harmless duplicates.  Two
+   bindings on one permission get two slots and two activation
+   histories. *)
 
 module Binding_tbl = Hashtbl.Make (struct
   type t = Perm_binding.t
@@ -34,11 +34,12 @@ module Access_tbl = Hashtbl.Make (struct
 end)
 
 type cell = (Temporal.Q.t * bool) list ref
-(* a monitor activation-change list (newest first), shared with
+(* a binding's activation-change list (newest first), owned by
    Monitor.activations — cached in the slot so the hot path skips the
    hashtable probe *)
 
 let active_now (c : cell) = match !c with [] -> false | (_, v) :: _ -> v
+let step_fn (c : cell) = Temporal.Step_fn.of_changes ~init:false (List.rev !c)
 
 type slot = {
   mutable machine : Srac.Lazy_dfa.t option;

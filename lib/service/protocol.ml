@@ -292,58 +292,6 @@ let json_obj fields =
 
 let raw s buf = Buffer.add_string buf s
 
-let strs xs buf =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char buf ',';
-      J.jstr x buf)
-    xs;
-  Buffer.add_char buf ']'
-
-let request_to_line = function
-  | Ping -> json_obj [ ("req", J.jstr "ping") ]
-  | Register { object_id; owner; roles; program } ->
-      json_obj
-        [
-          ("req", J.jstr "register");
-          ("object", J.jstr object_id);
-          ("owner", J.jstr owner);
-          ("roles", strs roles);
-          ("program", J.jstr (Sral.Pretty.to_string program));
-        ]
-  | Arrive { object_id; server } ->
-      json_obj
-        [
-          ("req", J.jstr "arrive");
-          ("object", J.jstr object_id);
-          ("server", J.jstr server);
-        ]
-  | Depart { object_id } ->
-      json_obj [ ("req", J.jstr "depart"); ("object", J.jstr object_id) ]
-  | Check { object_id; access } ->
-      json_obj
-        [
-          ("req", J.jstr "check");
-          ("object", J.jstr object_id);
-          ("access", J.jstr (Sral.Access.to_string access));
-        ]
-  | Activate { object_id; role } ->
-      json_obj
-        [
-          ("req", J.jstr "activate");
-          ("object", J.jstr object_id);
-          ("role", J.jstr role);
-        ]
-  | Join { object_id; team } ->
-      json_obj
-        [
-          ("req", J.jstr "join");
-          ("object", J.jstr object_id);
-          ("team", J.jstr team);
-        ]
-  | Subscribe -> json_obj [ ("req", J.jstr "subscribe") ]
-
 let reply_to_line = function
   | Ack { seq } -> json_obj [ ("reply", J.jstr "ack"); ("seq", J.jint seq) ]
   | Verdict { seq; verdict } ->

@@ -6,8 +6,8 @@
     {!error} — never an exception — so a malicious peer can at worst be
     rejected.
 
-    Encodings an operator can read instead live in the JSONL debug
-    codec ({!request_to_line}/{!reply_to_line}), which reuses
+    Replies an operator can read instead come from the JSONL debug
+    codec ({!reply_to_line}), which reuses
     {!Obs.Export} for verdicts and trace events so service logs and
     trace exports share one JSON dialect.
 
@@ -62,9 +62,6 @@ val encode_request : request -> string
 val decode_request : string -> (request, error) result
 val encode_reply : reply -> string
 val decode_reply : string -> (reply, error) result
-
-val request_to_line : request -> string
-(** One JSON object (no newline) — the debug form. *)
 
 val reply_to_line : reply -> string
 (** One JSON object (no newline); verdicts embed

@@ -32,7 +32,6 @@ type delivery = { conn : int; hop : hop; bytes : string }
 
 type endpoint = {
   decoder : Frame.Decoder.t;
-  raw : Buffer.t;
   mutable received : Protocol.reply list;  (* reversed *)
   mutable sent : int;  (* per-direction message counter, keys the PRNG *)
   mutable returned : int;
@@ -62,7 +61,6 @@ let connect t =
   Hashtbl.replace t.clients conn
     {
       decoder = Frame.Decoder.create ();
-      raw = Buffer.create 256;
       received = [];
       sent = 0;
       returned = 0;
@@ -134,7 +132,6 @@ let deliver t time { conn; hop; bytes } =
         schedule_hop t ~time ~conn ~hop:To_client out
   | To_client ->
       let ep = endpoint t conn in
-      Buffer.add_string ep.raw bytes;
       Frame.Decoder.feed ep.decoder bytes;
       let rec drain () =
         match Frame.Decoder.next ep.decoder with
@@ -165,4 +162,3 @@ let run t =
 
 let now t = t.clock
 let replies t ~conn = List.rev (endpoint t conn).received
-let raw_replies t ~conn = Buffer.contents (endpoint t conn).raw

@@ -52,6 +52,3 @@ val replies : t -> conn:int -> Protocol.reply list
     Undecodable reply bytes raise [Failure] — the server never emits
     them, so this is a harness assertion, not a recoverable state. *)
 
-val raw_replies : t -> conn:int -> string
-(** The exact reply bytes the client received, concatenated — the
-    byte-identical comparison surface. *)

@@ -379,81 +379,95 @@ let test_oracle_soundness () =
 let shadow_runs = 150
 
 (* Soundness of shadowing: removing the loser must not change any
-   verdict, on any performable walk. *)
+   verdict, on any performable walk.  Returns the number of shadow
+   findings the case produced. *)
+let shadow_case ~seed rng =
+  let shadows = ref 0 in
+  let universe = random_universe rng in
+  let world = random_world rng universe in
+  let b0, b1 =
+    if Random.State.bool rng then (
+      (* shadow bait: a winner mentioning the pattern access and a
+         strictly weaker loser on the same concrete pattern *)
+      let a = pick rng universe in
+      let base =
+        match Random.State.int rng 3 with
+        | 0 -> F.Atom a
+        | 1 -> F.And (F.Atom a, random_formula rng universe 1)
+        | _ -> F.Ordered (pick rng universe, a)
+      in
+      let concrete =
+        Rbac.Perm.make
+          ~operation:(A.operation_name a.A.op)
+          ~target:(a.A.resource ^ "@" ^ a.A.server)
+      in
+      let scope =
+        if Random.State.bool rng then PB.Performed else PB.Program
+      in
+      let same_key = Random.State.bool rng in
+      let wperm =
+        if same_key then concrete
+        else
+          Rbac.Perm.make ~operation:(A.operation_name a.A.op) ~target:"*@*"
+      in
+      let wdur =
+        (* a duration on the winner spends only the winner's own
+           activation history, whichever permission it carries *)
+        if Random.State.int rng 3 = 0 then Some (Q.of_int 2) else None
+      in
+      ( PB.make ~spatial:base ~spatial_scope:scope ?dur:wdur wperm,
+        PB.make
+          ~spatial:(F.Or (base, random_formula rng universe 1))
+          ~spatial_scope:scope concrete ))
+    else (random_binding rng universe, random_binding rng universe)
+  in
+  let bindings = [ b0; b1 ] in
+  let parsed = { PL.policy = oracle_policy (); bindings } in
+  let report = An.analyze ~world parsed in
+  List.iter
+    (fun f ->
+      match f with
+      | An.Shadowed { index; _ } ->
+          incr shadows;
+          let keep = List.filteri (fun i _ -> i <> index) bindings in
+          List.iter
+            (fun tr ->
+              let full =
+                granted
+                  (Sf.replay ~bindings ~world ~policy:parsed ~user:"u"
+                     ~trace:tr ())
+              in
+              let reduced =
+                granted
+                  (Sf.replay ~bindings:keep ~world ~policy:parsed ~user:"u"
+                     ~trace:tr ())
+              in
+              if full <> reduced then
+                Alcotest.failf
+                  "seed %d: dropping shadowed binding #%d changed the \
+                   verdict on %s"
+                  seed index
+                  (Sral.Trace.to_string tr))
+            (W.walks world ~max_len:3)
+      | _ -> ())
+    report.An.findings;
+  !shadows
+
 let test_oracle_shadowing () =
   let shadows = ref 0 in
   Gen.each_seed ~salt:9002 ~count:shadow_runs (fun ~seed rng ->
-    let universe = random_universe rng in
-    let world = random_world rng universe in
-    let b0, b1 =
-      if Random.State.bool rng then (
-        (* shadow bait: a winner mentioning the pattern access and a
-           strictly weaker loser on the same concrete pattern *)
-        let a = pick rng universe in
-        let base =
-          match Random.State.int rng 3 with
-          | 0 -> F.Atom a
-          | 1 -> F.And (F.Atom a, random_formula rng universe 1)
-          | _ -> F.Ordered (pick rng universe, a)
-        in
-        let concrete =
-          Rbac.Perm.make
-            ~operation:(A.operation_name a.A.op)
-            ~target:(a.A.resource ^ "@" ^ a.A.server)
-        in
-        let scope =
-          if Random.State.bool rng then PB.Performed else PB.Program
-        in
-        let same_key = Random.State.bool rng in
-        let wperm =
-          if same_key then concrete
-          else
-            Rbac.Perm.make ~operation:(A.operation_name a.A.op) ~target:"*@*"
-        in
-        let wdur =
-          (* a duration on a same-key winner couples the loser into its
-             activation slot — the analyzer must then stay silent *)
-          if Random.State.int rng 3 = 0 then Some (Q.of_int 2) else None
-        in
-        ( PB.make ~spatial:base ~spatial_scope:scope ?dur:wdur wperm,
-          PB.make
-            ~spatial:(F.Or (base, random_formula rng universe 1))
-            ~spatial_scope:scope concrete ))
-      else (random_binding rng universe, random_binding rng universe)
-    in
-    let bindings = [ b0; b1 ] in
-    let parsed = { PL.policy = oracle_policy (); bindings } in
-    let report = An.analyze ~world parsed in
-    List.iter
-      (fun f ->
-        match f with
-        | An.Shadowed { index; _ } ->
-            incr shadows;
-            let keep = List.filteri (fun i _ -> i <> index) bindings in
-            List.iter
-              (fun tr ->
-                let full =
-                  granted
-                    (Sf.replay ~bindings ~world ~policy:parsed ~user:"u"
-                       ~trace:tr ())
-                in
-                let reduced =
-                  granted
-                    (Sf.replay ~bindings:keep ~world ~policy:parsed ~user:"u"
-                       ~trace:tr ())
-                in
-                if full <> reduced then
-                  Alcotest.failf
-                    "seed %d: dropping shadowed binding #%d changed the \
-                     verdict on %s"
-                    seed index
-                    (Sral.Trace.to_string tr))
-              (W.walks world ~max_len:3)
-        | _ -> ())
-      report.An.findings);
+      shadows := !shadows + shadow_case ~seed rng);
   Alcotest.(check bool)
     (Printf.sprintf "shadow findings exercised (%d)" !shadows)
     true (!shadows > 10)
+
+(* Salt 9002, effective seed 429 of the case above: a loser sharing
+   its permission with the winner.  Each binding keeps its own
+   activation history, so the finding is reported and dropping the
+   loser changes no verdict. *)
+let test_shadow_same_permission () =
+  Alcotest.(check int) "shadow finding reported" 1
+    (shadow_case ~seed:429 (Random.State.make [| 9002; 429 |]))
 
 let query_runs = 100
 
@@ -812,6 +826,8 @@ let () =
             test_oracle_soundness;
           Alcotest.test_case "shadowed bindings are redundant" `Quick
             test_oracle_shadowing;
+          Alcotest.test_case "same-permission shadow (seed 429)" `Quick
+            test_shadow_same_permission;
           Alcotest.test_case "safety verdicts are honest" `Quick
             test_oracle_queries;
         ] );

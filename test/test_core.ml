@@ -58,15 +58,20 @@ let test_monitor_clock_monotone () =
 
 let test_monitor_activation_fn () =
   let m = Monitor.create ~object_id:"o" in
-  Monitor.set_active m ~key:"k" ~time:(q 1) true;
-  Monitor.set_active m ~key:"k" ~time:(q 3) true (* no-op *);
-  Monitor.set_active m ~key:"k" ~time:(q 5) false;
-  let f = Monitor.activation_fn m ~key:"k" in
+  let perm = Rbac.Perm.make ~operation:"read" ~target:"db@s1" in
+  let b = Perm_binding.make perm and sibling = Perm_binding.make perm in
+  let cell = Monitor.activation m b in
+  Monitor.set_active m cell ~time:(q 1) true;
+  Monitor.set_active m cell ~time:(q 3) true (* no-op *);
+  Monitor.set_active m cell ~time:(q 5) false;
+  Alcotest.(check bool) "one cell per binding" true
+    (Monitor.activation m b == cell);
+  let f = Monitor.activation_fn m b in
   Alcotest.(check bool) "before" false (Temporal.Step_fn.value_at f Q.zero);
   Alcotest.(check bool) "during" true (Temporal.Step_fn.value_at f (q 2));
   Alcotest.(check bool) "after" false (Temporal.Step_fn.value_at f (q 7));
-  Alcotest.(check bool) "unknown key inactive" false
-    (Monitor.is_active_at m ~key:"zz" (q 2))
+  Alcotest.(check bool) "same-permission sibling inactive" false
+    (Temporal.Step_fn.value_at (Monitor.activation_fn m sibling) (q 2))
 
 (* --- decisions --- *)
 
@@ -435,6 +440,52 @@ let test_program_memo_per_binding () =
       (System.Lazy, [ lax; strict ]);
       (System.Lazy, [ strict; lax ]);
     ]
+
+(* Two bindings on one permission keep separate activation histories.
+   Hand-reduced from a generated coalition
+   ([Parallel.Workload.coalitions ~events:40 ~salt:11], index 109):
+   [sibling] is active from the first check on, and [timed], added
+   later, starts its own history at its first refresh, so its budget is
+   spent on its own activation, not on its sibling's. *)
+let test_activation_per_binding () =
+  let perm = Rbac.Perm.make ~operation:"read" ~target:"*@*" in
+  let sibling = Perm_binding.make perm in
+  let timed =
+    Perm_binding.make ~dur:(q 4) ~scheme:Temporal.Validity.Whole_journey perm
+  in
+  List.iter
+    (fun mode ->
+      let control, session = setup ~mode ~bindings:[ sibling ] () in
+      let program = prog "read db @ s1" in
+      let decide t =
+        System.check control ~session ~object_id:"o" ~program ~time:(q t) a_db
+      in
+      Alcotest.(check bool) "sibling grants" true
+        (Decision.is_granted (decide 1));
+      System.add_binding control timed;
+      Alcotest.(check bool) "fresh budget" true
+        (Decision.is_granted (decide 10));
+      Alcotest.(check bool) "within own budget" true
+        (Decision.is_granted (decide 12));
+      let monitor = System.monitor control ~object_id:"o" in
+      let active b =
+        Temporal.Step_fn.value_at (Monitor.activation_fn monitor b)
+      in
+      Alcotest.(check (pair bool bool)) "histories differ at t=5" (true, false)
+        (active sibling (q 5), active timed (q 5));
+      Alcotest.(check string) "spent on own history" "2"
+        (Q.to_string
+           (Temporal.Validity.spent ~scheme:Temporal.Validity.Whole_journey
+              ~arrivals:(Monitor.arrivals monitor) ~dur:(Some (q 4))
+              (Monitor.activation_fn monitor timed) ~at:(q 12)));
+      match decide 15 with
+      | Decision.Denied (Decision.Temporal_expired { spent; _ }) ->
+          Alcotest.(check string) "expires on own budget" "4"
+            (Q.to_string spent)
+      | v ->
+          Alcotest.fail
+            (Format.asprintf "expected expiry, got %a" Decision.pp_verdict v))
+    [ System.Naive; System.Lazy ]
 
 (* --- Program-scope outcomes shared by a base system and its clones --- *)
 
@@ -1420,6 +1471,8 @@ let () =
             test_program_memo_per_binding;
           Alcotest.test_case "rbac cache bounded" `Quick
             test_rbac_cache_bounded;
+          Alcotest.test_case "activation per binding" `Quick
+            test_activation_per_binding;
         ] );
       ( "outcome-table",
         [

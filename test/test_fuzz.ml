@@ -168,8 +168,7 @@ let test_duration_budget_never_negative () =
                   | [] -> ()
                   | arrivals ->
                       let active =
-                        Coordinated.Monitor.activation_fn monitor
-                          ~key:(Coordinated.Perm_binding.key binding)
+                        Coordinated.Monitor.activation_fn monitor binding
                       in
                       let spent =
                         Temporal.Validity.spent
@@ -354,11 +353,10 @@ let test_differential_lazy_direct () =
             | D.Denied _ -> ())
       done;
       let same_activation (b : Coordinated.Perm_binding.t) =
-        let key = Coordinated.Perm_binding.key b in
         List.equal
           (fun (t1, v1) (t2, v2) -> Q.equal t1 t2 && Bool.equal v1 v2)
-          (Temporal.Step_fn.changes (M.activation_fn m_lazy ~key))
-          (Temporal.Step_fn.changes (M.activation_fn m_naive ~key))
+          (Temporal.Step_fn.changes (M.activation_fn m_lazy b))
+          (Temporal.Step_fn.changes (M.activation_fn m_naive b))
       in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: monitors moved in lockstep" seed)
