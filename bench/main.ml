@@ -928,6 +928,9 @@ let e19 () =
    queueing under overload is charged to the server, not hidden by a
    stalling client.
 
+   The run exits 1 unless the closed loop completes every request with
+   none shed and every sweep row has completed + shed = requests.
+
    Env knobs for CI: [E20_REQUESTS] sizes each measured run (default
    20_000); [E20_GATE_SEEDS] sizes the differential gate (default 5);
    [E20_RATES] overrides the offered-rate list (comma-separated,
@@ -962,10 +965,19 @@ let e20 () =
   let fmt = Format.std_formatter in
   Format.fprintf fmt "  %a@." Service.Load.pp_header ();
   Format.fprintf fmt "  %a@." Service.Load.pp_row closed;
-  List.iter
-    (fun r -> Format.fprintf fmt "  %a@." Service.Load.pp_row r)
-    (Service.Load.sweep ~base ~requests ~rates ());
-  Format.pp_print_flush fmt ()
+  let sweep = Service.Load.sweep ~base ~requests ~rates () in
+  List.iter (fun r -> Format.fprintf fmt "  %a@." Service.Load.pp_row r) sweep;
+  Format.pp_print_flush fmt ();
+  (* the counters gate: one request in flight is never shed, and under
+     any load every request is either completed or shed *)
+  let accounted (r : Service.Load.result) = r.completed + r.shed = r.requests in
+  let closed_ok = closed.completed = requests && closed.shed = 0 in
+  let sweep_ok = List.for_all accounted sweep in
+  Printf.printf
+    "  counters gate: closed loop %s, sweep rows %s\n%!"
+    (if closed_ok then "completes every request" else "LOST OR SHED REQUESTS")
+    (if sweep_ok then "account for every request" else "LOSE REQUESTS");
+  if not (closed_ok && sweep_ok) then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* E21 — administrative safety: the symbolic reachability engine vs

@@ -8,8 +8,9 @@ type result = {
   latency : Obs.Stats.histogram;
 }
 
-(* Pre-encoded Check frames round-robin over [conns] connections, plus
-   the registration preamble each connection needs first. *)
+(* Pre-encoded Check frames round-robin over [conns] connections, after
+   the registration preamble each connection needs first.  A frame is
+   paired with its connection's index into [ids]. *)
 let prepare ~conns ~seed ~requests server =
   let script = Script.generate ~conns ~requests:0 ~seed () in
   let ids = Array.init conns (fun _ -> Server.open_conn server) in
@@ -32,37 +33,22 @@ let prepare ~conns ~seed ~requests server =
           | 1 -> Sral.Access.write r ~at:s
           | _ -> Sral.Access.execute r ~at:s
         in
-        ( ids.(c),
+        ( c,
           Frame.encode
             (Protocol.encode_request (Check { object_id; access })) ))
   in
-  frames
+  (ids, frames)
 
-(* Count a reply batch: executed (anything but Shed/Event) vs shed. *)
-let count_replies bytes =
-  let dec = Frame.Decoder.create () in
-  Frame.Decoder.feed dec bytes;
-  let completed = ref 0 and shed = ref 0 in
-  let rec go () =
-    match Frame.Decoder.next dec with
-    | Ok (Some payload) ->
-        (match Protocol.decode_reply payload with
-        | Ok (Shed _) -> incr shed
-        | Ok (Event _) -> ()
-        | Ok _ -> incr completed
-        | Error _ -> ());
-        go ()
-    | Ok None | Error _ -> ()
-  in
-  go ();
-  (!completed, !shed)
-
-let finish ~offered ~requests ~completed ~shed ~elapsed_s ~latency =
+(* [Load] sends only well-formed frames, so every one is either executed
+   or shed: the server's counters say what a feed did without decoding
+   its replies. *)
+let finish ~offered ~requests ~server ~executed0 ~shed0 ~elapsed_s ~latency =
+  let completed = Server.executed server - executed0 in
   {
     offered;
     requests;
     completed;
-    shed;
+    shed = Server.shed server - shed0;
     elapsed_s;
     achieved = (if elapsed_s > 0.0 then float_of_int completed /. elapsed_s else 0.0);
     latency;
@@ -70,23 +56,19 @@ let finish ~offered ~requests ~completed ~shed ~elapsed_s ~latency =
 
 let closed ?(conns = 4) ?(seed = 1) ~base ~requests () =
   let server = Server.create ~base () in
-  let frames = prepare ~conns ~seed ~requests server in
+  let ids, frames = prepare ~conns ~seed ~requests server in
+  let executed0 = Server.executed server and shed0 = Server.shed server in
   let latency = Obs.Stats.histogram () in
-  let completed = ref 0 and shed = ref 0 in
   let t0 = Unix.gettimeofday () in
   Array.iter
-    (fun (conn, frame) ->
+    (fun (c, frame) ->
       let s = Unix.gettimeofday () in
-      let out = Server.feed server ~conn frame in
+      ignore (Server.feed server ~conn:ids.(c) frame);
       let e = Unix.gettimeofday () in
-      Obs.Stats.observe latency (Int64.of_float ((e -. s) *. 1e9));
-      let c, d = count_replies out in
-      completed := !completed + c;
-      shed := !shed + d)
+      Obs.Stats.observe latency (Int64.of_float ((e -. s) *. 1e9)))
     frames;
   let elapsed_s = Unix.gettimeofday () -. t0 in
-  finish ~offered:0.0 ~requests ~completed:!completed ~shed:!shed ~elapsed_s
-    ~latency
+  finish ~offered:0.0 ~requests ~server ~executed0 ~shed0 ~elapsed_s ~latency
 
 (* Request i is due at t0 + i/rate, so only a finite rate > 0 paces
    arrivals: at rate 0 the first due time is NaN and the loop spins. *)
@@ -102,9 +84,11 @@ let open_loop ?(conns = 4) ?(seed = 1) ?queue ~base ~requests ~rate () =
     | Some queue_capacity -> { Server.default_config with queue_capacity }
   in
   let server = Server.create ~config ~base () in
-  let frames = prepare ~conns ~seed ~requests server in
+  let ids, frames = prepare ~conns ~seed ~requests server in
+  let executed0 = Server.executed server and shed0 = Server.shed server in
   let latency = Obs.Stats.histogram () in
-  let completed = ref 0 and shed = ref 0 in
+  let chunks = Array.init conns (fun _ -> Buffer.create 256) in
+  let dues = Array.make conns [] in  (* due times of a chunk, reversed *)
   let t0 = Unix.gettimeofday () in
   let due i = t0 +. (float_of_int i /. rate) in
   let i = ref 0 in
@@ -114,55 +98,41 @@ let open_loop ?(conns = 4) ?(seed = 1) ?queue ~base ~requests ~rate () =
       (* nothing due yet: sleep up to the next arrival *)
       Unix.sleepf (min (due !i -. now) 0.01)
     else begin
-      (* batch every due request, grouped per connection so shedding
-         applies per feed exactly as a socket read burst would *)
-      let first = !i in
-      while !i < requests && due !i <= now do incr i done;
-      let last = !i - 1 in
-      let by_conn = Hashtbl.create conns in
-      for j = first to last do
-        let conn, frame = frames.(j) in
-        let chunks, dues =
-          match Hashtbl.find_opt by_conn conn with
-          | Some entry -> entry
-          | None ->
-              let entry = (Buffer.create 256, ref []) in
-              Hashtbl.replace by_conn conn entry;
-              entry
-        in
-        Buffer.add_string chunks frame;
-        dues := due j :: !dues
+      (* every due request joins its connection's chunk, and each chunk
+         is one feed, so shedding applies per feed exactly as a socket
+         read burst would *)
+      let order = ref [] in
+      while !i < requests && due !i <= now do
+        let c, frame = frames.(!i) in
+        if dues.(c) = [] then order := c :: !order;
+        Buffer.add_string chunks.(c) frame;
+        dues.(c) <- due !i :: dues.(c);
+        incr i
       done;
-      let outs =
-        Server.feed_batch server
-          (Hashtbl.fold
-             (fun conn (b, _) acc -> (conn, Buffer.contents b) :: acc)
-             by_conn [])
-      in
-      let t_done = Unix.gettimeofday () in
-      (* latency from *due* time: queueing under saturation is charged
-         to the server (no coordinated omission).  Shed requests get no
-         latency sample — they were never served; the server sheds the
-         tail of each per-connection batch, so the first [c] due times
-         of a batch are the executed ones. *)
       List.iter
-        (fun (conn, out) ->
-          let c, d = count_replies out in
-          completed := !completed + c;
-          shed := !shed + d;
-          let _, dues = Hashtbl.find by_conn conn in
+        (fun c ->
+          let before = Server.executed server in
+          ignore (Server.feed server ~conn:ids.(c) (Buffer.contents chunks.(c)));
+          let t_done = Unix.gettimeofday () in
+          let served = Server.executed server - before in
+          (* latency from *due* time: queueing under saturation is
+             charged to the server (no coordinated omission).  Shed
+             requests get no sample, they were never served; the server
+             sheds the tail of a feed, so the first [served] due times
+             are the executed ones. *)
           List.iteri
-            (fun k due_j ->
-              if k < c then
+            (fun k due_k ->
+              if k < served then
                 Obs.Stats.observe latency
-                  (Int64.of_float ((t_done -. due_j) *. 1e9)))
-            (List.rev !dues))
-        outs
+                  (Int64.of_float ((t_done -. due_k) *. 1e9)))
+            (List.rev dues.(c));
+          Buffer.clear chunks.(c);
+          dues.(c) <- [])
+        (List.rev !order)
     end
   done;
   let elapsed_s = Unix.gettimeofday () -. t0 in
-  finish ~offered:rate ~requests ~completed:!completed ~shed:!shed ~elapsed_s
-    ~latency
+  finish ~offered:rate ~requests ~server ~executed0 ~shed0 ~elapsed_s ~latency
 
 let sweep ?conns ?seed ?queue ~base ~requests ~rates () =
   List.iter check_rate rates;

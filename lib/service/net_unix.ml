@@ -13,6 +13,9 @@ type t = {
 }
 
 let listen addr =
+  (* a peer that hangs up before reading its replies must cost only that
+     peer: the write then fails with EPIPE, which [step] handles *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (match addr with
   | Unix_path p when Sys.file_exists p -> Sys.remove p
   | _ -> ());
@@ -38,8 +41,10 @@ let read_chunk fd =
   match Unix.read fd buf 0 (Bytes.length buf) with
   | 0 -> None (* EOF *)
   | n -> Some (Bytes.sub_string buf 0 n)
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+  | exception
+      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
       Some ""
+  | exception Unix.Unix_error _ -> None (* a failed peer is gone, like EOF *)
 
 let step t ~server ~timeout =
   let fds = t.listener :: List.map (fun p -> p.fd) t.peers in
@@ -59,14 +64,14 @@ let step t ~server ~timeout =
     Unix.set_nonblock t.listener;
     accept_all ()
   end;
-  let eof = ref [] in
+  let lost = ref [] in
   let batch =
     List.filter_map
       (fun p ->
         if List.mem p.fd ready then
           match read_chunk p.fd with
           | None ->
-              eof := p :: !eof;
+              lost := p :: !lost;
               None
           | Some "" -> None
           | Some bytes -> Some (p, bytes)
@@ -74,14 +79,18 @@ let step t ~server ~timeout =
       t.peers
   in
   let replies = Server.feed_batch server (List.map (fun (p, b) -> (p.conn, b)) batch) in
-  let fd_of_conn = List.map (fun (p, _) -> (p.conn, p.fd)) batch in
+  let peer_of_conn = List.map (fun (p, _) -> (p.conn, p)) batch in
   List.iter
     (fun (conn, out) ->
-      if String.length out > 0 then write_all (List.assoc conn fd_of_conn) out)
+      let p = List.assoc conn peer_of_conn in
+      (* no reply is queued: a peer that hung up, or whose socket is
+         full because it never reads, is lost *)
+      if String.length out > 0 then
+        try write_all p.fd out with Unix.Unix_error _ -> lost := p :: !lost)
     replies;
-  (* disconnect EOF'd peers and peers the server killed fail-closed *)
+  (* disconnect lost peers and peers the server killed fail-closed *)
   let gone p =
-    List.memq p !eof
+    List.memq p !lost
     || (not (Server.conn_alive server ~conn:p.conn))
        && List.exists (fun (q, _) -> q == p) batch
   in

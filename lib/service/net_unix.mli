@@ -16,14 +16,21 @@ type t
 
 val listen : addr -> t
 (** Bind and listen.  An existing socket file at a [Unix_path] is
-    removed first.  @raise Unix.Unix_error *)
+    removed first.  Sets SIGPIPE to ignored for the whole process, so a
+    peer that hangs up shows as a failed write, not a fatal signal.
+    @raise Unix.Unix_error *)
 
 val step : t -> server:Server.t -> timeout:float -> int
 (** One pump: wait up to [timeout] seconds for readiness, accept any
     pending connections, read every ready peer, feed the server, write
     replies.  Returns the number of peers that produced bytes.  Peers
-    whose connection died fail-closed (and EOF'd peers) are
-    disconnected after their replies are flushed. *)
+    whose connection died fail-closed are disconnected after their
+    replies are flushed.  A peer at EOF, or whose read or write fails
+    with any [Unix_error] ([EAGAIN]/[EINTR] on read aside, which mean
+    no data yet), is disconnected the same way: replies are never
+    queued, so a reader that never drains its socket is disconnected
+    once a write to it would block.  A peer's failure never escapes
+    [step]. *)
 
 val serve : t -> server:Server.t -> ?max_requests:int -> unit -> unit
 (** Pump until [max_requests] requests have executed (forever when

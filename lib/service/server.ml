@@ -13,7 +13,7 @@ type conn = {
   system : System.t;
   decoder : Frame.Decoder.t;
   objects : (string, obj_state) Hashtbl.t;
-  events : Obs.Trace.event Queue.t;
+  out : Buffer.t;  (* reply bytes of the feed in progress *)
   mutable subscribed : bool;
   mutable seq : int;  (* requests consumed; request i executes at time i *)
   mutable dead : bool;
@@ -52,7 +52,7 @@ let open_conn t =
       system = System.clone t.base;
       decoder = Frame.Decoder.create ~max_frame:t.config.max_frame ();
       objects = Hashtbl.create 8;
-      events = Queue.create ();
+      out = Buffer.create 256;
       subscribed = false;
       seq = 0;
       dead = false;
@@ -89,6 +89,9 @@ let malformed t = t.closed_malformed + sum t (fun c -> c.malformed)
 
 let agent_of c = Printf.sprintf "conn-%d" c.id
 
+let write c (reply : Protocol.reply) =
+  Buffer.add_string c.out (Frame.encode (Protocol.encode_reply reply))
+
 (* Execute one decoded request at the connection's next logical time. *)
 let exec c (req : Protocol.request) : Protocol.reply =
   c.seq <- c.seq + 1;
@@ -106,12 +109,15 @@ let exec c (req : Protocol.request) : Protocol.reply =
   | Ping -> Ack { seq }
   | Subscribe ->
       (* the capture sink is the clone's only one: until it exists the
-         bus is unobserved and the decision path builds no event *)
+         bus is unobserved and the decision path builds no event.  It
+         writes each event as it is emitted, so a subscriber sees cause
+         before effect: every event precedes the reply of the request
+         that produced it. *)
       if not c.subscribed then begin
         c.subscribed <- true;
         Obs.Bus.subscribe (System.bus c.system)
           (Obs.Sink.make ~name:(agent_of c ^ "-capture") (fun ev ->
-               Queue.add ev c.events))
+               write c (Event ev)))
       end;
       Ack { seq }
   | Register { object_id; owner; roles; program } -> (
@@ -165,77 +171,46 @@ let abort_event c reason =
   Obs.Bus.emit (System.bus c.system)
     (Obs.Trace.Aborted { time = Q.of_int c.seq; agent = agent_of c; reason })
 
-(* Events stream before the reply of the request that produced them,
-   so a subscriber always sees cause before effect. *)
-let flush_events c out =
-  Queue.iter
-    (fun ev ->
-      Buffer.add_string out (Frame.encode (Protocol.encode_reply (Event ev))))
-    c.events;
-  Queue.clear c.events
+(* A framing error or an undecodable payload: one [Rejected] reply,
+   then no later byte from this peer is trusted. *)
+let kill c reason =
+  c.seq <- c.seq + 1;
+  c.malformed <- c.malformed + 1;
+  abort_event c "malformed-frame";
+  write c (Rejected { seq = c.seq; reason });
+  c.dead <- true
 
-let add_reply c out (reply : Protocol.reply) =
-  flush_events c out;
-  Buffer.add_string out (Frame.encode (Protocol.encode_reply reply))
-
+(* Decode and run each frame as it is drained.  Every byte is in the
+   decoder before the first frame runs, so the shed boundary is the
+   frame's index in this feed, whatever else the bytes complete. *)
 let feed_conn t c bytes =
-  if c.dead then ""
-  else begin
-    let out = Buffer.create 256 in
-    Frame.Decoder.feed c.decoder bytes;
-    (* drain complete frames first so the shed boundary is a property
-       of the batch, not of TCP segmentation *)
-    let payloads = ref [] in
-    let rec drain () =
-      match Frame.Decoder.next c.decoder with
-      | Ok (Some payload) ->
-          payloads := payload :: !payloads;
-          drain ()
-      | Ok None -> Ok ()
-      | Error e -> Error e
-    in
-    let framing = drain () in
-    let payloads = List.rev !payloads in
-    let budget = t.config.queue_capacity in
-    List.iteri
-      (fun i payload ->
-        if not c.dead then
-          if i >= budget then begin
-            c.seq <- c.seq + 1;
-            c.shed <- c.shed + 1;
-            abort_event c "overload-shed";
-            add_reply c out (Shed { seq = c.seq })
-          end
-          else
-            match Protocol.decode_request payload with
-            | Ok req ->
-                let reply = exec c req in
-                add_reply c out reply
-            | Error err ->
-                c.seq <- c.seq + 1;
-                c.malformed <- c.malformed + 1;
-                abort_event c "malformed-frame";
-                add_reply c out
-                  (Rejected { seq = c.seq; reason = Protocol.describe err });
-                c.dead <- true)
-      payloads;
-    (match framing with
-    | Ok () -> ()
-    | Error e ->
-        if not c.dead then begin
-          c.seq <- c.seq + 1;
-          c.malformed <- c.malformed + 1;
-          abort_event c "malformed-frame";
-          add_reply c out (Rejected { seq = c.seq; reason = e });
-          c.dead <- true
-        end);
-    Buffer.contents out
-  end
+  Frame.Decoder.feed c.decoder bytes;
+  let rec go i =
+    match Frame.Decoder.next c.decoder with
+    | Ok None -> ()
+    | Error e -> kill c e
+    | Ok (Some _) when i >= t.config.queue_capacity ->
+        c.seq <- c.seq + 1;
+        c.shed <- c.shed + 1;
+        abort_event c "overload-shed";
+        write c (Shed { seq = c.seq });
+        go (i + 1)
+    | Ok (Some payload) -> (
+        match Protocol.decode_request payload with
+        | Ok req ->
+            write c (exec c req);
+            go (i + 1)
+        | Error err -> kill c (Protocol.describe err))
+  in
+  go 0;
+  let replies = Buffer.contents c.out in
+  Buffer.reset c.out;
+  replies
 
 let feed t ~conn bytes =
   match Hashtbl.find_opt t.conns conn with
-  | None -> ""
-  | Some c -> feed_conn t c bytes
+  | Some c when not c.dead -> feed_conn t c bytes
+  | _ -> ""
 
 let feed_batch t items =
   (* group chunks by connection, preserving chunk order within each

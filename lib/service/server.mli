@@ -19,7 +19,13 @@
       trusted;
     - frames beyond [queue_capacity] in a single {!feed} are shed
       unexecuted, each with a [Shed] reply and an [Aborted] trace event
-      (reason ["overload-shed"]) so load shedding is auditable. *)
+      (reason ["overload-shed"]) so load shedding is auditable.
+
+    Each direct reply (every reply but [Event]) is counted once: a
+    [Shed] by {!shed}, the [Rejected] of a kill by {!malformed}, any
+    other by {!executed}.  A harness that sends only well-formed frames
+    can so read what a feed did from the counters, without decoding its
+    replies. *)
 
 type config = {
   queue_capacity : int;
@@ -53,7 +59,16 @@ val feed : t -> conn:int -> string -> string
     send back (zero or more frames — replies to every frame completed
     by these bytes, with any subscribed trace events interleaved
     {e before} the reply of the request that caused them).  Unknown or
-    dead connections produce [""]. *)
+    dead connections produce [""].
+
+    One pass: all the bytes go into the connection's decoder first,
+    then each completed frame is decoded and run as it is drained, and
+    its reply, with the events it caused, is written once into the
+    connection's output buffer.  The frame at index [i] of this feed is
+    shed when [i >= queue_capacity], undecoded; a framing error or an
+    undecodable payload within the capacity kills the connection, and
+    the frames after it are not run.  The buffer is emptied before
+    [feed] returns, so an idle connection holds no reply bytes. *)
 
 val feed_batch : t -> (int * string) list -> (int * string) list
 (** [feed] for several connections at once, fanned out across domains

@@ -381,6 +381,104 @@ let test_server_sheds_overload () =
   Alcotest.(check bool) "shedding is not fatal" true
     (Server.conn_alive server ~conn)
 
+(* Split a reply stream into (events, direct reply) pairs: each direct
+   reply with the events streamed just before it. *)
+let with_events replies =
+  let rec go evs = function
+    | Protocol.Event ev :: rest -> go (ev :: evs) rest
+    | r :: rest -> (List.rev evs, r) :: go [] rest
+    | [] -> if evs <> [] then Alcotest.fail "events after the last reply" else []
+  in
+  go [] replies
+
+(* One chunk, several outcomes, in frame order: executed up to the
+   capacity, then shed (a malformed payload past the capacity is shed
+   undecoded); a malformed payload within it kills the connection. *)
+let test_server_chunk_outcomes () =
+  let config = { Server.default_config with queue_capacity = 2 } in
+  let server = Server.create ~config ~base:(Script.base_system ()) () in
+  let conn = Server.open_conn server in
+  ignore (feed_req server conn Subscribe);
+  ignore (register server conn);
+  ignore (feed_req server conn (Arrive { object_id = "obj"; server = "s1" }));
+  let check =
+    frame_req (Check { object_id = "obj"; access = Sral.Access.read "r1" ~at:"s1" })
+  and garbage = Frame.encode "\xff\xff\xff" in
+  let feed frames =
+    with_events (decode_replies (Server.feed server ~conn (String.concat "" frames)))
+  in
+  let traced_verdict seq = function
+    | evs, Protocol.Verdict { seq = s; verdict } when s = seq ->
+        let decided =
+          List.filter_map
+            (function Obs.Trace.Decision { verdict; _ } -> Some verdict | _ -> None)
+            evs
+        in
+        if decided <> [ verdict ] then
+          Alcotest.failf "verdict %d is not preceded by its Decision event" seq
+    | _ -> Alcotest.failf "reply %d is not a verdict" seq
+  in
+  let aborted reason = function
+    | [ Obs.Trace.Aborted { reason = r; _ } ] -> r = reason
+    | _ -> false
+  in
+  (match feed [ check; check; check; garbage; check ] with
+  | [ v4; v5; s6; s7; s8 ] ->
+      traced_verdict 4 v4;
+      traced_verdict 5 v5;
+      List.iteri
+        (fun k -> function
+          | evs, Protocol.Shed { seq } when seq = 6 + k && aborted "overload-shed" evs
+            ->
+              ()
+          | _ -> Alcotest.failf "reply %d is not an audited shed" (6 + k))
+        [ s6; s7; s8 ]
+  | replies -> Alcotest.failf "first chunk: %d replies, want 5" (List.length replies));
+  Alcotest.(check bool) "shedding is not fatal" true (Server.conn_alive server ~conn);
+  Alcotest.(check int) "shed payload not decoded" 0 (Server.malformed server);
+  (match feed [ check; garbage; check ] with
+  | [ v9; (evs, Protocol.Rejected { seq = 10; _ }) ] when aborted "malformed-frame" evs ->
+      traced_verdict 9 v9
+  | _ -> Alcotest.fail "second chunk: want a verdict, then an audited kill");
+  Alcotest.(check bool) "connection killed" false (Server.conn_alive server ~conn);
+  Alcotest.(check int) "malformed audited" 1 (Server.malformed server)
+
+(* A connection's reply bytes depend on its frames, not on where the
+   transport cut its byte stream, as long as no chunk completes more
+   frames than the capacity. *)
+let test_feed_segmentation () =
+  let base = Script.base_system () in
+  Gen.each_seed ~salt:85 ~count:10 (fun ~seed rng ->
+      let conns = 2 in
+      let script = Script.generate ~conns ~requests:60 ~seed () in
+      let frames c =
+        List.filter_map
+          (fun (e : Script.entry) -> if e.conn = c then Some (frame_req e.req) else None)
+          script
+      in
+      let config =
+        { Server.default_config with queue_capacity = List.length script + 1 }
+      in
+      let replies chunks =
+        let server = Server.create ~config ~base () in
+        let conn = Server.open_conn server in
+        String.concat "" (List.map (Server.feed server ~conn) chunks)
+      in
+      for c = 0 to conns - 1 do
+        let stream = String.concat "" (frames c) in
+        let n = String.length stream in
+        let cuts =
+          List.sort_uniq compare
+            (0 :: n :: List.init (Random.State.int rng 12) (fun _ -> Random.State.int rng (n + 1)))
+        in
+        let rec chunks = function
+          | a :: (b :: _ as rest) -> String.sub stream a (b - a) :: chunks rest
+          | _ -> []
+        in
+        if not (String.equal (replies (frames c)) (replies (chunks cuts))) then
+          Alcotest.failf "conn %d at seed %d: reply bytes depend on segmentation" c seed
+      done)
+
 let test_feed_batch_conforms () =
   let base = Script.base_system () in
   Gen.each_seed ~salt:82 ~count:5 (fun ~seed _rng ->
@@ -454,27 +552,44 @@ let test_lossy_transport_deterministic () =
 
 (* --- the real transport --- *)
 
-let test_unix_transport () =
+let with_listener f =
   let path = Filename.temp_file "stacc_serve" ".sock" in
-  let addr = Net_unix.Unix_path path in
-  let listener = Net_unix.listen addr in
+  let listener = Net_unix.listen (Unix_path path) in
   let server = Server.create ~base:(Script.base_system ()) () in
   let finally () = Net_unix.shutdown listener in
-  Fun.protect ~finally (fun () ->
-      let client = Net_unix.Client.connect addr in
-      (* pump until the reply lands; client and server share this thread *)
-      let await () =
-        let rec go n =
-          if n = 0 then Alcotest.fail "no reply from unix transport"
-          else begin
-            ignore (Net_unix.step listener ~server ~timeout:0.05);
-            match Net_unix.Client.drain client with
-            | [] -> go (n - 1)
-            | replies -> replies
-          end
-        in
-        go 100
-      in
+  Fun.protect ~finally (fun () -> f path listener server)
+
+(* Pump until the client's reply lands; client and server share this
+   thread. *)
+let await listener server client =
+  let rec go n =
+    if n = 0 then Alcotest.fail "no reply from unix transport"
+    else begin
+      ignore (Net_unix.step listener ~server ~timeout:0.05);
+      match Net_unix.Client.drain client with
+      | [] -> go (n - 1)
+      | replies -> replies
+    end
+  in
+  go 100
+
+(* A raw peer, for byte streams [Net_unix.Client] will not send. *)
+let raw_connect path =
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Unix.connect fd (ADDR_UNIX path);
+  fd
+
+let write_all fd s =
+  let n = String.length s in
+  let off = ref 0 in
+  while !off < n do
+    off := !off + Unix.write_substring fd s !off (n - !off)
+  done
+
+let test_unix_transport () =
+  with_listener (fun path listener server ->
+      let client = Net_unix.Client.connect (Unix_path path) in
+      let await () = await listener server client in
       Net_unix.Client.send client Ping;
       (match await () with
       | [ Ack { seq = 1 } ] -> ()
@@ -498,6 +613,70 @@ let test_unix_transport () =
       | [ Verdict { seq = 4; _ } ] -> ()
       | _ -> Alcotest.fail "check not answered over unix socket");
       Net_unix.Client.close client)
+
+(* The server must outlive a misbehaving peer, and keep serving the
+   others. *)
+let bystander_served listener server bystander =
+  Net_unix.Client.send bystander Ping;
+  match await listener server bystander with
+  | [ Ack _ ] -> ()
+  | _ -> Alcotest.fail "bystander not served after a peer failed"
+
+let test_unix_peer_hangs_up () =
+  with_listener (fun path listener server ->
+      let bystander = Net_unix.Client.connect (Unix_path path) in
+      let fd = raw_connect path in
+      write_all fd (String.concat "" (List.init 10 (fun _ -> frame_req Ping)));
+      Unix.close fd;
+      (* its replies go to a closed socket: EPIPE, not a fatal SIGPIPE *)
+      for _ = 1 to 5 do
+        ignore (Net_unix.step listener ~server ~timeout:0.05)
+      done;
+      Alcotest.(check int) "the hung-up peer's pings ran" 10 (Server.executed server);
+      bystander_served listener server bystander;
+      Net_unix.Client.close bystander)
+
+let test_unix_reader_never_drains () =
+  with_listener (fun path listener server ->
+      let bystander = Net_unix.Client.connect (Unix_path path) in
+      let fd = raw_connect path in
+      let burst = String.concat "" (List.init 200 (fun _ -> frame_req Ping)) in
+      (* its socket fills until a reply write would block; the server
+         then drops it, and the peer's next write fails *)
+      let rec pump n =
+        if n = 0 then Alcotest.fail "a peer that never reads was never dropped"
+        else
+          match write_all fd burst with
+          | exception Unix.Unix_error _ -> ()
+          | () ->
+              ignore (Net_unix.step listener ~server ~timeout:0.05);
+              pump (n - 1)
+      in
+      pump 2000;
+      Unix.close fd;
+      bystander_served listener server bystander;
+      Net_unix.Client.close bystander)
+
+(* --- the load harness --- *)
+
+let test_load_closed () =
+  let r = Service.Load.closed ~base:(Script.base_system ()) ~requests:300 () in
+  Alcotest.(check int) "every request completed" 300 r.completed;
+  Alcotest.(check int) "none shed" 0 r.shed;
+  Alcotest.(check int) "one latency sample each" 300 (Obs.Stats.hist_count r.latency)
+
+(* Far past saturation with one frame per feed allowed: at 10⁹/s every
+   request is due within microseconds, so the per-connection chunks
+   carry more than one frame and the tails are shed. *)
+let test_load_open_loop_sheds () =
+  let r =
+    Service.Load.open_loop ~queue:1 ~base:(Script.base_system ()) ~requests:2000
+      ~rate:1e9 ()
+  in
+  Alcotest.(check int) "completed + shed = requests" 2000 (r.completed + r.shed);
+  Alcotest.(check bool) "saturated" true (r.shed > 0);
+  Alcotest.(check int) "a latency sample per completed request" r.completed
+    (Obs.Stats.hist_count r.latency)
 
 (* --- normalized CLI exit codes (PR 8 satellite) --- *)
 
@@ -563,6 +742,10 @@ let () =
           Alcotest.test_case "overload sheds auditable" `Quick
             test_server_sheds_overload;
           Alcotest.test_case "feed_batch = feed" `Quick test_feed_batch_conforms;
+          Alcotest.test_case "one chunk, several outcomes" `Quick
+            test_server_chunk_outcomes;
+          Alcotest.test_case "segmentation leaves replies alone" `Quick
+            test_feed_segmentation;
         ] );
       ( "differential",
         [
@@ -572,7 +755,19 @@ let () =
             test_lossy_transport_deterministic;
         ] );
       ( "transport",
-        [ Alcotest.test_case "unix socket smoke" `Quick test_unix_transport ] );
+        [
+          Alcotest.test_case "unix socket smoke" `Quick test_unix_transport;
+          Alcotest.test_case "peer hangs up before reading" `Quick
+            test_unix_peer_hangs_up;
+          Alcotest.test_case "peer never drains its socket" `Quick
+            test_unix_reader_never_drains;
+        ] );
+      ( "load",
+        [
+          Alcotest.test_case "closed loop completes all" `Quick test_load_closed;
+          Alcotest.test_case "open loop accounts for all" `Quick
+            test_load_open_loop_sheds;
+        ] );
       ( "cli",
         [
           Alcotest.test_case "bad usage exits 2" `Quick
