@@ -917,10 +917,10 @@ let e19 () =
 (* ------------------------------------------------------------------ *)
 (* E20 — decision service: differential gate + saturation sweep.
    First the gate: the same seeded request scripts through the full
-   stack (framing, the deterministic transport, the server core) and
+   stack (codec, framing, the server core) and
    through an independent per-request drive straight on
    [Coordinated.System] must render byte-identical reply streams, and
-   the simulated drive must be bit-reproducible.  Then the numbers: a
+   the full-stack drive must be bit-reproducible.  Then the numbers: a
    closed-loop run fixes this host's per-request service rate, and an
    open-loop sweep at fractions and multiples of it shows the
    saturation knee — achieved rate tracks offered until the server

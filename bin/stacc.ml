@@ -1113,9 +1113,7 @@ let serve_cmd =
         Format.eprintf "error: %s@." msg;
         rc
     | Ok addr, Ok base ->
-        let config =
-          { Service.Server.default_config with queue_capacity = queue }
-        in
+        let config = { Service.Server.queue_capacity = queue } in
         let server = Service.Server.create ~config ~base () in
         let listener = Service.Net_unix.listen addr in
         Format.eprintf "stacc serve: listening on %s@."
@@ -1179,8 +1177,8 @@ let load_cmd =
   let replay_arg =
     let doc =
       "Differential-gate mode: replay the seeded request script through \
-       $(b,sim) (framing, the deterministic fault-capable transport, the \
-       server core) or $(b,direct) (an independent re-implementation of the \
+       $(b,sim) (request and reply codec, framing, the server core) or \
+       $(b,direct) (an independent re-implementation of the \
        per-request semantics straight on the coalition system) and write the \
        rendered reply stream.  The two drives must be byte-identical."
     in

@@ -27,7 +27,9 @@ let of_tables ~alphabet ~start ~finals ~next =
   then invalid_arg "Dfa.of_tables: inconsistent tables";
   { num_states; alphabet; start; finals; next }
 
-let of_nfa ~alphabet nfa =
+exception Over_budget of int
+
+let of_nfa ?(max_states = max_int) ~alphabet nfa =
   let alphabet = Array.of_list (List.sort_uniq Int.compare alphabet) in
   let k = Array.length alphabet in
   (* state = sorted list of NFA states (eps-closed); keyed by string *)
@@ -40,6 +42,7 @@ let of_nfa ~alphabet nfa =
     match Hashtbl.find_opt ids k' with
     | Some id -> id
     | None ->
+        if !count >= max_states then raise (Over_budget max_states);
         let id = !count in
         incr count;
         Hashtbl.add ids k' id;
@@ -48,34 +51,41 @@ let of_nfa ~alphabet nfa =
   in
   let start_set = Nfa.eps_closure nfa [ (nfa : Nfa.t).start ] in
   let start = id_of start_set in
+  let index = alphabet_index alphabet in
+  let targets = Array.make k [] in
   let transitions = ref [] in
   let rec explore frontier =
     match frontier with
     | [] -> ()
     | states :: rest ->
         let id = id_of states in
+        (* one pass over the subset's moves, bucketed by symbol, so a
+           symbol with no move from the subset costs no search *)
+        List.iter
+          (fun q ->
+            List.iter
+              (fun (s, q') ->
+                match Hashtbl.find_opt index s with
+                | Some i -> targets.(i) <- q' :: targets.(i)
+                | None -> ())
+              (nfa : Nfa.t).moves.(q))
+          states;
         let row = Array.make k 0 in
-        let newly =
-          List.filter_map
-            (fun i ->
-              let s = alphabet.(i) in
-              let targets =
-                List.concat_map
-                  (fun q ->
-                    List.filter_map
-                      (fun (s', q') -> if s = s' then Some q' else None)
-                      (nfa : Nfa.t).moves.(q))
-                  states
-              in
-              let dst_set = Nfa.eps_closure nfa targets in
-              let known = Hashtbl.mem ids (key dst_set) in
-              let dst = id_of dst_set in
-              row.(i) <- dst;
-              if known then None else Some dst_set)
-            (List.init k Fun.id)
-        in
+        let newly = ref [] in
+        for i = 0 to k - 1 do
+          let dst_set =
+            match targets.(i) with
+            | [] -> []
+            | qs ->
+                targets.(i) <- [];
+                Nfa.eps_closure nfa qs
+          in
+          let before = !count in
+          row.(i) <- id_of dst_set;
+          if !count > before then newly := dst_set :: !newly
+        done;
         transitions := (id, row) :: !transitions;
-        explore (newly @ rest)
+        explore (List.rev_append !newly rest)
   in
   explore [ start_set ];
   let num_states = !count in

@@ -26,9 +26,15 @@ val of_tables :
     alphabet.  @raise Invalid_argument on inconsistent sizes or
     out-of-range targets. *)
 
-val of_nfa : alphabet:Symbol.t list -> Nfa.t -> t
+exception Over_budget of int
+(** The state budget a construction ran out of. *)
+
+val of_nfa : ?max_states:int -> alphabet:Symbol.t list -> Nfa.t -> t
 (** Subset construction.  Symbols of the NFA outside [alphabet] are
-    ignored (they can never appear in a word over [alphabet]). *)
+    ignored (they can never appear in a word over [alphabet]).
+    [max_states] defaults to unbounded.
+    @raise Over_budget once the construction would create more than
+    [max_states] states. *)
 
 val minimize : t -> t
 (** Moore partition refinement; result is reachable and minimal. *)

@@ -18,26 +18,34 @@ let pp_verdict = Verdict.pp
    constraint?  Future accesses *will* carry execution proofs once
    performed, so Definition 3.6's Pr_x conjunct is vacuously true here;
    proofs bite in the history-based scope below. *)
+let program_state_budget = 1024
+
 let program_scope_ok ~outcomes ~program (binding : Perm_binding.t) c =
   (* the check depends only on (program, constraint), not on the object
      running the program — computed once per (binding, program) in the
      table a system shares with its clones *)
   Residual.Program_outcomes.find_or_compute outcomes ~binding ~program
     (fun () ->
-      let outcome =
+      match
         Srac.Program_sat.check ~proofs:Srac.Proof.always
-          ~modality:binding.spatial_modality program c
-      in
-      if outcome.holds then Ok ()
-      else
-        let detail =
+          ~budget:program_state_budget ~modality:binding.spatial_modality
+          program c
+      with
+      | exception Srac.Program_sat.Over_budget b ->
+          (* the program may come off the wire: fail closed rather than
+             build an automaton exponential in its size *)
+          Error
+            (Printf.sprintf
+               "program trace automaton exceeds the %d-state budget" b)
+      | outcome when outcome.holds -> Ok ()
+      | outcome -> (
           match (binding.spatial_modality, outcome.witness) with
           | Srac.Program_sat.Forall, Some t ->
-              Format.asprintf "violating trace %a" Sral.Trace.pp t
+              Error (Format.asprintf "violating trace %a" Sral.Trace.pp t)
           | _ ->
-              Format.asprintf "no execution can satisfy %a" Srac.Formula.pp c
-        in
-        Error detail)
+              Error
+                (Format.asprintf "no execution can satisfy %a" Srac.Formula.pp
+                   c)))
 
 (* The history a binding consults: the object's own proofs, or —
    for Team proof scope — the time-merged proofs of the whole team

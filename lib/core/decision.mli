@@ -31,6 +31,11 @@ type reason = Verdict.reason =
 
 type verdict = Verdict.t = Granted | Denied of reason
 
+val program_state_budget : int
+(** The {!Srac.Program_sat.check} budget of every Program-scope check:
+    a program whose trace NFA or DFA would exceed it fails the check —
+    denied with a [Spatial_violation] naming the budget, and inactive. *)
+
 val decide_naive :
   ?companions:Monitor.t list ->
   bus:Obs.Bus.t ->

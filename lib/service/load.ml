@@ -81,7 +81,7 @@ let open_loop ?(conns = 4) ?(seed = 1) ?queue ~base ~requests ~rate () =
   let config =
     match queue with
     | None -> Server.default_config
-    | Some queue_capacity -> { Server.default_config with queue_capacity }
+    | Some queue_capacity -> { Server.queue_capacity }
   in
   let server = Server.create ~config ~base () in
   let ids, frames = prepare ~conns ~seed ~requests server in

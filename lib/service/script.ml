@@ -86,17 +86,35 @@ let generate ?(conns = 4) ?(requests = 200) ~seed () =
 let conn_count script =
   1 + List.fold_left (fun m e -> max m e.conn) 0 script
 
-let run_sim ?(policy = Sim_net.reliable) ~base script =
+(* Each request's frame goes through [Server.feed] in script order,
+   and each connection's reply bytes through its own client-side
+   decoder, so the gate covers framing and both halves of the codec. *)
+let run_sim ~base script =
   let server = Server.create ~base () in
-  let net = Sim_net.create ~policy ~server () in
   let n = conn_count script in
-  let ids = Array.init n (fun _ -> Sim_net.connect net) in
-  List.iteri
-    (fun i e ->
-      Sim_net.send_at net ~time:(Q.of_int (i + 1)) ~conn:ids.(e.conn) e.req)
+  let ids = Array.init n (fun _ -> Server.open_conn server) in
+  let decoders = Array.init n (fun _ -> Frame.Decoder.create ()) in
+  let replies = Array.make n [] in
+  List.iter
+    (fun e ->
+      let c = e.conn in
+      let fail fmt = Printf.ksprintf failwith ("run_sim: conn %d: " ^^ fmt) c in
+      let bytes = Frame.encode (Protocol.encode_request e.req) in
+      Frame.Decoder.feed decoders.(c) (Server.feed server ~conn:ids.(c) bytes);
+      let rec drain () =
+        match Frame.Decoder.next decoders.(c) with
+        | Ok None -> ()
+        | Ok (Some payload) -> (
+            match Protocol.decode_reply payload with
+            | Ok reply ->
+                replies.(c) <- reply :: replies.(c);
+                drain ()
+            | Error err -> fail "undecodable reply: %s" (Protocol.describe err))
+        | Error msg -> fail "reply framing: %s" msg
+      in
+      drain ())
     script;
-  Sim_net.run net;
-  List.init n (fun c -> (c, Sim_net.replies net ~conn:ids.(c)))
+  List.init n (fun c -> (c, List.rev replies.(c)))
 
 (* ------------------------------------------------------------------ *)
 (* The direct drive: an independent mirror of the per-request

@@ -4,8 +4,9 @@
     pairs, generated from a seed against the one fixed {!base_system}.
     The same script can be driven two ways:
 
-    - {!run_sim}: through the full stack — framing, the deterministic
-      {!Sim_net} transport, {!Server} — collecting each connection's
+    - {!run_sim}: through the full stack — request encoding, framing,
+      {!Server}, reply decoding — feeding each request's frame to
+      {!Server.feed} in script order and collecting each connection's
       decoded replies;
     - {!drive_direct}: through an independent re-implementation of the
       per-request semantics straight on {!Coordinated.System} clones,
@@ -32,12 +33,14 @@ val generate : ?conns:int -> ?requests:int -> seed:int -> unit -> entry list
     pings, departures, late subscriptions). *)
 
 val run_sim :
-  ?policy:Sim_net.policy ->
-  base:Coordinated.System.t ->
-  entry list ->
-  (int * Protocol.reply list) list
-(** Replies per connection, in connection order (policy defaults to
-    {!Sim_net.reliable}). *)
+  base:Coordinated.System.t -> entry list -> (int * Protocol.reply list) list
+(** Replies per connection, in connection order.  No network sits
+    between the script and the server: a connection's replies depend
+    only on its own request order (see {!Server}), so delivery timing
+    could not show in them, and stream sockets neither drop nor
+    duplicate frames.
+    @raise Failure on reply bytes that do not frame or decode — the
+    server never emits them, so this is a harness assertion. *)
 
 val drive_direct :
   base:Coordinated.System.t -> entry list -> (int * Protocol.reply list) list

@@ -1,10 +1,9 @@
 module Q = Temporal.Q
 module System = Coordinated.System
 
-type config = { queue_capacity : int; max_frame : int }
+type config = { queue_capacity : int }
 
-let default_config =
-  { queue_capacity = 256; max_frame = Frame.max_frame_default }
+let default_config = { queue_capacity = 256 }
 
 type obj_state = { session : Rbac.Session.t; program : Sral.Ast.t }
 
@@ -50,7 +49,7 @@ let open_conn t =
     {
       id;
       system = System.clone t.base;
-      decoder = Frame.Decoder.create ~max_frame:t.config.max_frame ();
+      decoder = Frame.Decoder.create ();
       objects = Hashtbl.create 8;
       out = Buffer.create 256;
       subscribed = false;

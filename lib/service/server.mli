@@ -2,8 +2,8 @@
 
     A pure state machine over byte strings — it owns no socket, no
     clock and no thread, which is what lets one core serve both the
-    deterministic in-process transport ({!Sim_net}) and the real
-    Unix-socket backend ({!Net_unix}) with bit-identical behavior.
+    in-process replay ({!Script.run_sim}) and the real Unix-socket
+    backend ({!Net_unix}) with bit-identical behavior.
 
     Each connection decides against its own {!Coordinated.System.clone}
     of the base system (a connection is an isolated coalition, exactly
@@ -30,11 +30,11 @@
 type config = {
   queue_capacity : int;
       (** max frames executed per {!feed} call; the rest shed *)
-  max_frame : int;  (** framing ceiling, bytes *)
 }
 
 val default_config : config
-(** 256 frames, {!Frame.max_frame_default}. *)
+(** 256 frames.  Every connection frames with
+    {!Frame.max_frame_default}. *)
 
 type t
 

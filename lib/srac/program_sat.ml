@@ -5,10 +5,19 @@ type modality = Exists | Forall
 
 type outcome = { holds : bool; witness : Sral.Trace.t option }
 
-let check ?(proofs = Proof.always) ?(modality = Exists) program formula =
+exception Over_budget = Dfa.Over_budget
+
+let check ?(proofs = Proof.always) ?(modality = Exists) ?budget program
+    formula =
+  (match budget with
+  | Some b when Automata.Of_program.nfa_states program > b ->
+      raise (Over_budget b)
+  | _ -> ());
   let table = Compile.alphabet_of ~program formula in
   let alphabet = Symbol.alphabet table in
-  let program_dfa = Automata.Of_program.dfa ~table ~alphabet program in
+  let program_dfa =
+    Automata.Of_program.dfa ?max_states:budget ~table ~alphabet program
+  in
   let constraint_dfa = Compile.dfa ~table ~proofs formula in
   let decode word = List.map (Symbol.access table) word in
   match modality with

@@ -21,14 +21,25 @@ type outcome = {
           [Forall]: a shortest violating trace when [not holds]. *)
 }
 
+exception Over_budget of int
+(** The state budget {!check} refused to exceed. *)
+
 val check :
   ?proofs:Proof.store ->
   ?modality:modality ->
+  ?budget:int ->
   Sral.Ast.t ->
   Formula.t ->
   outcome
 (** [proofs] defaults to {!Proof.always} (static checking);
-    [modality] defaults to [Exists]. *)
+    [modality] defaults to [Exists].
+
+    The program's trace DFA can be exponential in the program's size.
+    With a [budget], {!check} raises {!Over_budget} before building
+    anything when the program's NFA would have more than [budget]
+    states ({!Automata.Of_program.nfa_states}), and during the subset
+    construction once its DFA would.  Without one (the default) it is
+    unbounded. *)
 
 val check_bool :
   ?proofs:Proof.store -> ?modality:modality -> Sral.Ast.t -> Formula.t -> bool

@@ -290,6 +290,46 @@ let test_of_program_par () =
   Alcotest.(check bool) "ba" true (Language.contains l [ a1; a0 ]);
   Alcotest.(check bool) "a alone" false (Language.contains l [ a0 ])
 
+(* --- state budget --- *)
+
+let test_nfa_states_counted () =
+  Gen.each_seed ~salt:1025 ~count:300 (fun ~seed rng ->
+      let p =
+        Sral.Generate.program ~allow_io:true ~resources:[ "a"; "b"; "c" ]
+          ~servers:[ "s1"; "s2" ]
+          ~size:(1 + Random.State.int rng 12)
+          rng
+      in
+      let built = Nfa.num_states (Of_program.nfa ~table:(table ()) p) in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d" seed)
+        built (Of_program.nfa_states p));
+  let rec nest k =
+    if k = 0 then Sral.Ast.Access a0
+    else Sral.Ast.Par (nest (k - 1), nest (k - 1))
+  in
+  Alcotest.(check int) "2^64 saturates" max_int
+    (Of_program.nfa_states (nest 6))
+
+let test_dfa_budget () =
+  Gen.each_seed ~salt:1026 ~count:200 (fun ~seed rng ->
+      let re = Regex.generate ~symbols:[ 0; 1; 2 ] ~size:10 rng in
+      let full = Dfa.num_states (dfa_of_regex re) in
+      let budget = Random.State.int rng (full + 2) in
+      match
+        Dfa.of_nfa ~max_states:budget ~alphabet:[ 0; 1; 2 ] (Nfa.of_regex re)
+      with
+      | d ->
+          if full > budget then
+            Alcotest.failf "seed %d: %d states built under budget %d" seed
+              full budget;
+          Alcotest.(check int) "same automaton" full (Dfa.num_states d)
+      | exception Dfa.Over_budget b ->
+          Alcotest.(check int) "reports its budget" budget b;
+          if full <= budget then
+            Alcotest.failf "seed %d: %d states refused under budget %d" seed
+              full budget)
+
 let agreement_with_enumeration =
   QCheck.Test.make
     ~name:"symbolic trace model contains every enumerated trace (loop-free)"
@@ -484,6 +524,9 @@ let () =
           Alcotest.test_case "if = union" `Quick test_of_program_if_union;
           Alcotest.test_case "while = star" `Quick test_of_program_loop;
           Alcotest.test_case "par = shuffle" `Quick test_of_program_par;
+          Alcotest.test_case "NFA states counted from the syntax" `Quick
+            test_nfa_states_counted;
+          Alcotest.test_case "DFA state budget" `Quick test_dfa_budget;
           QCheck_alcotest.to_alcotest agreement_with_enumeration;
         ] );
       ( "theorem-3.1",

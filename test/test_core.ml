@@ -487,6 +487,90 @@ let test_activation_per_binding () =
             (Format.asprintf "expected expiry, got %a" Decision.pp_verdict v))
     [ System.Naive; System.Lazy ]
 
+(* --- the Program-scope state budget --- *)
+
+(* Two wire-sized programs whose trace DFAs are exponential in their
+   size: 12 [||] branches (a 4,096-state NFA) and a loop followed by 12
+   two-way [if]s (a 73-state NFA whose DFA doubles per [if]).  Both fail
+   the check closed, naming the budget, in both modes. *)
+let test_program_budget_fails_closed () =
+  let write_a = Sral.Access.write "a" ~at:"s1" in
+  let coin = "if 1 then { write a @ s1 } else { write b @ s1 }" in
+  let programs =
+    [
+      ( "12-branch ||",
+        String.concat " || "
+          (List.init 12 (Printf.sprintf "write a%d @ s1")) );
+      ( "12 ifs after a loop",
+        String.concat "; "
+          (("while 1 do { " ^ coin ^ " }")
+          :: "write a @ s1"
+          :: List.init 12 (fun _ -> coin)) );
+    ]
+  in
+  let binding =
+    Perm_binding.make
+      ~spatial:(Srac.Formula.at_most 100 Srac.Selector.Any)
+      ~spatial_scope:Perm_binding.Program
+      (Rbac.Perm.make ~operation:"write" ~target:"*@*")
+  in
+  let want =
+    Printf.sprintf "program trace automaton exceeds the %d-state budget"
+      Decision.program_state_budget
+  in
+  List.iter
+    (fun (what, src) ->
+      let verdict mode =
+        let policy = base_policy () in
+        Rbac.Policy.grant policy "r"
+          (Rbac.Perm.make ~operation:"write" ~target:"*@*");
+        let control = System.create ~mode ~bindings:[ binding ] policy in
+        let session = session_of control in
+        System.arrive control ~object_id:"o" ~server:"s1" ~time:Q.zero;
+        System.check control ~session ~object_id:"o" ~program:(prog src)
+          ~time:(q 1) write_a
+      in
+      let lazy_ = verdict System.Lazy and naive = verdict System.Naive in
+      Alcotest.(check bool) (what ^ ": modes agree") true (lazy_ = naive);
+      match lazy_ with
+      | Decision.Denied (Decision.Spatial_violation { detail; _ }) ->
+          Alcotest.(check string) (what ^ ": detail") want detail
+      | v -> Alcotest.failf "%s: %a" what Decision.pp_verdict v)
+    programs
+
+(* Every program the suites' generators produce stays below the budget
+   on both counts, so the budget changes none of their verdicts. *)
+let test_generated_programs_under_budget () =
+  let budget = Decision.program_state_budget in
+  let module W = Scenarios.Workflow_family in
+  let check ~seed p =
+    let nfa = Automata.Of_program.nfa_states p in
+    if nfa >= budget then
+      Alcotest.failf "seed %d: %d NFA states in %a" seed nfa Sral.Pretty.pp p;
+    (* a constraint-only access can add one state, the sink *)
+    let table =
+      Automata.Symbol.of_accesses [ Sral.Access.read "r0" ~at:"s0" ]
+    in
+    let alphabet = Automata.Symbol.alphabet table in
+    match
+      Automata.Of_program.dfa ~max_states:(budget - 1) ~table ~alphabet p
+    with
+    | _ -> ()
+    | exception Automata.Dfa.Over_budget _ ->
+        Alcotest.failf "seed %d: DFA reaches the budget: %a" seed
+          Sral.Pretty.pp p
+  in
+  let objects (sc : Parallel.Scenario.t) =
+    List.map (fun (o : Parallel.Scenario.obj) -> o.program) sc.objects
+  in
+  Gen.each_seed ~salt:1024 ~count:1000 (fun ~seed rng ->
+      List.iter (check ~seed)
+        (objects (Gen.coalition ~objects:6 rng)
+        @ objects (Parallel.Workload.big_coalition ~objects:8 rng)
+        @ List.map
+            (fun fam -> W.script (Gen.workflow fam rng))
+            [ W.Satisfiable; W.Unsatisfiable; W.Adversarial ]))
+
 (* --- Program-scope outcomes shared by a base system and its clones --- *)
 
 module Outcomes = Residual.Program_outcomes
@@ -1473,6 +1557,10 @@ let () =
             test_rbac_cache_bounded;
           Alcotest.test_case "activation per binding" `Quick
             test_activation_per_binding;
+          Alcotest.test_case "program budget fails closed" `Quick
+            test_program_budget_fails_closed;
+          Alcotest.test_case "generated programs under the budget" `Quick
+            test_generated_programs_under_budget;
         ] );
       ( "outcome-table",
         [

@@ -1,13 +1,12 @@
 (* Tests for the decision service: framing, protocol codec fuzz +
    adversarial inputs, server-core semantics (fail-closed kills,
    overload shedding, event streaming), the sim-vs-direct differential
-   gate, lossy-transport determinism, the Unix transport, and the
-   normalized CLI exit codes. *)
+   gate and the pinned replay digest, the Unix transport, [stacc serve]
+   end to end, and the normalized CLI exit codes. *)
 
 module Frame = Service.Frame
 module Protocol = Service.Protocol
 module Server = Service.Server
-module Sim_net = Service.Sim_net
 module Script = Service.Script
 module Net_unix = Service.Net_unix
 module Q = Temporal.Q
@@ -358,7 +357,7 @@ let test_server_oversized_frame_kills () =
   Alcotest.(check bool) "connection killed" false (Server.conn_alive server ~conn)
 
 let test_server_sheds_overload () =
-  let config = { Server.default_config with queue_capacity = 2 } in
+  let config = { Server.queue_capacity = 2 } in
   let server = Server.create ~config ~base:(Script.base_system ()) () in
   let conn = Server.open_conn server in
   ignore (register server conn);
@@ -395,7 +394,7 @@ let with_events replies =
    capacity, then shed (a malformed payload past the capacity is shed
    undecoded); a malformed payload within it kills the connection. *)
 let test_server_chunk_outcomes () =
-  let config = { Server.default_config with queue_capacity = 2 } in
+  let config = { Server.queue_capacity = 2 } in
   let server = Server.create ~config ~base:(Script.base_system ()) () in
   let conn = Server.open_conn server in
   ignore (feed_req server conn Subscribe);
@@ -456,9 +455,7 @@ let test_feed_segmentation () =
           (fun (e : Script.entry) -> if e.conn = c then Some (frame_req e.req) else None)
           script
       in
-      let config =
-        { Server.default_config with queue_capacity = List.length script + 1 }
-      in
+      let config = { Server.queue_capacity = List.length script + 1 } in
       let replies chunks =
         let server = Server.create ~config ~base () in
         let conn = Server.open_conn server in
@@ -532,23 +529,16 @@ let test_differential_gate () =
       if not (String.equal sim sim2) then
         Alcotest.failf "sim replay is not deterministic at seed %d" seed)
 
-let test_lossy_transport_deterministic () =
+(* sim = direct compares two drives, so a change that moved both would
+   pass it unseen; this pins the reply bytes themselves.  Update the
+   digest only for an intended change to the reply bytes, and name that
+   change in CHANGES.md. *)
+let test_replay_digest () =
   let base = Script.base_system () in
-  Gen.each_seed ~salt:84 ~count:8 (fun ~seed _rng ->
-      let script = Script.generate ~conns:2 ~requests:40 ~seed () in
-      let policy = Sim_net.lossy ~seed in
-      let a = Script.render (Script.run_sim ~policy ~base script) in
-      let b = Script.render (Script.run_sim ~policy ~base script) in
-      if not (String.equal a b) then
-        Alcotest.failf "lossy run not reproducible at seed %d" seed;
-      (* drops may lose requests but never wedge the exchange *)
-      let total =
-        List.fold_left
-          (fun acc (_, rs) -> acc + List.length rs)
-          0
-          (Script.run_sim ~policy ~base script)
-      in
-      if total = 0 then Alcotest.failf "lossy run lost everything at seed %d" seed)
+  let script = Script.generate ~requests:300 ~seed:3 () in
+  Alcotest.(check string)
+    "sha1 of the seed-3 replay" "32d7568b9111f8af44635e8ca1cf9bcafa8305f0"
+    (Crypto.Sha1.hex_of_string (Script.render (Script.run_sim ~base script)))
 
 (* --- the real transport --- *)
 
@@ -678,6 +668,61 @@ let test_load_open_loop_sheds () =
   Alcotest.(check int) "a latency sample per completed request" r.completed
     (Obs.Stats.hist_count r.latency)
 
+(* The daemon itself, as a separate process: two pings over its socket,
+   then a clean exit at --max-requests.  Every wait has a deadline, and
+   the process is killed whatever happens. *)
+let test_serve_end_to_end () =
+  let path = Filename.temp_file "stacc_serve" ".sock" in
+  Sys.remove path;
+  let null = Unix.openfile "/dev/null" [ O_RDWR ] 0 in
+  let pid =
+    Unix.create_process "../bin/stacc.exe"
+      [| "stacc"; "serve"; "--socket"; path; "--max-requests"; "2" |]
+      null null null
+  in
+  Unix.close null;
+  let reaped = ref None in
+  let finally () =
+    if !reaped = None then begin
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid)
+    end;
+    try Sys.remove path with Sys_error _ -> ()
+  in
+  let wait_until ~what ready =
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while not (ready ()) do
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "stacc serve: %s within 10 s" what;
+      Unix.sleepf 0.01
+    done
+  in
+  Fun.protect ~finally (fun () ->
+      wait_until ~what:"no socket" (fun () ->
+          match Unix.stat path with
+          | { st_kind = S_SOCK; _ } -> true
+          | _ -> false
+          | exception Unix.Unix_error (ENOENT, _, _) -> false);
+      let client = Net_unix.Client.connect (Unix_path path) in
+      Fun.protect
+        ~finally:(fun () -> Net_unix.Client.close client)
+        (fun () ->
+          List.iter
+            (fun want ->
+              match Net_unix.Client.request client Ping with
+              | Ack { seq }, [] when seq = want -> ()
+              | _ -> Alcotest.failf "ping %d not acked" want)
+            [ 1; 2 ]);
+      wait_until ~what:"no exit after two requests" (fun () ->
+          match Unix.waitpid [ WNOHANG ] pid with
+          | 0, _ -> false
+          | _, status ->
+              reaped := Some status;
+              true);
+      match !reaped with
+      | Some (WEXITED 0) -> ()
+      | _ -> Alcotest.fail "stacc serve did not exit 0")
+
 (* --- normalized CLI exit codes (PR 8 satellite) --- *)
 
 let stacc args =
@@ -751,8 +796,7 @@ let () =
         [
           Alcotest.test_case "sim = direct, byte-identical" `Quick
             test_differential_gate;
-          Alcotest.test_case "lossy transport deterministic" `Quick
-            test_lossy_transport_deterministic;
+          Alcotest.test_case "replay bytes pinned" `Quick test_replay_digest;
         ] );
       ( "transport",
         [
@@ -761,6 +805,8 @@ let () =
             test_unix_peer_hangs_up;
           Alcotest.test_case "peer never drains its socket" `Quick
             test_unix_reader_never_drains;
+          Alcotest.test_case "stacc serve end to end" `Quick
+            test_serve_end_to_end;
         ] );
       ( "load",
         [
