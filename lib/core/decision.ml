@@ -1,6 +1,6 @@
 module Q = Temporal.Q
 
-type reason = Verdict.reason =
+type reason = Obs.Verdict.reason =
   | Rbac_denied of string
   | Spatial_violation of { binding : string; detail : string }
   | Temporal_expired of { binding : string; spent : Temporal.Q.t }
@@ -8,11 +8,11 @@ type reason = Verdict.reason =
   | Not_arrived
   | Server_unavailable of string
 
-type verdict = Verdict.t = Granted | Denied of reason
+type verdict = Obs.Verdict.t = Granted | Denied of reason
 
-let is_granted = Verdict.is_granted
-let pp_reason = Verdict.pp_reason
-let pp_verdict = Verdict.pp
+let is_granted = Obs.Verdict.is_granted
+let pp_reason = Obs.Verdict.pp_reason
+let pp_verdict = Obs.Verdict.pp
 
 (* Feasibility semantics: can the program (still) satisfy the
    constraint?  Future accesses *will* carry execution proofs once
@@ -241,10 +241,11 @@ let decide_naive ?(companions = []) ~bus ~session ~monitor ~bindings
    decision allocates nothing.  Per binding, the monitor keeps a
    {!Residual.slot} holding the binding's lazy machine and a cursor
    into the object's performed history; each decision folds only the
-   not-yet-seen proof entries into the residual state, then answers
-   grant (residual nullability after the access) and activation
-   (residual feasibility) from memoized per-state bits.  Denial
-   details fall back to the eager oracle so messages stay
+   not-yet-seen proof entries into the residual state (a Team-scope
+   slot refolds the team's merged history when its stamp moves), then
+   answers grant (residual nullability after the access) and
+   activation (residual feasibility) from memoized per-state bits.
+   Denial details fall back to the eager oracle so messages stay
    byte-identical. *)
 
 let get_slot ~session ~monitor (b : Perm_binding.t) =
@@ -266,9 +267,7 @@ let get_slot ~session ~monitor (b : Perm_binding.t) =
           own_consumed = 0;
           team_state = -1;
           team_version = -1;
-          team_consumed = [||];
-          team_last_time = Q.zero;
-          team_last_member = -1;
+          team_epoch = -1;
           may_session = session;
           may_version = Rbac.Session.version session;
           may_ok =
@@ -366,108 +365,47 @@ let own_state ~monitor machine slot =
   slot.Residual.own_state
 
 (* Team-scope residuals.  [history] merges the team's proofs with a
-   stable sort by time over [monitor :: companions], so its order is
-   (time, member position, issue order).  While membership holds still
-   ([team_version]) the slot folds incrementally: it keeps how many
-   entries of each member it has consumed and the (time, member) key
-   of the last entry it folded.  New entries that all sort at or after
-   that key extend the sorted history at its end, so stepping them in
-   key order continues the same fold.  An entry that sorts earlier (a
-   companion whose clock lags) lands mid-history: refold from
-   scratch. *)
-
-let team_refold ~monitor ~companions ~team_version machine slot b =
-  let members = monitor :: companions in
-  slot.Residual.team_state <-
-    List.fold_left
-      (fun q a -> Srac.Lazy_dfa.step_access machine q a)
-      (Srac.Lazy_dfa.start machine)
-      (history ~monitor ~companions b);
-  slot.Residual.team_version <- team_version;
-  slot.Residual.team_consumed <-
-    Array.of_list (List.map Monitor.history_epoch members);
-  (* the last entry in key order: the latest newest-entry, the later
-     member on a tie *)
-  slot.Residual.team_last_member <- -1;
-  List.iteri
-    (fun i m ->
-      match Srac.Proof.rev_entries (Monitor.proofs m) with
-      | [] -> ()
-      | e :: _ ->
-          if
-            slot.Residual.team_last_member < 0
-            || Q.compare e.Srac.Proof.time slot.Residual.team_last_time >= 0
-          then begin
-            slot.Residual.team_last_time <- e.Srac.Proof.time;
-            slot.Residual.team_last_member <- i
-          end)
-    members
-
-(* The [k] newest entries of a proof store, oldest first. *)
-let newest k store =
-  let rec take k acc = function
-    | e :: older when k > 0 -> take (k - 1) (e :: acc) older
-    | _ -> acc
-  in
-  take k [] (Srac.Proof.rev_entries store)
-
-(* Fold the members' unseen entries if they all sort at or after the
-   last folded key; [false] (slot untouched) if one sorts earlier. *)
-let team_extend ~monitor ~companions machine slot =
-  let fresh =
-    List.mapi
-      (fun i m ->
-        let seen = slot.Residual.team_consumed.(i) in
-        (i, newest (Monitor.history_epoch m - seen) (Monitor.proofs m)))
-      (monitor :: companions)
-  in
-  let sorts_after (i, entries) =
-    match entries with
-    | [] -> true
-    | (e : Srac.Proof.entry) :: _ ->
-        slot.Residual.team_last_member < 0
-        ||
-        let c = Q.compare e.time slot.Residual.team_last_time in
-        c > 0 || (c = 0 && i >= slot.Residual.team_last_member)
-  in
-  List.for_all sorts_after fresh
-  && begin
-       List.concat_map (fun (i, es) -> List.map (fun e -> (i, e)) es) fresh
-       |> List.stable_sort (fun (_, (e1 : Srac.Proof.entry)) (_, e2) ->
-              Q.compare e1.time e2.Srac.Proof.time)
-       |> List.iter (fun (i, (e : Srac.Proof.entry)) ->
-              slot.Residual.team_state <-
-                Srac.Lazy_dfa.step_access machine slot.Residual.team_state
-                  e.access;
-              slot.Residual.team_last_time <- e.time;
-              slot.Residual.team_last_member <- i);
-       List.iter
-         (fun (i, es) ->
-           slot.Residual.team_consumed.(i) <-
-             slot.Residual.team_consumed.(i) + List.length es)
-         fresh;
-       true
-     end
-
-let rec members_unchanged consumed i = function
-  | [] -> true
-  | m :: rest ->
-      Monitor.history_epoch m = consumed.(i)
-      && members_unchanged consumed (i + 1) rest
+   stable sort by time, so an entry of a companion whose clock lags
+   lands mid-history, and no cursor survives that: the slot refolds the
+   whole merged history whenever its stamp moves.  The stamp is
+   [team_version], for which the companion list is fixed, and the
+   team's proof total.  Proof counts only grow, so an equal total under
+   an equal version means no member recorded anything since the last
+   fold.  The refold reads the same [history] the naive path does. *)
+let rec team_epoch total = function
+  | [] -> total
+  | m :: rest -> team_epoch (total + Monitor.history_epoch m) rest
 
 let team_state ~monitor ~companions ~team_version machine slot b =
+  let epoch = team_epoch (Monitor.history_epoch monitor) companions in
   if
-    slot.Residual.team_state < 0
-    || slot.Residual.team_version <> team_version
-    || Array.length slot.Residual.team_consumed <> 1 + List.length companions
-  then team_refold ~monitor ~companions ~team_version machine slot b
-  else if
-    (not
-       (members_unchanged slot.Residual.team_consumed 0
-          (monitor :: companions)))
-    && not (team_extend ~monitor ~companions machine slot)
-  then team_refold ~monitor ~companions ~team_version machine slot b;
+    slot.Residual.team_version <> team_version
+    || slot.Residual.team_epoch <> epoch
+  then begin
+    slot.Residual.team_state <-
+      List.fold_left
+        (fun q a -> Srac.Lazy_dfa.step_access machine q a)
+        (Srac.Lazy_dfa.start machine)
+        (history ~monitor ~companions b);
+    slot.Residual.team_version <- team_version;
+    slot.Residual.team_epoch <- epoch
+  end;
   slot.Residual.team_state
+
+(* A machine answers [feasible] over every access it has stepped; the
+   oracle, over the accesses of the history it is given.  Under one
+   [team_version] the team's history only grows, so the two alphabets
+   agree.  A membership change can drop a former companion's accesses
+   from the history, so a slot that has folded a team starts a fresh
+   machine when the version moves. *)
+let scope_machine ~team_version slot (b : Perm_binding.t) c =
+  (match (b.proof_scope, slot.Residual.machine) with
+  | Perm_binding.Team, Some _
+    when slot.Residual.team_epoch >= 0
+         && slot.Residual.team_version <> team_version ->
+      slot.Residual.machine <- Some (Srac.Lazy_dfa.create c)
+  | _ -> ());
+  slot.Residual.machine
 
 let scope_state ~monitor ~companions ~team_version machine slot
     (b : Perm_binding.t) =
@@ -495,7 +433,7 @@ let refresh_one_lazy ~session ~monitor ~companions ~outcomes ~program ~time
         | Perm_binding.Program | Perm_binding.Both ->
             Result.is_ok (program_ok_cached ~outcomes ~program slot b c)
         | Perm_binding.Performed -> (
-            match slot.Residual.machine with
+            match scope_machine ~team_version slot b c with
             | None -> feasible_eager ~monitor ~companions b c
             | Some machine -> (
                 match
@@ -523,7 +461,7 @@ let rec refresh_all_lazy ~session ~monitor ~companions ~outcomes ~program
 let performed_ok_lazy ~session ~monitor ~companions ~access ~team_version
     (b : Perm_binding.t) c =
   let slot = get_slot ~session ~monitor b in
-  match slot.Residual.machine with
+  match scope_machine ~team_version slot b c with
   | None -> performed_scope_ok ~monitor ~companions ~access b c
   | Some machine -> (
       match

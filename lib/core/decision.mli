@@ -17,7 +17,7 @@
     is the "event will be triggered to set valid to 0" mechanism of
     Section 4, made explicit. *)
 
-type reason = Verdict.reason =
+type reason = Obs.Verdict.reason =
   | Rbac_denied of string
   | Spatial_violation of { binding : string; detail : string }
   | Temporal_expired of { binding : string; spent : Temporal.Q.t }
@@ -29,7 +29,7 @@ type reason = Verdict.reason =
       (** fail-closed denial minted by the Naplet security manager when
           the target server is inside a crash window *)
 
-type verdict = Verdict.t = Granted | Denied of reason
+type verdict = Obs.Verdict.t = Granted | Denied of reason
 
 val program_state_budget : int
 (** The {!Srac.Program_sat.check} budget of every Program-scope check:
@@ -79,7 +79,9 @@ val decide_lazy :
     {!Binding_index.applicable}), in binding-store insertion order —
     the caller is trusted to pass exactly the bindings {!decide_naive} would
     have selected.  [team_version] stamps the identity and order of
-    [companions]: it must change whenever they do.
+    [companions]: the companion list must be the same on every call
+    with a given [team_version], so it must change whenever they do
+    ({!System} bumps it on every {!System.join_team}).
 
     Observationally identical to {!decide_naive} on the same inputs —
     verdicts, denial strings, stage spans, monitor clock and activation
@@ -88,10 +90,14 @@ val decide_lazy :
     monitor's {!Residual} store, a cursor folds newly performed
     accesses into the residual state, and the grant / activation
     answers are memoized per-state nullability / feasibility bits.
-    [Team]-scope bindings fold the team's time-merged history the same
-    way: new entries that sort after the last folded one are appended,
-    and the state is refolded from scratch when an entry sorts earlier
-    or [team_version] moves.  A binding whose machine reaches
+    [Team]-scope bindings refold the team's time-merged history from
+    the start whenever [team_version] or the team's proof total (the
+    monitor's and its companions' {!Monitor.history_epoch}s summed)
+    moves: proof counts only grow and the companions are fixed for a
+    [team_version], so an unchanged total means no member recorded a
+    proof.  A [team_version] move also starts a fresh machine, so a
+    former companion's accesses leave the feasibility alphabet with
+    its proofs.  A binding whose machine reaches
     {!Srac.Lazy_dfa.State_limit} is answered by the eager oracles from
     then on.  RBAC verdicts and role checks are cached per access /
     binding, stamped by {!Rbac.Session.version}.  The three stage spans

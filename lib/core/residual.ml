@@ -2,14 +2,16 @@
    Program-scope outcomes a base system shares with its clones.
 
    Each monitor owns one [store]: a slot per permission binding it has
-   evaluated (holding the binding's lazy constraint machine, residual
-   cursors into the object's / team's performed history, a
-   version-stamped RBAC activation bit, the binding's activation change
-   cell and the last Program-scope outcome by program identity) plus a
-   per-access RBAC verdict cache.  The slots are stamp-invalidated,
-   never evicted: a monitor sees only the policy's bindings.  The RBAC
-   cache is keyed by the requested access, which comes off the wire, so
-   it is dropped when it reaches [rbac_cap] entries.
+   evaluated (holding the binding's lazy constraint machine, a residual
+   cursor into the object's performed history, the residual state of
+   the team's merged history with the (membership, proof total) stamp
+   it was folded at, a version-stamped RBAC activation bit, the
+   binding's activation change cell and the last Program-scope outcome
+   by program identity) plus a per-access RBAC verdict cache.  The
+   slots are stamp-invalidated, never evicted: a monitor sees only the
+   policy's bindings.  The RBAC cache is keyed by the requested access,
+   which comes off the wire, so it is dropped when it reaches
+   [rbac_cap] entries.
 
    Slots, like the monitor's activation cells, are keyed by the binding
    value *physically*: bindings are immutable and the binding index
@@ -45,19 +47,16 @@ type slot = {
   mutable machine : Srac.Lazy_dfa.t option;
       (* present iff the binding has a Performed/Both spatial scope and
          its machine has stayed under Lazy_dfa's state cap; a
-         history-scope slot without one is evaluated eagerly *)
+         history-scope slot without one is evaluated eagerly; a
+         Team-scope slot starts a fresh one when [team_version] moves *)
   cell : cell;
   mutable own_state : int;  (* residual state after own performed trace *)
   mutable own_consumed : int;  (* own history entries folded so far *)
-  mutable team_state : int;  (* -1 = not computed *)
+  mutable team_state : int;  (* residual state after the team's history *)
   mutable team_version : int;  (* membership stamp team_state was folded at *)
-  mutable team_consumed : int array;
-      (* per member (the object, then its companions in roster order):
-         proof entries folded into team_state *)
-  mutable team_last_time : Temporal.Q.t;
-  mutable team_last_member : int;
-      (* sort key (time, member) of the last entry folded; member -1 =
-         nothing folded yet *)
+  mutable team_epoch : int;
+      (* the team's proof total team_state was folded at (the object's
+         and its companions' proof counts summed); -1 = not folded *)
   mutable may_session : Rbac.Session.t;
   mutable may_version : int;
   mutable may_ok : bool;  (* Rbac.Session.may for the binding's perm *)

@@ -3,9 +3,9 @@
     The verdict type lives in the observability layer — below both the
     decision procedure and every event consumer — because it appears in
     {!Trace.event}s and must be shareable by all of them without a
-    dependency cycle.  [Coordinated.Verdict] and [Coordinated.Decision]
-    re-export these constructors under their historical names
-    ([Decision.reason], [Decision.verdict]); any spelling works. *)
+    dependency cycle.  [Coordinated.Decision] re-exports these
+    constructors as [Decision.reason] and [Decision.verdict]; either
+    spelling works. *)
 
 type reason =
   | Rbac_denied of string

@@ -6,10 +6,15 @@ let sockaddr_of = function
 
 type peer = { fd : Unix.file_descr; conn : int }
 
+(* One read buffer per listener (and per client): reads copy out only
+   the bytes they got, so the buffer is reused across reads. *)
+let read_buffer_size = 65536
+
 type t = {
   addr : addr;
   listener : Unix.file_descr;
   mutable peers : peer list;
+  buf : Bytes.t;
 }
 
 let listen addr =
@@ -26,7 +31,7 @@ let listen addr =
   | Unix_path _ -> ());
   Unix.bind fd (sockaddr_of addr);
   Unix.listen fd 64;
-  { addr; listener = fd; peers = [] }
+  { addr; listener = fd; peers = []; buf = Bytes.create read_buffer_size }
 
 let write_all fd s =
   let b = Bytes.of_string s in
@@ -36,8 +41,7 @@ let write_all fd s =
     off := !off + Unix.write fd b !off (n - !off)
   done
 
-let read_chunk fd =
-  let buf = Bytes.create 65536 in
+let read_chunk buf fd =
   match Unix.read fd buf 0 (Bytes.length buf) with
   | 0 -> None (* EOF *)
   | n -> Some (Bytes.sub_string buf 0 n)
@@ -69,7 +73,7 @@ let step t ~server ~timeout =
     List.filter_map
       (fun p ->
         if List.mem p.fd ready then
-          match read_chunk p.fd with
+          match read_chunk t.buf p.fd with
           | None ->
               lost := p :: !lost;
               None
@@ -122,7 +126,7 @@ let shutdown t =
   | _ -> ()
 
 module Client = struct
-  type t = { fd : Unix.file_descr; decoder : Frame.Decoder.t }
+  type t = { fd : Unix.file_descr; decoder : Frame.Decoder.t; buf : Bytes.t }
 
   let connect addr =
     let domain =
@@ -130,7 +134,11 @@ module Client = struct
     in
     let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
     Unix.connect fd (sockaddr_of addr);
-    { fd; decoder = Frame.Decoder.create () }
+    {
+      fd;
+      decoder = Frame.Decoder.create ();
+      buf = Bytes.create read_buffer_size;
+    }
 
   let send t req = write_all t.fd (Frame.encode (Protocol.encode_request req))
 
@@ -152,7 +160,7 @@ module Client = struct
       match Unix.select [ t.fd ] [] [] 0.0 with
       | [], _, _ -> ()
       | _ -> (
-          match read_chunk t.fd with
+          match read_chunk t.buf t.fd with
           | None | Some "" -> ()
           | Some bytes ->
               Frame.Decoder.feed t.decoder bytes;
@@ -178,7 +186,7 @@ module Client = struct
           match Unix.select [ t.fd ] [] [] 5.0 with
           | [], _, _ -> failwith "Client.request: timed out"
           | _ -> (
-              match read_chunk t.fd with
+              match read_chunk t.buf t.fd with
               | None -> failwith "Client.request: connection closed"
               | Some "" -> loop ()
               | Some bytes ->

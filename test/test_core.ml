@@ -1430,11 +1430,12 @@ let test_of_policy_text_end_to_end () =
 (* Team scope, "db before cfg" over the team's time-merged history.
    The worker's own db read at t=5 is folded first; the helper's clock
    lags, so its cfg read at t=2 lands *earlier* in the merged history
-   than the entry the worker's slot folded last.  Appending it would
-   read db-then-cfg and grant; the refold reads cfg-then-db and denies.
-   The helper's second cfg read, at t=8, sorts last and is appended:
-   now db precedes a cfg and the check is granted.  Every verdict must
-   match the naive oracle's. *)
+   than the entry the worker's slot folded last.  Stepping it after
+   that entry would read db-then-cfg and grant; the refold, triggered
+   by the team's proof total moving, reads cfg-then-db and denies.
+   The helper's second cfg read, at t=8, sorts last: after the next
+   refold db precedes a cfg and the check is granted.  Every verdict
+   must match the naive oracle's. *)
 let test_team_fold_refolds_late_entry () =
   let a_out = Sral.Access.write "out" ~at:"s1" in
   let binding =

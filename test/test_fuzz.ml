@@ -466,6 +466,260 @@ let test_admin_adversarial_differential () =
                (Ad.replay_witness inst ops ~trace))
       | Ad.Safe _ | Ad.Undetermined _ -> ())
 
+(* 10. Team proof scope, lazy = naive through [System.check].  The
+   coalition differential above runs event i at global time i + 1, so a
+   member's new proof never sorts before one its teammates already
+   hold.  Here every member keeps its own clock, and member i's clock
+   steps by up to 2i + 1, so a slow member's proof often lands in the
+   middle of the team's merged history.  Members also switch teams
+   mid-run, and a [T_swap] trades two members of different teams that
+   hold equally many proofs: the teams' proof totals stay the same
+   while their histories change, which only the membership stamp
+   shows.  A switch can also drop the only accesses that kept a
+   constraint feasible from a member's team history; a machine kept
+   across the switch still has them in its alphabet, and about one
+   schedule in 650 catches that.  The lazy run must match the naive
+   oracle's verdicts and every activation function. *)
+
+type team_event =
+  | T_check of int * int * Sral.Access.t  (* member, clock step, access *)
+  | T_refresh of int * int  (* member, clock step *)
+  | T_join of int * string
+  | T_swap
+
+type team_schedule = {
+  members : (Sral.Ast.t * string) list;  (* program, first team *)
+  team_bindings : Coordinated.Perm_binding.t list;
+  team_events : team_event list;
+}
+
+let team_pool =
+  List.concat_map
+    (fun r ->
+      List.concat_map
+        (fun s -> [ Sral.Access.read r ~at:s; Sral.Access.write r ~at:s ])
+        [ "s1"; "s2" ])
+    [ "r1"; "r2" ]
+
+let team_binding rng ~proof_scope =
+  Coordinated.Perm_binding.make
+    ~spatial:(Gen.srac_formula ~accesses:team_pool rng)
+    ~spatial_modality:
+      (if Random.State.bool rng then Srac.Program_sat.Exists
+       else Srac.Program_sat.Forall)
+    ~spatial_scope:
+      (if Random.State.int rng 4 = 0 then Coordinated.Perm_binding.Both
+       else Coordinated.Perm_binding.Performed)
+    ~proof_scope
+    (Rbac.Perm.make
+       ~operation:(Gen.pick rng [ "read"; "write"; "*" ])
+       ~target:"*@*")
+
+let team_schedule rng =
+  let n = 2 + Random.State.int rng 3 in
+  let members =
+    List.init n (fun _ ->
+        let program =
+          Sral.Generate.program ~allow_io:false ~resources:[ "r1"; "r2" ]
+            ~servers:[ "s1"; "s2" ]
+            ~size:(4 + Random.State.int rng 6)
+            rng
+        in
+        (program, Gen.pick rng [ "t1"; "t2" ]))
+  in
+  let team_bindings =
+    team_binding rng ~proof_scope:Coordinated.Perm_binding.Team
+    ::
+    (if Random.State.bool rng then
+       [
+         team_binding rng
+           ~proof_scope:
+             Coordinated.Perm_binding.(Gen.pick rng [ Own; Team ]);
+       ]
+     else [])
+  in
+  let event _ =
+    let who = Random.State.int rng n in
+    let step = Random.State.int rng ((2 * who) + 2) in
+    match Random.State.int rng 20 with
+    | 0 | 1 -> T_join (who, Gen.pick rng [ "t1"; "t2" ])
+    | 2 | 3 -> T_swap
+    | 4 | 5 -> T_refresh (who, step)
+    | _ -> T_check (who, step, Gen.pick rng team_pool)
+  in
+  {
+    members;
+    team_bindings;
+    team_events = List.init (20 + Random.State.int rng 30) event;
+  }
+
+type team_run = {
+  trace : string list;  (* verdicts, then activation functions *)
+  lagging : int;  (* grants that sort before a teammate's latest proof *)
+  swaps : int;  (* equal-total swaps with a third member in either team *)
+}
+
+let run_team_schedule ~mode sc =
+  let module S = Coordinated.System in
+  let policy = Rbac.Policy.create () in
+  Rbac.Policy.add_user policy "u";
+  Rbac.Policy.add_role policy "r";
+  Rbac.Policy.assign_user policy "u" "r";
+  Rbac.Policy.grant policy "r" (Rbac.Perm.make ~operation:"*" ~target:"*@*");
+  let sys = S.create ~mode ~bindings:sc.team_bindings policy in
+  let programs = Array.of_list (List.map fst sc.members) in
+  let all = List.init (Array.length programs) Fun.id in
+  let id i = Printf.sprintf "m%d" i in
+  let sessions =
+    Array.map
+      (fun _ ->
+        let s = S.new_session sys ~user:"u" in
+        Rbac.Session.activate s "r";
+        s)
+      programs
+  in
+  List.iteri
+    (fun i (_, team) ->
+      S.arrive sys ~object_id:(id i) ~server:"s1" ~time:Q.zero;
+      S.join_team sys ~object_id:(id i) ~team)
+    sc.members;
+  let clocks = Array.make (Array.length programs) 0 in
+  let last_proof = Array.make (Array.length programs) (-1) in
+  let team i = S.team_of sys ~object_id:(id i) in
+  let proofs i =
+    Coordinated.Monitor.history_epoch (S.monitor sys ~object_id:(id i))
+  in
+  let lagging = ref 0 and swaps = ref 0 in
+  let tick i dt =
+    clocks.(i) <- clocks.(i) + dt;
+    clocks.(i)
+  in
+  let verdicts =
+    List.filter_map
+      (function
+        | T_check (i, dt, access) ->
+            let t = tick i dt in
+            let v =
+              S.check sys ~session:sessions.(i) ~object_id:(id i)
+                ~program:programs.(i) ~time:(Q.of_int t) access
+            in
+            if Coordinated.Decision.is_granted v then begin
+              if
+                List.exists
+                  (fun j -> j <> i && team j = team i && last_proof.(j) > t)
+                  all
+              then incr lagging;
+              last_proof.(i) <- t
+            end;
+            Some
+              (Format.asprintf "%s@%d %a: %a" (id i) t Sral.Access.pp access
+                 Coordinated.Decision.pp_verdict v)
+        | T_refresh (i, dt) ->
+            let t = tick i dt in
+            S.refresh sys ~session:sessions.(i) ~object_id:(id i)
+              ~program:programs.(i) ~time:(Q.of_int t);
+            None
+        | T_join (i, team) ->
+            S.join_team sys ~object_id:(id i) ~team;
+            None
+        | T_swap ->
+            let equal_pairs =
+              List.concat_map
+                (fun a ->
+                  List.filter_map
+                    (fun b ->
+                      if a < b && team a <> team b && proofs a = proofs b
+                         && proofs a > 0
+                      then Some (a, b)
+                      else None)
+                    all)
+                all
+            in
+            (match equal_pairs with
+            | [] -> ()
+            | (a, b) :: _ ->
+                let ta = team a and tb = team b in
+                S.join_team sys ~object_id:(id a) ~team:(Option.get tb);
+                S.join_team sys ~object_id:(id b) ~team:(Option.get ta);
+                if
+                  List.exists
+                    (fun c -> c <> a && c <> b && (team c = ta || team c = tb))
+                    all
+                then incr swaps);
+            None)
+      sc.team_events
+  in
+  let activations =
+    List.concat_map
+      (fun i ->
+        let m = S.monitor sys ~object_id:(id i) in
+        List.map
+          (fun b ->
+            Format.asprintf "%s %s: %a" (id i)
+              (Coordinated.Perm_binding.key b)
+              Temporal.Step_fn.pp
+              (Coordinated.Monitor.activation_fn m b))
+          sc.team_bindings)
+      all
+  in
+  { trace = verdicts @ activations; lagging = !lagging; swaps = !swaps }
+
+let pp_team_schedule ppf sc =
+  Format.fprintf ppf "@[<v>";
+  List.iteri
+    (fun i (program, team) ->
+      Format.fprintf ppf "m%d in %s, program %a@," i team Sral.Pretty.pp
+        program)
+    sc.members;
+  List.iter
+    (fun b -> Format.fprintf ppf "%a@," Coordinated.Perm_binding.pp b)
+    sc.team_bindings;
+  List.iter
+    (function
+      | T_check (i, dt, a) ->
+          Format.fprintf ppf "m%d +%d checks %a@," i dt Sral.Access.pp a
+      | T_refresh (i, dt) -> Format.fprintf ppf "m%d +%d refreshes@," i dt
+      | T_join (i, team) -> Format.fprintf ppf "m%d joins %s@," i team
+      | T_swap -> Format.fprintf ppf "swap@,")
+    sc.team_events;
+  Format.fprintf ppf "@]"
+
+let team_runs = 1000
+
+let test_team_scope_lazy_vs_naive () =
+  let lagging = ref 0 and swaps = ref 0 in
+  Gen.each_seed ~salt:4245 ~count:team_runs (fun ~seed rng ->
+      let sc = team_schedule rng in
+      let trace mode sc = (run_team_schedule ~mode sc).trace in
+      let diverges sc =
+        trace Coordinated.System.Lazy sc <> trace Coordinated.System.Naive sc
+      in
+      let r = run_team_schedule ~mode:Coordinated.System.Lazy sc in
+      lagging := !lagging + r.lagging;
+      swaps := !swaps + r.swaps;
+      if r.trace <> trace Coordinated.System.Naive sc then begin
+        let candidates sc =
+          List.map
+            (fun evs -> { sc with team_events = evs })
+            (Gen.drop_one sc.team_events)
+          @ List.map
+              (fun bs -> { sc with team_bindings = bs })
+              (Gen.drop_one sc.team_bindings)
+        in
+        let small = Gen.shrink ~fails:diverges ~candidates sc in
+        Gen.report_minimized ~seed ~what:"team schedule" pp_team_schedule small;
+        Alcotest.(check (list string))
+          (Printf.sprintf "seed %d: lazy Team scope = naive oracle" seed)
+          (trace Coordinated.System.Naive small)
+          (trace Coordinated.System.Lazy small)
+      end);
+  Printf.printf "%d lagging grants, %d equal-total swaps over %d schedules\n"
+    !lagging !swaps team_runs;
+  Alcotest.(check bool) "schedules produce lagging grants" true
+    (!lagging >= team_runs);
+  Alcotest.(check bool) "schedules produce equal-total swaps" true
+    (!swaps >= team_runs / 10)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -492,6 +746,12 @@ let () =
             test_differential_lazy_repeated_checks;
           Alcotest.test_case "uninstrumented lazy = naive, direct" `Quick
             test_differential_lazy_direct;
+        ] );
+      ( "team-refold",
+        [
+          Alcotest.test_case
+            (Printf.sprintf "lazy = naive over %d team schedules" team_runs)
+            `Quick test_team_scope_lazy_vs_naive;
         ] );
       ( "workflows",
         [
