@@ -22,22 +22,6 @@ type report = {
   truncated : bool;
 }
 
-let finding_index = function
-  | Unsatisfiable { index; _ }
-  | Vacuous { index; _ }
-  | Shadowed { index; _ }
-  | Unexercisable { index; _ }
-  | Temporal_excluded { index; _ } ->
-      index
-
-let finding_binding = function
-  | Unsatisfiable { binding; _ }
-  | Vacuous { binding; _ }
-  | Shadowed { binding; _ }
-  | Unexercisable { binding; _ }
-  | Temporal_excluded { binding; _ } ->
-      binding
-
 (* Runtime activation of a Performed-scope binding is restricted-
    alphabet prefix feasibility: extensions range over the constraint's
    mentioned accesses plus the history.  Flagging a binding as

@@ -66,9 +66,6 @@ type report = {
           {!Srac.Decide}'s own conservative fallback *)
 }
 
-val finding_index : finding -> int
-val finding_binding : finding -> string
-
 val selectors_covered : universe:Sral.Access.t list -> Srac.Formula.t -> bool
 (** Is restricted-alphabet activation exact for this constraint in this
     universe — i.e. is every universe access matched by one of its Card

@@ -1,7 +1,6 @@
 type t = Bytes.t
 
 let create nbits = Bytes.make ((nbits + 7) / 8) '\000'
-let size_bytes = Bytes.length
 let copy = Bytes.copy
 
 let get b i =
@@ -29,12 +28,6 @@ let subset_bytes a b ~pos ~len =
     i >= pos + len
     || let x = Char.code (Bytes.get a i) in
        x land Char.code (Bytes.get b i) = x && go (i + 1)
-  in
-  go pos
-
-let equal_bytes a b ~pos ~len =
-  let rec go i =
-    i >= pos + len || (Bytes.get a i = Bytes.get b i && go (i + 1))
   in
   go pos
 

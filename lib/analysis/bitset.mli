@@ -18,7 +18,6 @@ type t
 val create : int -> t
 (** [create n] is [n] zero bits (rounded up to whole bytes). *)
 
-val size_bytes : t -> int
 val copy : t -> t
 val get : t -> int -> bool
 val set : t -> int -> unit
@@ -38,8 +37,6 @@ val prefix_key : t -> bytes:int -> string
 val subset_bytes : t -> t -> pos:int -> len:int -> bool
 (** [subset_bytes a b ~pos ~len]: within the byte range
     [\[pos, pos+len)], is every bit of [a] also set in [b]? *)
-
-val equal_bytes : t -> t -> pos:int -> len:int -> bool
 
 val cardinal : t -> int
 (** Number of set bits. *)

@@ -1,24 +1,17 @@
 type t = int
 
-module Access_tbl = Hashtbl.Make (struct
-  type t = Sral.Access.t
-
-  let equal = Sral.Access.equal
-  let hash = Sral.Access.hash
-end)
-
 type table = {
-  ids : int Access_tbl.t;
+  ids : int Sral.Access.Tbl.t;
   mutable backing : Sral.Access.t array;
   mutable count : int;
 }
 
 let dummy = Sral.Access.read "" ~at:""
 
-let create () = { ids = Access_tbl.create 16; backing = Array.make 8 dummy; count = 0 }
+let create () = { ids = Sral.Access.Tbl.create 16; backing = Array.make 8 dummy; count = 0 }
 
 let intern tbl a =
-  match Access_tbl.find_opt tbl.ids a with
+  match Sral.Access.Tbl.find_opt tbl.ids a with
   | Some id -> id
   | None ->
       let id = tbl.count in
@@ -29,7 +22,7 @@ let intern tbl a =
       end;
       tbl.backing.(id) <- a;
       tbl.count <- id + 1;
-      Access_tbl.add tbl.ids a id;
+      Sral.Access.Tbl.add tbl.ids a id;
       id
 
 let of_accesses accesses =
@@ -37,7 +30,7 @@ let of_accesses accesses =
   List.iter (fun a -> ignore (intern tbl a)) accesses;
   tbl
 
-let find tbl a = Access_tbl.find_opt tbl.ids a
+let find tbl a = Sral.Access.Tbl.find_opt tbl.ids a
 
 let access tbl id =
   if id < 0 || id >= tbl.count then invalid_arg "Symbol.access: bad symbol"

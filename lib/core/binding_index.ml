@@ -9,26 +9,26 @@ let memo_cap = 1024
 
 type t = {
   mutable bindings : Perm_binding.t list;  (* insertion order *)
-  memo : Perm_binding.t list Residual.Access_tbl.t;
+  memo : Perm_binding.t list Sral.Access.Tbl.t;
 }
 
-let of_list bindings = { bindings; memo = Residual.Access_tbl.create 16 }
+let of_list bindings = { bindings; memo = Sral.Access.Tbl.create 16 }
 
 let length t = List.length t.bindings
 let to_list t = t.bindings
 
 let add t b =
   t.bindings <- t.bindings @ [ b ];
-  Residual.Access_tbl.reset t.memo
+  Sral.Access.Tbl.reset t.memo
 
 let applicable t (a : Sral.Access.t) =
-  match Residual.Access_tbl.find t.memo a with
+  match Sral.Access.Tbl.find t.memo a with
   | bindings -> bindings
   | exception Not_found ->
       let bindings =
         List.filter (fun b -> Perm_binding.applies_to b a) t.bindings
       in
-      if Residual.Access_tbl.length t.memo >= memo_cap then
-        Residual.Access_tbl.reset t.memo;
-      Residual.Access_tbl.add t.memo a bindings;
+      if Sral.Access.Tbl.length t.memo >= memo_cap then
+        Sral.Access.Tbl.reset t.memo;
+      Sral.Access.Tbl.add t.memo a bindings;
       bindings

@@ -237,8 +237,9 @@ let decide_naive ?(companions = []) ~bus ~session ~monitor ~bindings
    verdicts, denial strings, Obs trace spans, monitor clock and
    activation movement — while replacing the per-decision spatial
    recomputation with incremental Brzozowski-derivative residuals
-   ({!Srac.Lazy_dfa}) and version-stamped RBAC caches, so a warm
-   decision allocates nothing.  Per binding, the monitor keeps a
+   ({!Srac.Lazy_dfa}), a version-stamped role bit per binding and the
+   policy's compiled RBAC table, so a warm decision allocates nothing.
+   Per binding, the monitor keeps a
    {!Residual.slot} holding the binding's lazy machine and a cursor
    into the object's performed history; each decision folds only the
    not-yet-seen proof entries into the residual state (a Team-scope
@@ -250,7 +251,7 @@ let decide_naive ?(companions = []) ~bus ~session ~monitor ~bindings
 
 let get_slot ~session ~monitor (b : Perm_binding.t) =
   let store = Monitor.residuals monitor in
-  match Residual.Binding_tbl.find store.Residual.slots b with
+  match Residual.Binding_tbl.find store b with
   | slot -> slot
   | exception Not_found ->
       let machine =
@@ -269,21 +270,20 @@ let get_slot ~session ~monitor (b : Perm_binding.t) =
           team_version = -1;
           team_epoch = -1;
           may_session = session;
-          may_version = Rbac.Session.version session;
-          may_ok =
-            Rbac.Session.may session ~operation:b.perm.Rbac.Perm.operation
-              ~target:b.perm.Rbac.Perm.target;
+          may_version = -1 (* not computed yet: [slot_may_ok] fills it *);
+          may_ok = false;
           prog_program = None;
           prog_result = Ok ();
         }
       in
-      Residual.Binding_tbl.add store.Residual.slots b slot;
+      Residual.Binding_tbl.add store b slot;
       slot
 
-(* [Session.may] rebuilds the active permission set on every call; its
-   result is fully determined by the session object and its version
-   (which bumps on every role activation change and policy edit), so
-   one cached bit per (binding, session, version) suffices. *)
+(* Whether an active role holds the binding's permission pattern is
+   fixed by the session object and its version (which bumps on every
+   role activation change and policy edit), so one bit per (binding,
+   session, version) suffices; the pattern may be wildcarded, so it is
+   asked of [Session.may], not of the per-access compiled probe. *)
 let slot_may_ok ~session slot (b : Perm_binding.t) =
   let v = Rbac.Session.version session in
   if slot.Residual.may_session == session && slot.Residual.may_version = v then
@@ -314,28 +314,6 @@ let program_ok_cached ~outcomes ~program slot (b : Perm_binding.t) c =
       slot.Residual.prog_program <- Some program;
       slot.Residual.prog_result <- r;
       r
-
-(* Same caching argument for the full per-access RBAC verdict. *)
-let rbac_cached ~session ~monitor access =
-  let store = Monitor.residuals monitor in
-  let v = Rbac.Session.version session in
-  match Residual.Access_tbl.find store.Residual.rbac access with
-  | e when e.Residual.r_session == session && e.Residual.r_version = v ->
-      e.Residual.r_verdict
-  | e ->
-      let verdict = Rbac.Engine.decide_access session access in
-      e.Residual.r_session <- session;
-      e.Residual.r_version <- v;
-      e.Residual.r_verdict <- verdict;
-      verdict
-  | exception Not_found ->
-      let verdict = Rbac.Engine.decide_access session access in
-      (* keyed by the requested access, which comes off the wire *)
-      if Residual.Access_tbl.length store.Residual.rbac >= Residual.rbac_cap
-      then Residual.Access_tbl.reset store.Residual.rbac;
-      Residual.Access_tbl.add store.Residual.rbac access
-        { Residual.r_session = session; r_version = v; r_verdict = verdict };
-      verdict
 
 (* Fold the [k] newest proof entries (given newest-first) into the
    slot's own-residual cursor, oldest first.  [k] is 1 in steady state
@@ -545,7 +523,7 @@ let rec first_temporal_failure_lazy ~session ~monitor ~time = function
 let decide_lazy ?(companions = []) ~bus ~session ~monitor ~applicable
     ~team_version ~outcomes ~program ~time access =
   let t0 = stage_start bus ~monitor ~time Obs.Trace.Rbac in
-  let rbac = rbac_cached ~session ~monitor access in
+  let rbac = Rbac.Engine.decide_compiled session access in
   let rbac_ok = Rbac.Engine.is_granted rbac in
   stage_end bus ~monitor ~time Obs.Trace.Rbac t0 rbac_ok;
   let t0 = stage_start bus ~monitor ~time Obs.Trace.Spatial in

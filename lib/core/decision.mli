@@ -99,8 +99,10 @@ val decide_lazy :
     former companion's accesses leave the feasibility alphabet with
     its proofs.  A binding whose machine reaches
     {!Srac.Lazy_dfa.State_limit} is answered by the eager oracles from
-    then on.  RBAC verdicts and role checks are cached per access /
-    binding, stamped by {!Rbac.Session.version}.  The three stage spans
+    then on.  The RBAC stage reads the policy's compiled table
+    ({!Rbac.Engine.decide_compiled}), so the monitor keeps nothing per
+    requested access; each binding's role check is one bit in its slot,
+    stamped by {!Rbac.Session.version}.  The three stage spans
     are emitted exactly as the naive path emits them, but the spatial
     stage stops at the first failing binding.  On an unobserved bus the
     warm path performs zero allocation (benchmarked in E22,

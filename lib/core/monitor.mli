@@ -51,9 +51,9 @@ val activation_fn : t -> Perm_binding.t -> Temporal.Step_fn.t
     for a binding never refreshed on this monitor. *)
 
 val residuals : t -> Residual.store
-(** The monitor's lazy-decision state (binding slots, per-access RBAC
-    verdicts).  Owned by the monitor so its lifetime matches the proof
-    store the residual cursors index into.  Everything a monitor holds
+(** The monitor's lazy-decision state: one slot per binding, nothing
+    per requested access.  Owned by the monitor so its lifetime matches
+    the proof store the residual cursors index into.  Everything it holds
     is about its own object: Program-scope outcomes depend only on the
     program and the binding, so they live in the table a system shares
     with its clones ({!Residual.Program_outcomes}), not here. *)

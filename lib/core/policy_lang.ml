@@ -152,13 +152,6 @@ let parse text =
     lines;
   { policy; bindings = List.rev !bindings }
 
-let parse_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse text
-
 let render_binding (b : Perm_binding.t) =
   let clauses = Buffer.create 64 in
   (match b.Perm_binding.spatial with

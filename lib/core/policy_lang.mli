@@ -34,9 +34,6 @@ exception Error of int * string
 val parse : string -> t
 (** Parse policy text.  @raise Error *)
 
-val parse_file : string -> t
-(** @raise Error and [Sys_error]. *)
-
 val render : t -> string
 (** Render back to (parseable) policy text.  [parse (render t)] is a
     fixed point: rendering the parse of a rendering reproduces it

@@ -2,16 +2,15 @@
    Program-scope outcomes a base system shares with its clones.
 
    Each monitor owns one [store]: a slot per permission binding it has
-   evaluated (holding the binding's lazy constraint machine, a residual
+   evaluated, holding the binding's lazy constraint machine, a residual
    cursor into the object's performed history, the residual state of
    the team's merged history with the (membership, proof total) stamp
    it was folded at, a version-stamped RBAC activation bit, the
    binding's activation change cell and the last Program-scope outcome
-   by program identity) plus a per-access RBAC verdict cache.  The
-   slots are stamp-invalidated, never evicted: a monitor sees only the
-   policy's bindings.  The RBAC cache is keyed by the requested access,
-   which comes off the wire, so it is dropped when it reaches
-   [rbac_cap] entries.
+   by program identity.  The slots are stamp-invalidated, never
+   evicted: a monitor sees only the policy's bindings.  Nothing here is
+   keyed by the requested access — the RBAC verdict for an access comes
+   from the policy's compiled table ({!Rbac.Engine.decide_compiled}).
 
    Slots, like the monitor's activation cells, are keyed by the binding
    value *physically*: bindings are immutable and the binding index
@@ -26,13 +25,6 @@ module Binding_tbl = Hashtbl.Make (struct
 
   let equal = ( == )
   let hash = Hashtbl.hash
-end)
-
-module Access_tbl = Hashtbl.Make (struct
-  type t = Sral.Access.t
-
-  let equal = Sral.Access.equal
-  let hash = Sral.Access.hash
 end)
 
 type cell = (Temporal.Q.t * bool) list ref
@@ -67,17 +59,9 @@ type slot = {
   mutable prog_result : (unit, string) result;
 }
 
-type rbac_entry = {
-  mutable r_session : Rbac.Session.t;
-  mutable r_version : int;
-  mutable r_verdict : Rbac.Engine.verdict;
-}
+type store = slot Binding_tbl.t
 
-type store = { slots : slot Binding_tbl.t; rbac : rbac_entry Access_tbl.t }
-
-let rbac_cap = 256
-
-let create () = { slots = Binding_tbl.create 8; rbac = Access_tbl.create 8 }
+let create () : store = Binding_tbl.create 8
 
 (* Program-scope outcomes, one per (binding, program), shared by a base
    system and every clone of it — across domains, since the parallel

@@ -47,7 +47,6 @@ let policy t = t.policy
 let mode t = t.mode
 let bindings t = Binding_index.to_list t.index
 let add_binding t b = Binding_index.add t.index b
-let applicable_bindings t access = Binding_index.applicable t.index access
 let bus t = t.bus
 let program_outcomes t = Residual.Program_outcomes.size t.outcomes
 

@@ -72,10 +72,6 @@ val bindings : t -> Perm_binding.t list
 val add_binding : t -> Perm_binding.t -> unit
 (** Append; drops the index's per-access memo. *)
 
-val applicable_bindings : t -> Sral.Access.t -> Perm_binding.t list
-(** The bindings {!check} consults for this access, in insertion order
-    — resolved through the index.  Exposed for tests and tooling. *)
-
 val program_outcomes : t -> int
 (** Entries in the Program-scope outcome table the system shares with
     its clones: one per (binding, program) checked so far, with

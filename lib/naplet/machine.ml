@@ -206,7 +206,3 @@ let block t ~thread = with_thread t ~thread (fun th -> th.blocked <- true)
 let unblock t ~thread = with_thread t ~thread (fun th -> th.blocked <- false)
 let skip_request t ~thread = with_thread t ~thread (fun th -> pop_action th)
 let env_value t x = Hashtbl.find_opt t.env x
-let live_threads t = List.length (List.filter (fun th -> th.stack <> []) t.threads)
-
-let is_finished t =
-  List.for_all (fun th -> th.stack = []) t.threads

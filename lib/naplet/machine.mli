@@ -55,5 +55,3 @@ val skip_request : t -> thread:int -> unit
     the deny-and-continue policy for refused accesses. *)
 
 val env_value : t -> string -> Sral.Value.t option
-val live_threads : t -> int
-val is_finished : t -> bool

@@ -15,7 +15,6 @@ type t = {
   mutable retries : int;
   mutable gave_up : int;
   mutable end_time : Temporal.Q.t;
-  per_server : (string, int) Hashtbl.t;
 }
 
 let create () =
@@ -36,19 +35,7 @@ let create () =
     retries = 0;
     gave_up = 0;
     end_time = Temporal.Q.zero;
-    per_server = Hashtbl.create 8;
   }
-
-let record_server m server =
-  let current =
-    match Hashtbl.find_opt m.per_server server with Some n -> n | None -> 0
-  in
-  Hashtbl.replace m.per_server server (current + 1)
-
-let server_counts m =
-  List.sort
-    (fun (s1, _) (s2, _) -> String.compare s1 s2)
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.per_server [])
 
 let total_accesses m = m.granted + m.denied
 
@@ -59,12 +46,10 @@ let grant_rate m =
 let sink ?(relevant = fun _ -> true) m =
   Obs.Sink.make ~name:"metrics" (fun ev ->
       match ev with
-      | Obs.Trace.Decision { object_id; access; verdict; _ }
+      | Obs.Trace.Decision { object_id; verdict; _ }
         when relevant object_id -> (
           match verdict with
-          | Obs.Verdict.Granted ->
-              m.granted <- m.granted + 1;
-              record_server m access.Sral.Access.server
+          | Obs.Verdict.Granted -> m.granted <- m.granted + 1
           | Obs.Verdict.Denied reason -> (
               m.denied <- m.denied + 1;
               match reason with

@@ -23,14 +23,9 @@ type t = {
   mutable retries : int;  (** migration retries scheduled *)
   mutable gave_up : int;  (** retry budgets exhausted *)
   mutable end_time : Temporal.Q.t;
-  per_server : (string, int) Hashtbl.t;  (** granted accesses by server *)
 }
 
 val create : unit -> t
-val record_server : t -> string -> unit
-val server_counts : t -> (string * int) list
-(** Sorted by server name. *)
-
 val total_accesses : t -> int
 
 val grant_rate : t -> float option

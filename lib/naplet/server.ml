@@ -37,7 +37,6 @@ let name s = s.name
 let access_duration s = s.access_duration
 let put_resource s ~name ~contents = Hashtbl.replace s.store name contents
 let get_resource s ~name = Hashtbl.find_opt s.store name
-let has_resource s ~name = Hashtbl.mem s.store name
 
 let resources s =
   List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) s.store [])
@@ -80,11 +79,6 @@ let ensure_room s =
    deque is ascending, so expired entries form a prefix *)
 let busy_from s ~now ~first =
   if s.tail - first < s.capacity then now else q_at s (s.tail - s.capacity)
-
-let busy_until s ~now =
-  let first = ref s.head in
-  while !first < s.tail && le_at s !first now do incr first done;
-  busy_from s ~now ~first:!first
 
 let reserve s ~now =
   prune s ~now;

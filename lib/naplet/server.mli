@@ -18,7 +18,6 @@ val access_duration : t -> Temporal.Q.t
 
 val put_resource : t -> name:string -> contents:string -> unit
 val get_resource : t -> name:string -> string option
-val has_resource : t -> name:string -> bool
 val resources : t -> string list
 (** Sorted. *)
 
@@ -29,9 +28,6 @@ val reserve : t -> now:Temporal.Q.t -> Temporal.Q.t * Temporal.Q.t
     [start >= now] is when a service slot frees up and
     [finish = start + access_duration].  Updates the server's slot
     state and counts the access. *)
-
-val busy_until : t -> now:Temporal.Q.t -> Temporal.Q.t
-(** When the earliest slot frees (= [now] when idle capacity exists). *)
 
 val touch : t -> unit
 (** Count one serviced access (without reserving a slot). *)

@@ -12,6 +12,55 @@ let decide_access session (a : Sral.Access.t) =
     ~operation:(Sral.Access.operation_name a.op)
     ~target:(a.resource ^ "@" ^ a.server)
 
+let field (pattern : Policy.field) value =
+  match pattern with Any -> true | Is s -> String.equal s value
+
+let rec covers (perms : Policy.split_perm array) i ~operation
+    (a : Sral.Access.t) =
+  i < Array.length perms
+  && ((let p = perms.(i) in
+       field p.op operation && field p.resource a.resource
+       && field p.server a.server)
+     || covers perms (i + 1) ~operation a)
+
+let rec any_role policy ~operation a = function
+  | [] -> false
+  | r :: rest ->
+      covers (Policy.compiled_permissions policy r) 0 ~operation a
+      || any_role policy ~operation a rest
+
+let put b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+(* [decide_access]'s denial bytes, in one allocation *)
+let denial ~user ~operation (a : Sral.Access.t) =
+  let head = "no active role of " and grants = " grants " and on = " on " in
+  let len = String.length in
+  let b =
+    Bytes.create
+      (len head + len user + len grants + len operation + len on
+     + len a.resource + 1 + len a.server)
+  in
+  let pos = put b (put b 0 head) user in
+  let pos = put b (put b (put b pos grants) operation) on in
+  ignore (put b (put b (put b pos a.resource) "@") a.server);
+  Bytes.unsafe_to_string b
+
+let rec has_at s i = i < String.length s && (s.[i] = '@' || has_at s (i + 1))
+
+(* A resource holding '@' moves the joined target's first '@', so such
+   a request takes the oracle's path over the joined string. *)
+let decide_compiled session (a : Sral.Access.t) =
+  if has_at a.resource 0 then decide_access session a
+  else
+    let operation = Sral.Access.operation_name a.op in
+    if
+      any_role (Session.policy session) ~operation a
+        (Session.active_roles session)
+    then Granted
+    else Denied (denial ~user:(Session.user session) ~operation a)
+
 let is_granted = function Granted -> true | Denied _ -> false
 
 let pp_verdict ppf = function

@@ -11,7 +11,17 @@ type verdict = Granted | Denied of string
 val decide : Session.t -> operation:string -> target:string -> verdict
 
 val decide_access : Session.t -> Sral.Access.t -> verdict
-(** Convenience: target spelled ["resource@server"]. *)
+(** Convenience: target spelled ["resource@server"].  Builds the joined
+    target and scans every active role's permissions on each call —
+    the oracle {!decide_compiled} is tested against. *)
+
+val decide_compiled : Session.t -> Sral.Access.t -> verdict
+(** The same verdict and denial bytes as {!decide_access}, read from
+    the policy's compiled table ({!Policy.compiled_permissions}): each
+    active role's split permissions are probed against the access's
+    fields, so a grant allocates nothing and a denial allocates its
+    message once.  An access whose resource contains ['@'] is decided
+    by {!decide_access} itself. *)
 
 val is_granted : verdict -> bool
 val pp_verdict : Format.formatter -> verdict -> unit

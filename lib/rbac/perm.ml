@@ -2,9 +2,6 @@ type t = { operation : string; target : string }
 
 let make ~operation ~target = { operation; target }
 
-let on_resource ~operation ~resource ~server =
-  { operation; target = resource ^ "@" ^ server }
-
 let split_target target =
   match String.index_opt target '@' with
   | None -> (target, None)

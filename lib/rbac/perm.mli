@@ -9,9 +9,6 @@ type t = { operation : string; target : string }
 
 val make : operation:string -> target:string -> t
 
-val on_resource : operation:string -> resource:string -> server:string -> t
-(** Target spelled ["resource@server"]. *)
-
 val split_target : string -> string * string option
 (** Split a target at its first ['@']: ["db@s1"] is [("db", Some "s1")],
     ["*"] is [("*", None)].  This is the exact decomposition {!matches}

@@ -5,7 +5,15 @@ module Perm_set = Set.Make (Perm)
 type user = string
 type role = string
 
+type field = Any | Is of string
+type split_perm = { op : field; resource : field; server : field }
+
+(* One table per version, published through an [Atomic] because clones
+   share the policy across domains, and never written after that. *)
+type table = { at : int; perms : split_perm array String_map.t }
+
 type t = {
+  compiled : table Atomic.t;
   hierarchy : Hierarchy.t;
   mutable users : String_set.t;
   mutable user_assignments : String_set.t String_map.t;  (** user -> roles *)
@@ -17,6 +25,7 @@ type t = {
 
 let create () =
   {
+    compiled = Atomic.make { at = -1; perms = String_map.empty };
     hierarchy = Hierarchy.create ();
     users = String_set.empty;
     user_assignments = String_map.empty;
@@ -140,6 +149,35 @@ let role_permissions p r =
 let user_permissions p u =
   List.sort_uniq Perm.compare
     (List.concat_map (role_permissions p) (assigned_roles p u))
+
+let field = function "*" -> Any | s -> Is s
+
+(* A target without '@' matches a [resource@server] request only when
+   it is "*"; any other one is left out. *)
+let split (perm : Perm.t) =
+  let op = field perm.operation in
+  match Perm.split_target perm.target with
+  | r, Some s -> Some { op; resource = field r; server = field s }
+  | "*", None -> Some { op; resource = Any; server = Any }
+  | _, None -> None
+
+let compiled_permissions p r =
+  let table = Atomic.get p.compiled in
+  let table =
+    if table.at = p.version then table
+    else
+      let compile perms r =
+        let split_perms = List.filter_map split (role_permissions p r) in
+        String_map.add r (Array.of_list split_perms) perms
+      in
+      let perms = List.fold_left compile String_map.empty (roles p) in
+      let table = { at = p.version; perms } in
+      Atomic.set p.compiled table;
+      table
+  in
+  match String_map.find r table.perms with
+  | perms -> perms
+  | exception Not_found -> [||]
 
 let users_of_role p r =
   List.filter (fun u -> List.mem r (assigned_roles p u)) (users p)

@@ -71,6 +71,19 @@ val role_permissions : t -> role -> Perm.t list
 val user_permissions : t -> user -> Perm.t list
 (** Union over the user's authorized roles. *)
 
+type field = Any | Is of string  (** [Any] is a ["*"] field *)
+
+type split_perm = { op : field; resource : field; server : field }
+(** A permission split at its target's first ['@'], as {!Perm.matches}
+    reads it. *)
+
+val compiled_permissions : t -> role -> split_perm array
+(** {!role_permissions}, split, without the permissions that match no
+    ["resource@server"] target; empty for an unknown role.  Read from
+    one immutable table per {!version}, built by the first call after
+    the version moves and shared by every domain holding the policy; a
+    call at an unchanged version allocates nothing. *)
+
 val users_of_role : t -> role -> user list
 (** Users directly assigned the role. *)
 

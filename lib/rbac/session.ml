@@ -14,6 +14,7 @@ let create policy ~user =
   { policy; user; active = []; bumps = 0 }
 
 let user s = s.user
+let policy s = s.policy
 let active_roles s = s.active
 
 (* The stamp is the sum of two monotone counters, so equal stamps mean
@@ -43,14 +44,13 @@ let drop s =
   if s.active <> [] then s.bumps <- s.bumps + 1;
   s.active <- []
 
-let active_permissions s =
-  List.sort_uniq Perm.compare
-    (List.concat_map (Policy.role_permissions s.policy) s.active)
-
 let may s ~operation ~target =
   List.exists
-    (fun perm -> Perm.matches perm ~operation ~target)
-    (active_permissions s)
+    (fun r ->
+      List.exists
+        (fun perm -> Perm.matches perm ~operation ~target)
+        (Policy.role_permissions s.policy r))
+    s.active
 
 let pp ppf s =
   Format.fprintf ppf "session(%s, active=[%s])" s.user

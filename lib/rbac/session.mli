@@ -16,6 +16,7 @@ val create : Policy.t -> user:string -> t
 (** @raise Policy.Unknown on an undeclared user. *)
 
 val user : t -> string
+val policy : t -> Policy.t
 val active_roles : t -> string list
 (** Sorted. *)
 
@@ -36,11 +37,9 @@ val deactivate : t -> string -> unit
 val drop : t -> unit
 (** Deactivate everything (session end). *)
 
-val active_permissions : t -> Perm.t list
-(** Permissions of the active roles, with inheritance, sorted. *)
-
 val may : t -> operation:string -> target:string -> bool
-(** Plain-RBAC decision: some active role carries a matching
-    permission.  This is the baseline [Engine] builds on. *)
+(** Plain-RBAC decision: some active role carries (possibly by
+    inheritance) a permission that {!Perm.matches} the request.  This
+    is the baseline [Engine] builds on. *)
 
 val pp : Format.formatter -> t -> unit

@@ -131,7 +131,6 @@ let in_window t k =
   | None -> true
   | Some w -> Temporal.Interval.contains w (slot k)
 
-let windows_ok t = List.for_all (fun k -> in_window t k) (List.init (List.length t.tasks) Fun.id)
 
 let script t = Sral.Ast.seq (List.map (fun tk -> Sral.Ast.access tk.access) t.tasks)
 

@@ -93,7 +93,6 @@ val in_window : t -> int -> bool
 (** Does task [k]'s window contain its slot?  (Assignment-independent,
     because the schedule is canonical.) *)
 
-val windows_ok : t -> bool
 
 val policy_of : t -> Rbac.Policy.t
 

@@ -16,13 +16,6 @@
    differentially fuzzed through the full decision procedure in
    test_fuzz. *)
 
-module Access_tbl = Hashtbl.Make (struct
-  type t = Sral.Access.t
-
-  let equal = Sral.Access.equal
-  let hash = Sral.Access.hash
-end)
-
 module Formula_tbl = Hashtbl.Make (struct
   type t = Formula.t
 
@@ -32,7 +25,7 @@ end)
 
 type t = {
   mutable syms : Sral.Access.t array;  (* symbol id -> access *)
-  sym_ids : int Access_tbl.t;  (* access -> symbol id *)
+  sym_ids : int Sral.Access.Tbl.t;  (* access -> symbol id *)
   mutable sym_count : int;
   mutable states : Formula.t array;  (* state id -> residual *)
   mutable null : bool array;  (* satisfied-by-empty-extension flag *)
@@ -64,19 +57,19 @@ let grow_array a len fill =
   a'
 
 let intern_sym m a =
-  match Access_tbl.find m.sym_ids a with
+  match Sral.Access.Tbl.find m.sym_ids a with
   | id -> id
   | exception Not_found ->
       let id = m.sym_count in
       if id = Array.length m.syms then
         m.syms <- grow_array m.syms (2 * id) dummy_access;
       m.syms.(id) <- a;
-      Access_tbl.add m.sym_ids a id;
+      Sral.Access.Tbl.add m.sym_ids a id;
       m.sym_count <- id + 1;
       id
 
 let find_sym m a =
-  match Access_tbl.find m.sym_ids a with
+  match Sral.Access.Tbl.find m.sym_ids a with
   | id -> id
   | exception Not_found -> -1
 
@@ -109,7 +102,7 @@ let create c =
   let m =
     {
       syms = Array.make 4 dummy_access;
-      sym_ids = Access_tbl.create 16;
+      sym_ids = Sral.Access.Tbl.create 16;
       sym_count = 0;
       states = Array.make 8 Formula.True;
       null = Array.make 8 false;

@@ -40,12 +40,19 @@ let compare a1 a2 =
 
 let equal a1 a2 = compare a1 a2 = 0
 (* combined without building a tuple: this hash sits on allocation-free
-   hot paths (symbol interning, per-access verdict caches) *)
+   hot paths (symbol interning, the applicable-binding memo) *)
 let hash a =
   let h = Hashtbl.hash (operation_name a.op) in
   let h = (h * 131) + Hashtbl.hash a.resource in
   let h = (h * 131) + Hashtbl.hash a.server in
   h land max_int
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
 
 let pp_operation ppf op = Format.pp_print_string ppf (operation_name op)
 

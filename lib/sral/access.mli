@@ -36,6 +36,10 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 
+module Tbl : Hashtbl.S with type key = t
+(** Hashtables keyed by access, compared with {!equal} and hashed with
+    {!hash} (no tuple is built, so a probe allocates nothing). *)
+
 val operation_name : operation -> string
 (** Lower-case operation name as used by the concrete syntax. *)
 

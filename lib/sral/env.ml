@@ -9,7 +9,6 @@ let of_list l =
 
 let bind env x v = String_map.add x v env
 let find env x = String_map.find_opt x env
-let find_exn env x = String_map.find x env
 let mem env x = String_map.mem x env
 let bindings env = String_map.bindings env
 let equal env1 env2 = String_map.equal Value.equal env1 env2

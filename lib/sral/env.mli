@@ -11,9 +11,6 @@ val of_list : (string * Value.t) list -> t
 val bind : t -> string -> Value.t -> t
 val find : t -> string -> Value.t option
 
-val find_exn : t -> string -> Value.t
-(** @raise Not_found when the variable is unbound. *)
-
 val mem : t -> string -> bool
 val bindings : t -> (string * Value.t) list
 val equal : t -> t -> bool

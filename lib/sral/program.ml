@@ -44,13 +44,6 @@ let free_vars p =
   in
   List.sort_uniq String.compare (fold collect [] p)
 
-let assigned_vars p =
-  let collect acc = function
-    | Assign (x, _) | Recv (_, x) -> x :: acc
-    | _ -> acc
-  in
-  List.sort_uniq String.compare (fold collect [] p)
-
 let has_par p = fold (fun b q -> b || match q with Par _ -> true | _ -> false) false p
 let has_loop p = fold (fun b q -> b || match q with While _ -> true | _ -> false) false p
 

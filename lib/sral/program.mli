@@ -24,9 +24,6 @@ val free_vars : Ast.t -> string list
     flow question; this is the simpler syntactic over-approximation:
     all variables occurring in expressions, minus none.  Sorted. *)
 
-val assigned_vars : Ast.t -> string list
-(** Variables bound by [:=] or [?], sorted. *)
-
 val has_par : Ast.t -> bool
 val has_loop : Ast.t -> bool
 

@@ -81,7 +81,6 @@ let combine op f g =
 
 let and_ f g = combine ( && ) f g
 let or_ f g = combine ( || ) f g
-let xor_ f g = combine ( <> ) f g
 
 let changes f = Array.to_list f.changes
 

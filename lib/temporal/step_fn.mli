@@ -26,7 +26,6 @@ val value_at : t -> Q.t -> bool
 val not_ : t -> t
 val and_ : t -> t -> t
 val or_ : t -> t -> t
-val xor_ : t -> t -> t
 
 val integrate : t -> Interval.t -> Q.t
 (** Measure of [{t ∈ iv | f t}] — the paper's [∫ valid(perm, t) dt]. *)

@@ -720,6 +720,196 @@ let test_team_scope_lazy_vs_naive () =
   Alcotest.(check bool) "schedules produce equal-total swaps" true
     (!swaps >= team_runs / 10)
 
+(* --- the compiled RBAC table = Engine.decide_access ---
+   [Rbac.Engine.decide_compiled] (the production RBAC stage) must give
+   the oracle's verdict and denial bytes on every access, while admin
+   ops move the policy version between probes.  Role hierarchies
+   exercise the closure the table is built from; the target pool holds
+   every pattern shape, and resource and server names holding '@'
+   exercise the first-'@' split. *)
+
+type rbac_event =
+  | R_probe of int * Sral.Access.t  (* session index, access *)
+  | R_activate of int * string
+  | R_grant of string * Rbac.Perm.t
+  | R_revoke of string * int  (* the role's nth direct permission *)
+  | R_inherit of string * string  (* senior, junior *)
+  | R_assign of string * string
+  | R_deassign of string * string
+  | R_add_role of string
+
+let rbac_users = [| "u0"; "u0"; "u1" |]  (* per session *)
+let rbac_roles = [ "ra"; "rb"; "rc"; "rd" ]
+
+let rbac_targets =
+  [ "*"; "db"; "db@*"; "*@s1"; "db@s1"; "*@*"; "a@b@s1"; "*@b@s1"; "a@*";
+    "a@b@*"; "cfg@s2" ]
+
+let rbac_event rng =
+  let role () = Gen.pick rng rbac_roles in
+  let user () = Gen.pick rng [ "u0"; "u1" ] in
+  match Random.State.int rng 16 with
+  | 0 | 1 | 2 | 3 | 4 | 5 ->
+      let op =
+        Gen.pick rng
+          Sral.Access.[ Read; Write; Custom "hash"; Custom "*" ]
+      in
+      R_probe
+        ( Random.State.int rng (Array.length rbac_users),
+          Sral.Access.make ~op
+            ~resource:(Gen.pick rng [ "db"; "a"; "a@b"; "cfg"; "*" ])
+            ~server:(Gen.pick rng [ "s1"; "s2"; "b@s1" ]) )
+  | 6 | 7 ->
+      R_activate (Random.State.int rng (Array.length rbac_users), role ())
+  | 8 | 9 ->
+      R_grant
+        ( role (),
+          Rbac.Perm.make
+            ~operation:(Gen.pick rng [ "read"; "write"; "hash"; "*" ])
+            ~target:(Gen.pick rng rbac_targets) )
+  | 10 -> R_revoke (role (), Random.State.int rng 4)
+  | 11 | 12 -> R_inherit (role (), role ())
+  | 13 -> R_assign (user (), role ())
+  | 14 -> R_deassign (user (), role ())
+  | _ -> R_add_role (role ())
+
+let rbac_schedule rng =
+  (* every session starts with an active role, so probes see grants
+     early *)
+  [ R_add_role "ra"; R_assign ("u0", "ra"); R_assign ("u1", "ra") ]
+  @ List.init (Array.length rbac_users) (fun i -> R_activate (i, "ra"))
+  @ List.init (30 + Random.State.int rng 40) (fun _ -> rbac_event rng)
+
+let pp_rbac_event ppf = function
+  | R_probe (i, a) ->
+      Format.fprintf ppf "session %d probes %a" i Sral.Access.pp a
+  | R_activate (i, r) -> Format.fprintf ppf "session %d activates %s" i r
+  | R_grant (r, p) -> Format.fprintf ppf "grant %s %a" r Rbac.Perm.pp p
+  | R_revoke (r, n) -> Format.fprintf ppf "revoke %s's permission %d" r n
+  | R_inherit (s, j) -> Format.fprintf ppf "%s inherits %s" s j
+  | R_assign (u, r) -> Format.fprintf ppf "assign %s %s" u r
+  | R_deassign (u, r) -> Format.fprintf ppf "deassign %s %s" u r
+  | R_add_role r -> Format.fprintf ppf "add role %s" r
+
+let pp_rbac_schedule ppf events =
+  Format.fprintf ppf "@[<v>%a@]"
+    (Format.pp_print_list pp_rbac_event)
+    events
+
+type rbac_probe = {
+  expected : Rbac.Engine.verdict;
+  actual : Rbac.Engine.verdict;
+  inherited : bool;  (* granted through a junior role only *)
+  bumped : bool;  (* the policy version moved since the session's last probe *)
+}
+
+let run_rbac_schedule events =
+  let module P = Rbac.Policy in
+  let policy = P.create () in
+  P.add_user policy "u0";
+  P.add_user policy "u1";
+  let sessions =
+    Array.map (fun user -> Rbac.Session.create policy ~user) rbac_users
+  in
+  let last_seen = Array.make (Array.length sessions) (-1) in
+  let admin f =
+    try f () with
+    | P.Unknown _ | Rbac.Hierarchy.Cycle _ | Rbac.Session.Not_authorized _ ->
+        ()
+  in
+  List.filter_map
+    (function
+      | R_probe (i, a) ->
+          let s = sessions.(i) in
+          let expected = Rbac.Engine.decide_access s a in
+          let actual = Rbac.Engine.decide_compiled s a in
+          let direct =
+            List.exists
+              (fun r ->
+                List.exists
+                  (fun perm ->
+                    Rbac.Perm.matches perm
+                      ~operation:(Sral.Access.operation_name a.op)
+                      ~target:(a.resource ^ "@" ^ a.server))
+                  (P.direct_permissions policy r))
+              (Rbac.Session.active_roles s)
+          in
+          let version = P.version policy in
+          let bumped = last_seen.(i) >= 0 && last_seen.(i) <> version in
+          last_seen.(i) <- version;
+          Some
+            {
+              expected;
+              actual;
+              inherited = Rbac.Engine.is_granted expected && not direct;
+              bumped;
+            }
+      | R_activate (i, r) ->
+          admin (fun () -> Rbac.Session.activate sessions.(i) r);
+          None
+      | R_grant (r, perm) ->
+          admin (fun () -> P.grant policy r perm);
+          None
+      | R_revoke (r, n) ->
+          (match List.nth_opt (P.direct_permissions policy r) n with
+          | Some perm -> P.revoke policy r perm
+          | None -> ());
+          None
+      | R_inherit (senior, junior) ->
+          admin (fun () -> P.add_inheritance policy ~senior ~junior);
+          None
+      | R_assign (u, r) ->
+          admin (fun () -> P.assign_user policy u r);
+          None
+      | R_deassign (u, r) ->
+          P.deassign_user policy u r;
+          None
+      | R_add_role r ->
+          P.add_role policy r;
+          None)
+    events
+
+let rbac_runs = 500
+
+let test_compiled_rbac_vs_oracle () =
+  let grants = ref 0 and denials = ref 0 and inherited = ref 0 in
+  let bumped = ref 0 in
+  Gen.each_seed ~salt:2424 ~count:rbac_runs (fun ~seed rng ->
+      let events = rbac_schedule rng in
+      let diverges events =
+        List.exists
+          (fun p -> p.expected <> p.actual)
+          (run_rbac_schedule events)
+      in
+      let probes = run_rbac_schedule events in
+      List.iter
+        (fun p ->
+          if Rbac.Engine.is_granted p.expected then incr grants
+          else incr denials;
+          if p.inherited then incr inherited;
+          if p.bumped then incr bumped)
+        probes;
+      if diverges events then begin
+        let small = Gen.shrink_list ~fails:diverges events in
+        Gen.report_minimized ~seed ~what:"RBAC schedule" pp_rbac_schedule
+          small;
+        List.iter
+          (fun p ->
+            Alcotest.(check string)
+              (Printf.sprintf "seed %d: compiled = decide_access" seed)
+              (Format.asprintf "%a" Rbac.Engine.pp_verdict p.expected)
+              (Format.asprintf "%a" Rbac.Engine.pp_verdict p.actual))
+          (run_rbac_schedule small)
+      end);
+  Printf.printf
+    "%d grants (%d through a junior role), %d denials, %d probes after a \
+     version bump\n"
+    !grants !inherited !denials !bumped;
+  Alcotest.(check bool) "schedules grant, deny, inherit and bump" true
+    (!grants >= rbac_runs && !denials >= rbac_runs
+    && !inherited >= rbac_runs / 5
+    && !bumped >= rbac_runs)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -752,6 +942,13 @@ let () =
           Alcotest.test_case
             (Printf.sprintf "lazy = naive over %d team schedules" team_runs)
             `Quick test_team_scope_lazy_vs_naive;
+        ] );
+      ( "rbac-table",
+        [
+          Alcotest.test_case
+            (Printf.sprintf "compiled = decide_access over %d schedules"
+               rbac_runs)
+            `Quick test_compiled_rbac_vs_oracle;
         ] );
       ( "workflows",
         [

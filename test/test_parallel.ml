@@ -313,7 +313,89 @@ let test_shared_outcomes_across_domains () =
         (System.program_outcomes base))
     shard_counts
 
-(* 9. The big-coalition generator — the [stacc bench-parallel --big]
+(* 9. Clones of one base share its policy, and with it the policy's
+   compiled RBAC table.  The base decides once, so a table exists for
+   the old version; a grant then moves the version, and each shard's
+   clone checks every access from a different offset, so the domains
+   race to build the new table: verdicts must equal a sequential run
+   on an unshared base. *)
+let test_shared_rbac_table_across_domains () =
+  let module System = Coordinated.System in
+  let accesses =
+    Array.of_list
+      (List.concat_map
+         (fun op ->
+           List.concat_map
+             (fun resource ->
+               List.map
+                 (fun server -> Sral.Access.make ~op ~resource ~server)
+                 [ "s1"; "s2"; "b@s1" ])
+             [ "r1"; "r2"; "db"; "a@b" ])
+         Sral.Access.[ Read; Write; Custom "hash" ])
+  in
+  let n = Array.length accesses in
+  let base_of () =
+    let policy = Rbac.Policy.create () in
+    Rbac.Policy.add_user policy "u";
+    List.iter (Rbac.Policy.add_role policy) [ "junior"; "senior" ];
+    Rbac.Policy.add_inheritance policy ~senior:"senior" ~junior:"junior";
+    Rbac.Policy.assign_user policy "u" "senior";
+    Rbac.Policy.grant policy "junior"
+      (Rbac.Perm.make ~operation:"read" ~target:"*@s1");
+    Rbac.Policy.grant policy "senior"
+      (Rbac.Perm.make ~operation:"write" ~target:"r1@*");
+    let base = System.create ~bindings:[] policy in
+    let session = System.new_session base ~user:"u" in
+    Rbac.Session.activate session "senior";
+    System.arrive base ~object_id:"w" ~server:"s1" ~time:Temporal.Q.zero;
+    ignore
+      (System.check base ~session ~object_id:"w"
+         ~program:(Sral.Parser.program "read r1 @ s1")
+         ~time:Temporal.Q.one accesses.(0));
+    Rbac.Policy.grant policy "junior"
+      (Rbac.Perm.make ~operation:"hash" ~target:"*@b@s1");
+    base
+  in
+  let run system ~offset =
+    let session = System.new_session system ~user:"u" in
+    Rbac.Session.activate session "senior";
+    System.arrive system ~object_id:"o" ~server:"s1" ~time:Temporal.Q.zero;
+    let program = Sral.Parser.program "read r1 @ s1" in
+    let verdicts = Array.make n "" in
+    for k = 0 to n - 1 do
+      let i = (k + offset) mod n in
+      verdicts.(i) <-
+        Format.asprintf "%a" Coordinated.Decision.pp_verdict
+          (System.check system ~session ~object_id:"o" ~program
+             ~time:Temporal.Q.one accesses.(i))
+    done;
+    verdicts
+  in
+  let expected = run (base_of ()) ~offset:0 in
+  Alcotest.(check bool) "the bump's grant is seen" true
+    (Array.exists2
+       (fun (a : Sral.Access.t) v ->
+         a.op = Sral.Access.Custom "hash"
+         && (not (String.contains a.resource '@'))
+         && String.equal v "granted")
+       accesses expected);
+  List.iter
+    (fun shards ->
+      let base = base_of () in
+      let results =
+        P.Backend.parallel
+          (Array.init shards (fun d () ->
+               run (System.clone base) ~offset:(d * n / shards)))
+      in
+      Array.iteri
+        (fun d verdicts ->
+          Alcotest.(check (array string))
+            (Printf.sprintf "shards=%d clone %d = sequential" shards d)
+            expected verdicts)
+        results)
+    shard_counts
+
+(* 10. The big-coalition generator — the [stacc bench-parallel --big]
    workload and the ROADMAP's 10^4+-object shard sweeps: one
    2000-object coalition in team-closed blocks, replayed object-sharded
    at every configured shard count, must conform to the sequential
@@ -365,5 +447,7 @@ let () =
             test_backend_contract;
           Alcotest.test_case "clones share program outcomes across domains"
             `Quick test_shared_outcomes_across_domains;
+          Alcotest.test_case "clones share the compiled RBAC table" `Quick
+            test_shared_rbac_table_across_domains;
         ] );
     ]

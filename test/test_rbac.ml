@@ -319,6 +319,33 @@ let test_engine_decisions () =
   Alcotest.(check bool) "decide_access" true
     (Engine.is_granted (Engine.decide_access s access))
 
+(* The compiled probe reads one table per policy version: a granted
+   probe allocates nothing once the table is built, and a denial carries
+   the oracle's bytes. *)
+let test_engine_compiled () =
+  let policy = fixture () in
+  let s = Session.create policy ~user:"alice" in
+  Session.activate s "auditor";
+  let granted = Sral.Access.read "db" ~at:"s2" in
+  let denied = Sral.Access.write "report" ~at:"s1" in
+  Alcotest.(check bool) "inherited grant" true
+    (Engine.is_granted (Engine.decide_compiled s granted));
+  Alcotest.(check bool) "denial bytes" true
+    (Engine.decide_compiled s denied = Engine.decide_access s denied);
+  let rounds = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (Engine.decide_compiled s granted)
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  Alcotest.(check bool)
+    (Printf.sprintf "granted probe: %.3f minor words" words)
+    true (words < 0.01);
+  Policy.revoke policy "reader" (Perm.of_string "read:*@*");
+  Alcotest.(check bool) "a revoke is seen" true
+    (Engine.decide_compiled s granted = Engine.decide_access s granted
+    && not (Engine.is_granted (Engine.decide_compiled s granted)))
+
 (* --- TRBAC baseline --- *)
 
 let qh = Temporal.Q.of_int
@@ -508,7 +535,11 @@ let () =
           Alcotest.test_case "dsd" `Quick test_session_dsd;
           Alcotest.test_case "permissions" `Quick test_session_permissions;
         ] );
-      ("engine", [ Alcotest.test_case "decisions" `Quick test_engine_decisions ]);
+      ( "engine",
+        [
+          Alcotest.test_case "decisions" `Quick test_engine_decisions;
+          Alcotest.test_case "compiled table" `Quick test_engine_compiled;
+        ] );
       ( "gtrbac",
         [
           Alcotest.test_case "events" `Quick test_gtrbac_events;
