@@ -61,21 +61,21 @@ let e22_trace_out = Sys.getenv_opt "E22_TRACE_OUT"
 (* ------------------------------------------------------------------ *)
 (* The timer and the shared workload builders                          *)
 
-(* The one timer: the median over [repeats] samples of wall-clock ms
-   per call of [f], each sample looping [f] for at least 20 ms on the
-   monotonic clock. *)
-let time_ms ?(repeats = 5) f =
-  let sample () =
-    let t0 = Monotonic_clock.now () in
-    let rec loop calls =
-      ignore (f ());
-      let dt = Int64.sub (Monotonic_clock.now ()) t0 in
-      if dt < 20_000_000L then loop (calls + 1)
-      else Int64.to_float dt /. 1e6 /. float_of_int calls
-    in
-    loop 1
+(* The one timer.  A sample is the wall-clock ms per call of [f] over
+   a loop of at least 20 ms on the monotonic clock; [time_ms] is the
+   median of [repeats] samples. *)
+let sample_ms f =
+  let t0 = Monotonic_clock.now () in
+  let rec loop calls =
+    ignore (f ());
+    let dt = Int64.sub (Monotonic_clock.now ()) t0 in
+    if dt < 20_000_000L then loop (calls + 1)
+    else Int64.to_float dt /. 1e6 /. float_of_int calls
   in
-  List.nth (List.sort compare (List.init repeats (fun _ -> sample ()))) (repeats / 2)
+  loop 1
+
+let median xs = List.nth (List.sort compare xs) (List.length xs / 2)
+let time_ms ?(repeats = 5) f = median (List.init repeats (fun _ -> sample_ms f))
 
 let rng_of seed = Random.State.make [| 0xC0FFEE; seed |]
 let resources = [ "r1"; "r2"; "r3"; "r4" ]
@@ -928,6 +928,11 @@ let e19 () =
    queueing under overload is charged to the server, not hidden by a
    stalling client.
 
+   Beside the closed-loop row, the minor words a warm [Check] feed
+   allocates on the same frames, untimed, on connections with no trace
+   sink ([Service.Load.words_per_feed]; the service tests gate the
+   same figure at 64).
+
    The run exits 1 unless the closed loop completes every request with
    none shed and every sweep row has completed + shed = requests.
 
@@ -965,6 +970,8 @@ let e20 () =
   let fmt = Format.std_formatter in
   Format.fprintf fmt "  %a@." Service.Load.pp_header ();
   Format.fprintf fmt "  %a@." Service.Load.pp_row closed;
+  Format.fprintf fmt "  %12s %.1f minor words per warm Check feed (no sink)@."
+    "allocation:" (Service.Load.words_per_feed ~base ~requests ());
   let sweep = Service.Load.sweep ~base ~requests ~rates () in
   List.iter (fun r -> Format.fprintf fmt "  %a@." Service.Load.pp_row r) sweep;
   Format.pp_print_flush fmt ();
@@ -1116,7 +1123,8 @@ let e21 () =
    passes.
 
    Then three latency rows, both modes side by side, each timing
-   blocks of [E22_CHECKS] checks:
+   blocks of [E22_CHECKS] checks (the median of 5 samples per mode,
+   the modes taking turns, with the min-max spread beside it):
    - warm hit: the E13 steady state — a Program-scope spatial
      constraint, history-independent;
    - warm miss: a Performed-scope constraint granted on every check,
@@ -1221,35 +1229,48 @@ let e22 () =
       Coordinated.System.check control ~session ~object_id:"o0" ~program
         ~time:(Q.of_int !t) access
   in
-  (* ns per call of [f] over blocks of [rounds] calls *)
-  let per_call rounds f =
-    1e6
-    *. time_ms ~repeats:1 (fun () ->
-           for _ = 1 to rounds do
-             ignore (f ())
-           done)
-    /. float_of_int rounds
+  (* ns per check over blocks of [rounds] checks: 5 samples per mode,
+     the modes taking turns so both see the same phases of a shared
+     host; the median, then the min-max spread *)
+  let row ?(rounds = checks) name per_mode =
+    let sampler mode =
+      let f = per_mode mode in
+      fun () ->
+        1e6
+        *. sample_ms (fun () ->
+               for _ = 1 to rounds do
+                 ignore (f ())
+               done)
+        /. float_of_int rounds
+    in
+    let naive = sampler Coordinated.System.Naive
+    and lzy = sampler Coordinated.System.Lazy in
+    let samples = List.init 5 (fun _ -> let n = naive () in (n, lzy ())) in
+    let stat xs =
+      let xs = List.sort compare xs in
+      (List.nth xs 2, Printf.sprintf "[%.0f-%.0f]" (List.hd xs) (List.nth xs 4))
+    in
+    let naive, naive_spread = stat (List.map fst samples) in
+    let lzy, lazy_spread = stat (List.map snd samples) in
+    Printf.printf "  %-22s %9.0f ns %15s %9.0f ns %15s %10.2fx\n%!" name naive
+      naive_spread lzy lazy_spread (naive /. lzy)
   in
-  let row name per_mode =
-    let naive = per_mode Coordinated.System.Naive in
-    let lzy = per_mode Coordinated.System.Lazy in
-    Printf.printf "  %-22s %9.0f ns %9.0f ns %10.2fx\n%!" name naive lzy
-      (naive /. lzy)
-  in
-  Printf.printf "  %-22s %12s %12s %10s   (%d checks/block)\n%!" "" "naive"
-    "lazy" "naive/lazy" checks;
+  Printf.printf
+    "  %-22s %12s %15s %12s %15s %10s   (%d checks/block, median of 5 \
+     [min-max])\n%!"
+    "" "naive" "" "lazy" "" "naive/lazy" checks;
   row "warm hit" (fun mode ->
     let check = fresh ~mode ~bindings:hit_bindings in
     for _ = 1 to 64 do
       ignore (check ())
     done;
-    per_call checks check);
+    check);
   row "warm miss (history)" (fun mode ->
     let check = fresh ~mode ~bindings:miss_bindings in
     ignore (check ());
-    per_call checks check);
-  row "cold (first decision)" (fun mode ->
-    per_call (min checks 400) (fun () -> fresh ~mode ~bindings:hit_bindings ()));
+    check);
+  row ~rounds:(min checks 400) "cold (first decision)" (fun mode () ->
+    fresh ~mode ~bindings:hit_bindings ());
   (* 3. allocation gates: warm calls settle the residual arena, then
      each burst is read off the minor heap *)
   let words_per_call rounds f =

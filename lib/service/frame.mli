@@ -19,6 +19,12 @@ val encode : string -> string
 (** The payload wrapped in a frame.
     @raise Invalid_argument beyond 2³²−1 bytes. *)
 
+val add_frame : Buffer.t -> Buffer.t -> unit
+(** [add_frame out payload] appends [payload]'s frame to [out]: the
+    same bytes as [Buffer.add_string out (encode (Buffer.contents
+    payload))], with no intermediate string.
+    @raise Invalid_argument beyond 2³²−1 bytes. *)
+
 module Decoder : sig
   type t
 
@@ -28,11 +34,30 @@ module Decoder : sig
   val feed : t -> string -> unit
   (** Append raw bytes (any split; ignored once poisoned). *)
 
+  type step =
+    | Payload  (** a payload was consumed; read it in place *)
+    | Await  (** more bytes are needed *)
+    | Poisoned of string
+        (** a length prefix exceeded [max_frame]; every later call
+            returns the same error *)
+
+  val advance : t -> step
+  (** Consume the next complete payload in place, allocating nothing
+      when it returns [Payload] or [Await].  After [Payload], the
+      payload is the {!payload_len} bytes of {!bytes} from
+      {!payload_off}.  They stay valid until the next {!feed}, which
+      may move or overwrite them. *)
+
+  val bytes : t -> Bytes.t
+  (** The decoder's own buffer.  Read it; never write it. *)
+
+  val payload_off : t -> int
+  val payload_len : t -> int
+
   val next : t -> (string option, string) result
-  (** The next complete payload: [Ok (Some payload)], [Ok None] when
-      more bytes are needed, or [Error msg] once poisoned (a length
-      prefix exceeded [max_frame]; every later call returns the same
-      error). *)
+  (** {!advance}, with the payload copied out: [Ok (Some payload)],
+      [Ok None] when more bytes are needed, or [Error msg] once
+      poisoned. *)
 
   val buffered : t -> int
   (** Unconsumed bytes currently held. *)

@@ -9,16 +9,20 @@ type result = {
 }
 
 (* Pre-encoded Check frames round-robin over [conns] connections, after
-   the registration preamble each connection needs first.  A frame is
-   paired with its connection's index into [ids]. *)
-let prepare ~conns ~seed ~requests server =
+   the registration preamble each connection needs first (without its
+   [Subscribe] when not [subscribe]).  A frame is paired with its
+   connection's index into [ids]. *)
+let prepare ?(subscribe = true) ~conns ~seed ~requests server =
   let script = Script.generate ~conns ~requests:0 ~seed () in
   let ids = Array.init conns (fun _ -> Server.open_conn server) in
   List.iter
     (fun (e : Script.entry) ->
-      ignore
-        (Server.feed server ~conn:ids.(e.conn)
-           (Frame.encode (Protocol.encode_request e.req))))
+      match e.req with
+      | Subscribe when not subscribe -> ()
+      | req ->
+          ignore
+            (Server.feed server ~conn:ids.(e.conn)
+               (Frame.encode (Protocol.encode_request req))))
     script;
   let rng = Random.State.make [| 0x10ad; seed |] in
   let frames =
@@ -69,6 +73,17 @@ let closed ?(conns = 4) ?(seed = 1) ~base ~requests () =
     frames;
   let elapsed_s = Unix.gettimeofday () -. t0 in
   finish ~offered:0.0 ~requests ~server ~executed0 ~shed0 ~elapsed_s ~latency
+
+let words_per_feed ~base ~requests () =
+  let server = Server.create ~base () in
+  let ids, frames = prepare ~subscribe:false ~conns:4 ~seed:1 ~requests server in
+  let feed_all () =
+    Array.iter (fun (c, frame) -> ignore (Server.feed server ~conn:ids.(c) frame)) frames
+  in
+  feed_all ();
+  let w0 = Gc.minor_words () in
+  feed_all ();
+  (Gc.minor_words () -. w0) /. float_of_int requests
 
 (* Request i is due at t0 + i/rate, so only a finite rate > 0 paces
    arrivals: at rate 0 the first due time is NaN and the loop spins. *)

@@ -45,6 +45,14 @@ val closed :
   unit ->
   result
 
+val words_per_feed : base:Coordinated.System.t -> requests:int -> unit -> float
+(** Minor words one {!Server.feed} of a warm [Check] frame allocates,
+    on average, on connections with no trace sink: {!closed}'s frames
+    at its default connections and seed (its preamble without the
+    [Subscribe]) are fed once to warm the
+    connections, then once more between two [Gc.minor_words] reads.
+    No clock is read, so the figure is the server's alone. *)
+
 val open_loop :
   ?conns:int ->
   ?seed:int ->

@@ -39,13 +39,17 @@ let describe = function
 (* ------------------------------------------------------------------ *)
 (* Writer *)
 
-let w_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
+(* Untrusted text echoed into a reply is cut to a fixed prefix, so a
+   peer cannot make a refusal as large as the request it refuses. *)
+let quote_limit = 64
 
-let w_u32 buf v =
-  w_u8 buf (v lsr 24);
-  w_u8 buf (v lsr 16);
-  w_u8 buf (v lsr 8);
-  w_u8 buf v
+let quote s =
+  let n = String.length s in
+  if n <= quote_limit then Printf.sprintf "%S" s
+  else Printf.sprintf "%S... (%d bytes)" (String.sub s 0 quote_limit) n
+
+let w_u8 buf v = Buffer.add_uint8 buf (v land 0xff)
+let w_u32 buf v = Buffer.add_int32_be buf (Int32.of_int v)
 
 let w_str buf s =
   w_u32 buf (String.length s);
@@ -117,10 +121,9 @@ let encode_request req =
   | Subscribe -> w_u8 buf 7);
   Buffer.contents buf
 
-let encode_reply reply =
-  let buf = Buffer.create 64 in
+let write_reply buf reply =
   w_u8 buf version;
-  (match reply with
+  match reply with
   | Ack { seq } ->
       w_u8 buf 0;
       w_u32 buf seq
@@ -137,148 +140,176 @@ let encode_reply reply =
       w_u32 buf seq
   | Event ev ->
       w_u8 buf 4;
-      w_str buf (Obs.Export.to_line ev));
+      w_str buf (Obs.Export.to_line ev)
+
+let encode_reply reply =
+  let buf = Buffer.create 64 in
+  write_reply buf reply;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Reader.  Decoding is total: local exception, caught at the border. *)
+(* Reader: a cursor over [lim - pos] bytes of [src].  Decoding is
+   total: local exception, caught at the border. *)
+
+type cursor = { src : Bytes.t; mutable pos : int; lim : int }
 
 exception Fail of error
 
-let decode_with read s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let r_u8 () =
-    if !pos >= n then raise (Fail Truncated)
-    else begin
-      let b = Char.code s.[!pos] in
-      incr pos;
-      b
-    end
+let r_u8 c =
+  if c.pos >= c.lim then raise (Fail Truncated)
+  else begin
+    let b = Bytes.get_uint8 c.src c.pos in
+    c.pos <- c.pos + 1;
+    b
+  end
+
+let r_u32 c =
+  if c.lim - c.pos < 4 then raise (Fail Truncated)
+  else begin
+    (* mask away Int32's sign extension on 64-bit ints *)
+    let v = Int32.to_int (Bytes.get_int32_be c.src c.pos) land 0xFFFFFFFF in
+    c.pos <- c.pos + 4;
+    v
+  end
+
+(* The length of the string field at the cursor, whose bytes follow. *)
+let r_len c =
+  let len = r_u32 c in
+  if len > c.lim - c.pos then raise (Fail Truncated) else len
+
+let r_str c =
+  let len = r_len c in
+  let v = Bytes.sub_string c.src c.pos len in
+  c.pos <- c.pos + len;
+  v
+
+let rec same_from src off name i =
+  i = String.length name
+  || (Bytes.get src (off + i) = name.[i] && same_from src off name (i + 1))
+
+(* The [len] bytes at the cursor spell [name]. *)
+let is c len name = len = String.length name && same_from c.src c.pos name 0
+
+(* [Sral.Access.operation_of_name], matched in place: only a custom
+   operation's name becomes a string. *)
+let r_op c : Sral.Access.operation =
+  let len = r_len c in
+  let op : Sral.Access.operation =
+    if is c len "read" then Read
+    else if is c len "write" then Write
+    else if is c len "execute" then Execute
+    else Custom (Bytes.sub_string c.src c.pos len)
   in
-  let r_u32 () =
-    let a = r_u8 () in
-    let b = r_u8 () in
-    let c = r_u8 () in
-    let d = r_u8 () in
-    (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
-  in
-  let r_str () =
-    let len = r_u32 () in
-    if len > n - !pos then raise (Fail Truncated)
-    else begin
-      let v = String.sub s !pos len in
-      pos := !pos + len;
-      v
-    end
-  in
-  let r_list r =
-    let count = r_u32 () in
-    (* an honest list of k elements needs at least k payload bytes;
-       reject absurd counts before allocating *)
-    if count > n - !pos then raise (Fail Truncated)
-    else List.init count (fun _ -> r ())
-  in
-  let r_q () =
-    let raw = r_str () in
-    match Q.of_string raw with
-    | q -> q
-    | exception _ -> raise (Fail (Malformed (Printf.sprintf "bad rational %S" raw)))
-  in
+  c.pos <- c.pos + len;
+  op
+
+let r_list c r =
+  let count = r_u32 c in
+  (* an honest list of k elements needs at least k payload bytes;
+     reject absurd counts before allocating *)
+  if count > c.lim - c.pos then raise (Fail Truncated)
+  else List.init count (fun _ -> r c)
+
+let r_q c =
+  let raw = r_str c in
+  match Q.of_string raw with
+  | q -> q
+  | exception _ ->
+      raise (Fail (Malformed (Printf.sprintf "bad rational %s" (quote raw))))
+
+let decode read src ~off ~len =
+  let c = { src; pos = off; lim = off + len } in
   match
-    let v = r_u8 () in
+    let v = r_u8 c in
     if v <> version then raise (Fail (Bad_version v));
-    let value = read ~r_u8 ~r_u32 ~r_str ~r_list ~r_q in
-    if !pos <> n then
-      raise (Fail (Malformed (Printf.sprintf "%d trailing bytes" (n - !pos))));
+    let value = read c in
+    if c.pos <> c.lim then
+      raise (Fail (Malformed (Printf.sprintf "%d trailing bytes" (c.lim - c.pos))));
     value
   with
   | value -> Ok value
   | exception Fail e -> Error e
 
-let r_access ~r_str () =
-  let op = Sral.Access.operation_of_name (r_str ()) in
-  let resource = r_str () in
-  let server = r_str () in
-  Sral.Access.make ~op ~resource ~server
+let r_request c =
+  match r_u8 c with
+  | 0 -> Ping
+  | 1 ->
+      let object_id = r_str c in
+      let owner = r_str c in
+      let roles = r_list c r_str in
+      let text = r_str c in
+      let program =
+        match Sral.Parser.program text with
+        | ast -> ast
+        | exception _ ->
+            raise (Fail (Malformed (Printf.sprintf "bad program %s" (quote text))))
+      in
+      Register { object_id; owner; roles; program }
+  | 2 ->
+      let object_id = r_str c in
+      let server = r_str c in
+      Arrive { object_id; server }
+  | 3 -> Depart { object_id = r_str c }
+  | 4 ->
+      let object_id = r_str c in
+      let op = r_op c in
+      let resource = r_str c in
+      let server = r_str c in
+      Check { object_id; access = Sral.Access.make ~op ~resource ~server }
+  | 5 ->
+      let object_id = r_str c in
+      let role = r_str c in
+      Activate { object_id; role }
+  | 6 ->
+      let object_id = r_str c in
+      let team = r_str c in
+      Join { object_id; team }
+  | 7 -> Subscribe
+  | t -> raise (Fail (Bad_tag t))
+
+let decode_request_in src ~off ~len = decode r_request src ~off ~len
 
 let decode_request s =
-  decode_with
-    (fun ~r_u8 ~r_u32:_ ~r_str ~r_list ~r_q:_ ->
-      match r_u8 () with
-      | 0 -> Ping
-      | 1 ->
-          let object_id = r_str () in
-          let owner = r_str () in
-          let roles = r_list (fun () -> r_str ()) in
-          let text = r_str () in
-          let program =
-            match Sral.Parser.program text with
-            | ast -> ast
-            | exception _ ->
-                raise (Fail (Malformed (Printf.sprintf "bad program %S" text)))
-          in
-          Register { object_id; owner; roles; program }
-      | 2 ->
-          let object_id = r_str () in
-          let server = r_str () in
-          Arrive { object_id; server }
-      | 3 -> Depart { object_id = r_str () }
-      | 4 ->
-          let object_id = r_str () in
-          let access = r_access ~r_str () in
-          Check { object_id; access }
-      | 5 ->
-          let object_id = r_str () in
-          let role = r_str () in
-          Activate { object_id; role }
-      | 6 ->
-          let object_id = r_str () in
-          let team = r_str () in
-          Join { object_id; team }
-      | 7 -> Subscribe
-      | t -> raise (Fail (Bad_tag t)))
-    s
+  decode r_request (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
-let r_verdict ~r_u8 ~r_str ~r_q () : Obs.Verdict.t =
-  match r_u8 () with
+let r_verdict c : Obs.Verdict.t =
+  match r_u8 c with
   | 0 -> Granted
-  | 1 -> Denied (Rbac_denied (r_str ()))
+  | 1 -> Denied (Rbac_denied (r_str c))
   | 2 ->
-      let binding = r_str () in
-      let detail = r_str () in
+      let binding = r_str c in
+      let detail = r_str c in
       Denied (Spatial_violation { binding; detail })
   | 3 ->
-      let binding = r_str () in
-      let spent = r_q () in
+      let binding = r_str c in
+      let spent = r_q c in
       Denied (Temporal_expired { binding; spent })
-  | 4 -> Denied (Not_active (r_str ()))
+  | 4 -> Denied (Not_active (r_str c))
   | 5 -> Denied Not_arrived
-  | 6 -> Denied (Server_unavailable (r_str ()))
+  | 6 -> Denied (Server_unavailable (r_str c))
   | t -> raise (Fail (Malformed (Printf.sprintf "unknown verdict tag %d" t)))
 
+let r_reply c =
+  match r_u8 c with
+  | 0 -> Ack { seq = r_u32 c }
+  | 1 ->
+      let seq = r_u32 c in
+      let verdict = r_verdict c in
+      Verdict { seq; verdict }
+  | 2 ->
+      let seq = r_u32 c in
+      let reason = r_str c in
+      Rejected { seq; reason }
+  | 3 -> Shed { seq = r_u32 c }
+  | 4 -> (
+      let line = r_str c in
+      match Obs.Export.of_line line with
+      | Ok ev -> Event ev
+      | Error msg -> raise (Fail (Malformed (Printf.sprintf "bad event: %s" msg))))
+  | t -> raise (Fail (Bad_tag t))
+
 let decode_reply s =
-  decode_with
-    (fun ~r_u8 ~r_u32 ~r_str ~r_list:_ ~r_q ->
-      match r_u8 () with
-      | 0 -> Ack { seq = r_u32 () }
-      | 1 ->
-          let seq = r_u32 () in
-          let verdict = r_verdict ~r_u8 ~r_str ~r_q () in
-          Verdict { seq; verdict }
-      | 2 ->
-          let seq = r_u32 () in
-          let reason = r_str () in
-          Rejected { seq; reason }
-      | 3 -> Shed { seq = r_u32 () }
-      | 4 -> (
-          let line = r_str () in
-          match Obs.Export.of_line line with
-          | Ok ev -> Event ev
-          | Error msg ->
-              raise (Fail (Malformed (Printf.sprintf "bad event: %s" msg))))
-      | t -> raise (Fail (Bad_tag t)))
-    s
+  decode r_reply (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* JSONL debug codec (write-only). *)

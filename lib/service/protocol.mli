@@ -59,9 +59,33 @@ type error =
 val describe : error -> string
 
 val encode_request : request -> string
+
 val decode_request : string -> (request, error) result
+(** {!decode_request_in} over the whole string. *)
+
+val decode_request_in :
+  Bytes.t -> off:int -> len:int -> (request, error) result
+(** Decode the [len] bytes of the buffer from [off], in place: a cursor
+    walks them, only the request's string fields are copied out, and a
+    [Check]'s operation name is matched without building a string.
+    This is how the server reads a payload straight out of its
+    {!Frame.Decoder}; such a payload is valid only until the next
+    {!Frame.Decoder.feed}, so it must be decoded before then. *)
+
+val write_reply : Buffer.t -> reply -> unit
+(** Append a reply's payload (unframed) to the buffer: the bytes
+    {!encode_reply} returns, with no intermediate string. *)
+
 val encode_reply : reply -> string
+(** {!write_reply} into a fresh buffer. *)
+
 val decode_reply : string -> (reply, error) result
+
+val quote : string -> string
+(** Untrusted text for a refusal reason: [Printf.sprintf "%S" s] when
+    [s] is at most 64 bytes, otherwise its first 64 bytes so quoted,
+    then ["... (N bytes)"].  A reply that echoes what a peer sent so
+    stays bounded whatever the peer sent. *)
 
 val reply_to_line : reply -> string
 (** One JSON object (no newline); verdicts embed

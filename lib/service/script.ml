@@ -158,7 +158,7 @@ let direct_exec c (req : Protocol.request) : Protocol.reply =
   let reject reason : Protocol.reply = Rejected { seq; reason } in
   let with_obj id f =
     match Hashtbl.find_opt c.objects id with
-    | None -> reject (Printf.sprintf "unknown object %S" id)
+    | None -> reject (Printf.sprintf "unknown object %s" (Protocol.quote id))
     | Some o -> f o
   in
   match req with
@@ -168,11 +168,12 @@ let direct_exec c (req : Protocol.request) : Protocol.reply =
       Ack { seq }
   | Register { object_id; owner; roles; program } -> (
       if Hashtbl.mem c.objects object_id then
-        reject (Printf.sprintf "object %S already registered" object_id)
+        reject
+          (Printf.sprintf "object %s already registered" (Protocol.quote object_id))
       else
         match System.new_session c.system ~user:owner with
         | exception Rbac.Policy.Unknown (what, who) ->
-            reject (Printf.sprintf "unknown %s %S" what who)
+            reject (Printf.sprintf "unknown %s %s" what (Protocol.quote who))
         | session ->
             List.iter
               (fun r ->
@@ -204,9 +205,13 @@ let direct_exec c (req : Protocol.request) : Protocol.reply =
           match Rbac.Session.activate o.session role with
           | () -> Ack { seq }
           | exception Rbac.Session.Not_authorized (u, r) ->
-              reject (Printf.sprintf "user %S may not activate %S" u r)
+              reject
+                (Printf.sprintf "user %s may not activate %s" (Protocol.quote u)
+                   (Protocol.quote r))
           | exception Rbac.Session.Dsd_violation (_, u, r) ->
-              reject (Printf.sprintf "DSD forbids %S activating %S" u r))
+              reject
+                (Printf.sprintf "DSD forbids %s activating %s" (Protocol.quote u)
+                   (Protocol.quote r)))
   | Join { object_id; team } ->
       with_obj object_id (fun _ ->
           System.join_team c.system ~object_id ~team;

@@ -12,7 +12,8 @@ type conn = {
   system : System.t;
   decoder : Frame.Decoder.t;
   objects : (string, obj_state) Hashtbl.t;
-  out : Buffer.t;  (* reply bytes of the feed in progress *)
+  out : Buffer.t;  (* reply frames of the feed in progress *)
+  payload : Buffer.t;  (* the reply [write] is framing *)
   mutable subscribed : bool;
   mutable seq : int;  (* requests consumed; request i executes at time i *)
   mutable dead : bool;
@@ -52,6 +53,7 @@ let open_conn t =
       decoder = Frame.Decoder.create ();
       objects = Hashtbl.create 8;
       out = Buffer.create 256;
+      payload = Buffer.create 64;
       subscribed = false;
       seq = 0;
       dead = false;
@@ -89,21 +91,20 @@ let malformed t = t.closed_malformed + sum t (fun c -> c.malformed)
 let agent_of c = Printf.sprintf "conn-%d" c.id
 
 let write c (reply : Protocol.reply) =
-  Buffer.add_string c.out (Frame.encode (Protocol.encode_reply reply))
+  Buffer.clear c.payload;
+  Protocol.write_reply c.payload reply;
+  Frame.add_frame c.out c.payload
+
+let reject seq reason : Protocol.reply = Rejected { seq; reason }
+
+let unknown_object seq id =
+  reject seq (Printf.sprintf "unknown object %s" (Protocol.quote id))
 
 (* Execute one decoded request at the connection's next logical time. *)
 let exec c (req : Protocol.request) : Protocol.reply =
   c.seq <- c.seq + 1;
   c.executed <- c.executed + 1;
   let seq = c.seq in
-  let time = Q.of_int seq in
-  let reject reason : Protocol.reply = Rejected { seq; reason } in
-  let unknown_object id = reject (Printf.sprintf "unknown object %S" id) in
-  let with_obj id f =
-    match Hashtbl.find_opt c.objects id with
-    | None -> unknown_object id
-    | Some o -> f o
-  in
   match req with
   | Ping -> Ack { seq }
   | Subscribe ->
@@ -121,11 +122,12 @@ let exec c (req : Protocol.request) : Protocol.reply =
       Ack { seq }
   | Register { object_id; owner; roles; program } -> (
       if Hashtbl.mem c.objects object_id then
-        reject (Printf.sprintf "object %S already registered" object_id)
+        reject seq
+          (Printf.sprintf "object %s already registered" (Protocol.quote object_id))
       else
         match System.new_session c.system ~user:owner with
         | exception Rbac.Policy.Unknown (what, who) ->
-            reject (Printf.sprintf "unknown %s %S" what who)
+            reject seq (Printf.sprintf "unknown %s %s" what (Protocol.quote who))
         | session ->
             (* best-effort activation, the scenario interpreter's rule *)
             List.iter
@@ -138,33 +140,47 @@ let exec c (req : Protocol.request) : Protocol.reply =
             Hashtbl.replace c.objects object_id { session; program };
             Ack { seq })
   | Arrive { object_id; server } ->
-      with_obj object_id (fun _ ->
-          System.arrive c.system ~object_id ~server ~time;
-          Ack { seq })
-  | Depart { object_id } ->
-      with_obj object_id (fun o ->
+      if not (Hashtbl.mem c.objects object_id) then unknown_object seq object_id
+      else begin
+        System.arrive c.system ~object_id ~server ~time:(Q.of_int seq);
+        Ack { seq }
+      end
+  | Depart { object_id } -> (
+      match Hashtbl.find c.objects object_id with
+      | exception Not_found -> unknown_object seq object_id
+      | o ->
           Rbac.Session.drop o.session;
           Hashtbl.remove c.objects object_id;
           Ack { seq })
-  | Check { object_id; access } ->
-      with_obj object_id (fun o ->
+  | Check { object_id; access } -> (
+      match Hashtbl.find c.objects object_id with
+      | exception Not_found -> unknown_object seq object_id
+      | o ->
           let verdict =
             System.check c.system ~session:o.session ~object_id
-              ~program:o.program ~time access
+              ~program:o.program ~time:(Q.of_int seq) access
           in
           Verdict { seq; verdict })
-  | Activate { object_id; role } ->
-      with_obj object_id (fun o ->
+  | Activate { object_id; role } -> (
+      match Hashtbl.find c.objects object_id with
+      | exception Not_found -> unknown_object seq object_id
+      | o -> (
           match Rbac.Session.activate o.session role with
           | () -> Ack { seq }
           | exception Rbac.Session.Not_authorized (u, r) ->
-              reject (Printf.sprintf "user %S may not activate %S" u r)
+              reject seq
+                (Printf.sprintf "user %s may not activate %s" (Protocol.quote u)
+                   (Protocol.quote r))
           | exception Rbac.Session.Dsd_violation (_, u, r) ->
-              reject (Printf.sprintf "DSD forbids %S activating %S" u r))
+              reject seq
+                (Printf.sprintf "DSD forbids %s activating %s" (Protocol.quote u)
+                   (Protocol.quote r))))
   | Join { object_id; team } ->
-      with_obj object_id (fun _ ->
-          System.join_team c.system ~object_id ~team;
-          Ack { seq })
+      if not (Hashtbl.mem c.objects object_id) then unknown_object seq object_id
+      else begin
+        System.join_team c.system ~object_id ~team;
+        Ack { seq }
+      end
 
 let abort_event c reason =
   Obs.Bus.emit (System.bus c.system)
@@ -179,37 +195,41 @@ let kill c reason =
   write c (Rejected { seq = c.seq; reason });
   c.dead <- true
 
-(* Decode and run each frame as it is drained.  Every byte is in the
-   decoder before the first frame runs, so the shed boundary is the
-   frame's index in this feed, whatever else the bytes complete. *)
-let feed_conn t c bytes =
-  Frame.Decoder.feed c.decoder bytes;
-  let rec go i =
-    match Frame.Decoder.next c.decoder with
-    | Ok None -> ()
-    | Error e -> kill c e
-    | Ok (Some _) when i >= t.config.queue_capacity ->
-        c.seq <- c.seq + 1;
-        c.shed <- c.shed + 1;
-        abort_event c "overload-shed";
-        write c (Shed { seq = c.seq });
-        go (i + 1)
-    | Ok (Some payload) -> (
-        match Protocol.decode_request payload with
-        | Ok req ->
-            write c (exec c req);
-            go (i + 1)
-        | Error err -> kill c (Protocol.describe err))
-  in
-  go 0;
-  let replies = Buffer.contents c.out in
-  Buffer.reset c.out;
-  replies
+(* Decode and run each frame as it is drained, straight out of the
+   decoder's buffer.  Every byte is in the decoder before the first
+   frame runs, so the shed boundary is the frame's index in this feed,
+   whatever else the bytes complete. *)
+let rec drain t c i =
+  let dec = c.decoder in
+  match Frame.Decoder.advance dec with
+  | Await -> ()
+  | Poisoned e -> kill c e
+  | Payload when i >= t.config.queue_capacity ->
+      c.seq <- c.seq + 1;
+      c.shed <- c.shed + 1;
+      abort_event c "overload-shed";
+      write c (Shed { seq = c.seq });
+      drain t c (i + 1)
+  | Payload -> (
+      match
+        Protocol.decode_request_in (Frame.Decoder.bytes dec)
+          ~off:(Frame.Decoder.payload_off dec) ~len:(Frame.Decoder.payload_len dec)
+      with
+      | Ok req ->
+          write c (exec c req);
+          drain t c (i + 1)
+      | Error err -> kill c (Protocol.describe err))
 
 let feed t ~conn bytes =
-  match Hashtbl.find_opt t.conns conn with
-  | Some c when not c.dead -> feed_conn t c bytes
-  | _ -> ""
+  match Hashtbl.find t.conns conn with
+  | exception Not_found -> ""
+  | c when c.dead -> ""
+  | c ->
+      Frame.Decoder.feed c.decoder bytes;
+      drain t c 0;
+      let replies = Buffer.contents c.out in
+      Buffer.reset c.out;
+      replies
 
 let feed_batch t items =
   (* group chunks by connection, preserving chunk order within each

@@ -62,13 +62,19 @@ val feed : t -> conn:int -> string -> string
     dead connections produce [""].
 
     One pass: all the bytes go into the connection's decoder first,
-    then each completed frame is decoded and run as it is drained, and
-    its reply, with the events it caused, is written once into the
-    connection's output buffer.  The frame at index [i] of this feed is
-    shed when [i >= queue_capacity], undecoded; a framing error or an
-    undecodable payload within the capacity kills the connection, and
-    the frames after it are not run.  The buffer is emptied before
-    [feed] returns, so an idle connection holds no reply bytes. *)
+    then each completed frame is decoded in place, straight out of the
+    decoder's buffer ({!Frame.Decoder.advance},
+    {!Protocol.decode_request_in}), and run as it is drained.  Its
+    reply, with the events it caused, is written once into the
+    connection's output buffer: {!Protocol.write_reply} fills a reused
+    per-connection payload buffer and {!Frame.add_frame} appends the
+    length prefix and the payload, so no intermediate reply string is
+    built.  The only string a feed makes of its replies is the one it
+    returns.  The frame at index [i] of this feed is shed when
+    [i >= queue_capacity], undecoded; a framing error or an undecodable
+    payload within the capacity kills the connection, and the frames
+    after it are not run.  The output buffer is emptied before [feed]
+    returns, so an idle connection holds no reply bytes. *)
 
 val feed_batch : t -> (int * string) list -> (int * string) list
 (** [feed] for several connections at once, fanned out across domains

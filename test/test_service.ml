@@ -380,6 +380,44 @@ let test_server_sheds_overload () =
   Alcotest.(check bool) "shedding is not fatal" true
     (Server.conn_alive server ~conn)
 
+(* A refusal quotes at most a fixed prefix of the untrusted text it
+   names, so a megabyte request cannot buy a multi-megabyte reply; a
+   short name keeps its %S bytes. *)
+let test_refusals_bounded () =
+  let big = 1_000_000 in
+  let bounded what out =
+    if String.length out >= 512 then
+      Alcotest.failf "%s: %d-byte reply" what (String.length out);
+    match decode_replies out with
+    | [ Rejected _ ] -> ()
+    | _ -> Alcotest.failf "%s: want one Rejected reply" what
+  in
+  Alcotest.(check string) "short text quoted as before" "\"o\\255\""
+    (Protocol.quote "o\xff");
+  let server = Server.create ~base:(Script.base_system ()) () in
+  let conn = Server.open_conn server in
+  bounded "depart of an unknown 1 MB id"
+    (Server.feed server ~conn (frame_req (Depart { object_id = String.make big '\xff' })));
+  Alcotest.(check bool) "a domain refusal is not fatal" true
+    (Server.conn_alive server ~conn);
+  (* a Register whose program text is 1 MB of 0xff: undecodable *)
+  let str s =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_be b 0 (Int32.of_int (String.length s));
+    Bytes.to_string b ^ s
+  in
+  let register =
+    String.concat ""
+      [
+        String.make 1 (Char.chr Protocol.version); "\x01"; str "obj"; str user0;
+        "\x00\x00\x00\x00"; str (String.make big '\xff');
+      ]
+  in
+  bounded "register of a 1 MB bad program" (Server.feed server ~conn (Frame.encode register));
+  Alcotest.(check bool) "connection killed" false (Server.conn_alive server ~conn);
+  Alcotest.(check string) "dead connection ignored" ""
+    (Server.feed server ~conn (frame_req Ping))
+
 (* Split a reply stream into (events, direct reply) pairs: each direct
    reply with the events streamed just before it. *)
 let with_events replies =
@@ -539,6 +577,134 @@ let test_replay_digest () =
   Alcotest.(check string)
     "sha1 of the seed-3 replay" "32d7568b9111f8af44635e8ca1cf9bcafa8305f0"
     (Crypto.Sha1.hex_of_string (Script.render (Script.run_sim ~base script)))
+
+(* The wire path against the naive oracle: an svc-deep-shaped script
+   (two objects, a long mixed warm-up, then a window of checks) through
+   the full stack on the lazy decision path must render the replies
+   the direct drive renders on the naive one.  sim = direct decides
+   both drives on one path, so a wrong decision there shows in
+   neither. *)
+let wire_servers = [ "s1"; "s2"; "s3" ]
+let wire_resources = [ "r1"; "r2"; "r3" ]
+
+let deep_script ~seed =
+  let rng = Random.State.make [| 0xdee9; seed |] in
+  let objects = [ "o0"; "o1" ] in
+  let pick xs = List.nth xs (Random.State.int rng (List.length xs)) in
+  let access () =
+    let r = pick wire_resources and s = pick wire_servers in
+    match Random.State.int rng 3 with
+    | 0 -> Sral.Access.read r ~at:s
+    | 1 -> Sral.Access.write r ~at:s
+    | _ -> Sral.Access.execute r ~at:s
+  in
+  let check () : Protocol.request =
+    Check { object_id = pick objects; access = access () }
+  in
+  let mixed () : Protocol.request =
+    let object_id = pick objects in
+    match Random.State.int rng 100 with
+    | r when r < 70 -> check ()
+    | r when r < 82 -> Arrive { object_id; server = pick wire_servers }
+    | r when r < 90 -> Activate { object_id; role = pick Parallel.Workload.roles }
+    | r when r < 95 -> Join { object_id; team = pick Parallel.Workload.team_names }
+    | _ -> Ping
+  in
+  let opening =
+    List.mapi
+      (fun k object_id : Protocol.request ->
+        Register
+          {
+            object_id;
+            owner = List.nth Parallel.Workload.users k;
+            roles = Parallel.Workload.roles;
+            program = Lazy.force a_program;
+          })
+      objects
+    @ List.map
+        (fun object_id : Protocol.request -> Arrive { object_id; server = "s1" })
+        objects
+  in
+  List.map
+    (fun req -> { Script.conn = 0; req })
+    (opening @ List.init 1500 (fun _ -> mixed ()) @ List.init 300 (fun _ -> check ()))
+
+let test_wire_vs_naive_oracle () =
+  let lazy_base = Script.base_system ~mode:Coordinated.System.Lazy () in
+  let naive_base = Script.base_system ~mode:Coordinated.System.Naive () in
+  List.iter
+    (fun seed ->
+      let script = deep_script ~seed in
+      let sim = Script.render (Script.run_sim ~base:lazy_base script) in
+      let oracle = Script.render (Script.drive_direct ~base:naive_base script) in
+      if not (String.equal sim oracle) then
+        Alcotest.failf "seed %d: the wire path on lazy differs from the naive oracle"
+          seed)
+    [ 1; 2 ]
+
+(* A warm [Server.feed] of one [Check] frame, on a connection with an
+   arrived object and no trace sink, allocates at most [budget] minor
+   words on average: once for a granted access, once for an
+   RBAC-denied one. *)
+let words_per_feed_budget = 64.
+
+let warm_check_conn () =
+  let server = Server.create ~base:(Script.base_system ()) () in
+  let conn = Server.open_conn server in
+  ignore
+    (feed_req server conn
+       (Register
+          {
+            object_id = "obj";
+            owner = user0;
+            roles = Parallel.Workload.roles;
+            program = Lazy.force a_program;
+          }));
+  ignore (feed_req server conn (Arrive { object_id = "obj"; server = "s1" }));
+  (server, conn)
+
+let verdict_of server conn access =
+  match feed_req server conn (Check { object_id = "obj"; access }) with
+  | [ Verdict { verdict; _ } ] -> verdict
+  | _ -> Alcotest.fail "check did not produce one verdict"
+
+let test_feed_allocation () =
+  let server, conn = warm_check_conn () in
+  let candidates =
+    List.concat_map
+      (fun r ->
+        List.concat_map
+          (fun s ->
+            [ Sral.Access.read r ~at:s; Sral.Access.write r ~at:s; Sral.Access.execute r ~at:s ])
+          wire_servers)
+      wire_resources
+  in
+  let find what p =
+    match List.find_opt (fun a -> p (verdict_of server conn a)) candidates with
+    | Some a -> a
+    | None -> Alcotest.failf "no %s access in the service population" what
+  in
+  let granted = find "granted" Obs.Verdict.is_granted in
+  let denied =
+    find "RBAC-denied" (function Obs.Verdict.Denied (Rbac_denied _) -> true | _ -> false)
+  in
+  let feeds = 2_000 in
+  List.iter
+    (fun (what, access) ->
+      let frame = frame_req (Check { object_id = "obj"; access }) in
+      for _ = 1 to 64 do
+        ignore (Server.feed server ~conn frame)
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to feeds do
+        ignore (Server.feed server ~conn frame)
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int feeds in
+      Printf.printf "%s check: %.1f minor words per feed\n" what words;
+      if words > words_per_feed_budget then
+        Alcotest.failf "%s check: %.1f minor words per feed, budget %.0f" what words
+          words_per_feed_budget)
+    [ ("granted", granted); ("RBAC-denied", denied) ]
 
 (* --- the real transport --- *)
 
@@ -786,6 +952,8 @@ let () =
             test_server_oversized_frame_kills;
           Alcotest.test_case "overload sheds auditable" `Quick
             test_server_sheds_overload;
+          Alcotest.test_case "refusals quote a bounded prefix" `Quick
+            test_refusals_bounded;
           Alcotest.test_case "feed_batch = feed" `Quick test_feed_batch_conforms;
           Alcotest.test_case "one chunk, several outcomes" `Quick
             test_server_chunk_outcomes;
@@ -797,6 +965,10 @@ let () =
           Alcotest.test_case "sim = direct, byte-identical" `Quick
             test_differential_gate;
           Alcotest.test_case "replay bytes pinned" `Quick test_replay_digest;
+          Alcotest.test_case "wire path on lazy = naive oracle" `Quick
+            test_wire_vs_naive_oracle;
+          Alcotest.test_case "warm check feed allocation" `Quick
+            test_feed_allocation;
         ] );
       ( "transport",
         [
