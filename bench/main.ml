@@ -872,7 +872,9 @@ let e19 () =
   (match e19_trace_out with
   | None -> ()
   | Some path ->
-      let trace = Scenarios.Scale_family.Soa.random_trace ~salt:1919 ~seed:7 () in
+      let trace, _ =
+        Scenarios.Scale_family.Soa.random_run ~salt:1919 ~seed:7 ()
+      in
       let oc = open_out path in
       output_string oc trace;
       close_out oc;

@@ -43,44 +43,33 @@ let grant_rate m =
   let n = total_accesses m in
   if n = 0 then None else Some (float_of_int m.granted /. float_of_int n)
 
-let sink ?(relevant = fun _ -> true) m =
-  Obs.Sink.make ~name:"metrics" (fun ev ->
-      match ev with
-      | Obs.Trace.Decision { object_id; verdict; _ }
-        when relevant object_id -> (
-          match verdict with
-          | Obs.Verdict.Granted -> m.granted <- m.granted + 1
-          | Obs.Verdict.Denied reason -> (
-              m.denied <- m.denied + 1;
-              match reason with
-              | Obs.Verdict.Rbac_denied _ -> m.denied_rbac <- m.denied_rbac + 1
-              | Obs.Verdict.Spatial_violation _ ->
-                  m.denied_spatial <- m.denied_spatial + 1
-              | Obs.Verdict.Temporal_expired _ | Obs.Verdict.Not_active _
-              | Obs.Verdict.Not_arrived ->
-                  m.denied_temporal <- m.denied_temporal + 1
-              | Obs.Verdict.Server_unavailable _ ->
-                  m.denied_unavailable <- m.denied_unavailable + 1))
-      | Obs.Trace.Migrated { agent; _ } when relevant agent ->
-          m.migrations <- m.migrations + 1
-      | Obs.Trace.Message_sent { agent; _ } when relevant agent ->
-          m.messages <- m.messages + 1
-      | Obs.Trace.Signal_raised { agent; _ } when relevant agent ->
-          m.signals <- m.signals + 1
-      | Obs.Trace.Completed { agent; _ } when relevant agent ->
-          m.completed_agents <- m.completed_agents + 1
-      | Obs.Trace.Aborted { agent; _ } when relevant agent ->
-          m.aborted_agents <- m.aborted_agents + 1
-      | Obs.Trace.Deadlocked { agent; _ } when relevant agent ->
-          m.deadlocked_agents <- m.deadlocked_agents + 1
-      | Obs.Trace.Fault_injected { agent; _ } when relevant agent ->
-          m.faults_injected <- m.faults_injected + 1
-      | Obs.Trace.Retry_scheduled { agent; _ } when relevant agent ->
-          m.retries <- m.retries + 1
-      | Obs.Trace.Gave_up { agent; _ } when relevant agent ->
-          m.gave_up <- m.gave_up + 1
-      | Obs.Trace.Run_finished { time } -> m.end_time <- time
-      | _ -> ())
+let record_verdict m = function
+  | Obs.Verdict.Granted -> m.granted <- m.granted + 1
+  | Obs.Verdict.Denied reason -> (
+      m.denied <- m.denied + 1;
+      match reason with
+      | Obs.Verdict.Rbac_denied _ -> m.denied_rbac <- m.denied_rbac + 1
+      | Obs.Verdict.Spatial_violation _ ->
+          m.denied_spatial <- m.denied_spatial + 1
+      | Obs.Verdict.Temporal_expired _ | Obs.Verdict.Not_active _
+      | Obs.Verdict.Not_arrived ->
+          m.denied_temporal <- m.denied_temporal + 1
+      | Obs.Verdict.Server_unavailable _ ->
+          m.denied_unavailable <- m.denied_unavailable + 1)
+
+let record m = function
+  | Obs.Trace.Decision { verdict; _ } -> record_verdict m verdict
+  | Obs.Trace.Migrated _ -> m.migrations <- m.migrations + 1
+  | Obs.Trace.Message_sent _ -> m.messages <- m.messages + 1
+  | Obs.Trace.Signal_raised _ -> m.signals <- m.signals + 1
+  | Obs.Trace.Completed _ -> m.completed_agents <- m.completed_agents + 1
+  | Obs.Trace.Aborted _ -> m.aborted_agents <- m.aborted_agents + 1
+  | Obs.Trace.Deadlocked _ -> m.deadlocked_agents <- m.deadlocked_agents + 1
+  | Obs.Trace.Fault_injected _ -> m.faults_injected <- m.faults_injected + 1
+  | Obs.Trace.Retry_scheduled _ -> m.retries <- m.retries + 1
+  | Obs.Trace.Gave_up _ -> m.gave_up <- m.gave_up + 1
+  | Obs.Trace.Run_finished { time } -> m.end_time <- time
+  | _ -> ()
 
 let pp_rate ppf m =
   match grant_rate m with

@@ -1,9 +1,15 @@
-(** Simulation metrics.
+(** Simulation metrics: one world's own counters.
 
-    The accumulator is a {e sink} over the observability bus
-    ({!sink}): the world and the coordinated system publish events and
-    the sink folds them into counters — there is no direct mutation
-    left in the simulation loop. *)
+    Each {!World} (and {!World_legacy}) owns one accumulator and fills
+    it where it acts: every event the world emits goes through {!record}
+    on its way to the bus, and each verdict the world asks for goes
+    through {!record_verdict} at the decision site.  No sink is
+    subscribed, so the counts cover what this world did and nothing
+    else: a [Decision] that another caller publishes on the same control
+    about one of this world's agent ids is not counted, and a later
+    world run on the same control leaves a finished world's counts
+    where they were.  (Administrative [at] actions add bindings, spawn
+    agents, halt worlds or change roles; none of them decides.) *)
 
 type t = {
   mutable granted : int;
@@ -33,12 +39,17 @@ val grant_rate : t -> float option
     accesses — there is no rate to report, and the seed's [1.0] read as
     "everything granted".  {!pp} prints it as ["n/a"]. *)
 
-val sink : ?relevant:(string -> bool) -> t -> Obs.Sink.t
-(** The accumulator as a trace-bus subscriber: decisions (with
-    per-reason denial breakdown), migrations, messages, signals, agent
-    terminations and [Run_finished] (which sets [end_time]).
-    [relevant] filters by agent/object id (default: keep all) —
-    {!World} passes a membership test over its own agent table so a
-    shared control's foreign decisions don't leak into its counts. *)
+val record_verdict : t -> Obs.Verdict.t -> unit
+(** Count one verdict: [granted], or [denied] plus its reason's bucket
+    (RBAC, spatial, temporal — expiry, inactive or not arrived — or
+    unavailable). *)
+
+val record : t -> Obs.Trace.event -> unit
+(** Count one trace event, unfiltered: a [Decision] through
+    {!record_verdict}, migrations, messages, signals, agent
+    terminations, faults, retries, gave-ups, and [Run_finished] (which
+    sets [end_time]); every other event is ignored.  Folding the trace
+    captured from a control that one world had to itself rebuilds that
+    world's counters. *)
 
 val pp : Format.formatter -> t -> unit

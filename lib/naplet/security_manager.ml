@@ -18,8 +18,9 @@ let unavailable t ~server ~time =
   | Some down -> down ~server ~time
 
 (* Fail-closed denial: the refusal is published as a Decision event so
-   it reaches the audit log, the trace and the metrics exactly like
-   any other verdict — a crashed server leaves a record, never a gap. *)
+   it reaches the audit log and the trace exactly like any other
+   verdict — a crashed server leaves a record, never a gap.  The caller
+   counts the returned verdict in its own metrics. *)
 let refuse t ~object_id ~time access =
   let verdict =
     Obs.Verdict.Denied

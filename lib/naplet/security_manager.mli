@@ -35,7 +35,8 @@ val refuse :
   Coordinated.Decision.verdict
 (** Mint and publish a fail-closed [Server_unavailable] denial for the
     access (used by the world when a migration retry budget is
-    exhausted).  Always returns [Denied (Server_unavailable _)]. *)
+    exhausted; the world counts the returned verdict itself).  Always
+    returns [Denied (Server_unavailable _)]. *)
 
 val on_arrival :
   t ->

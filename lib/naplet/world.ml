@@ -85,43 +85,35 @@ type t = {
 }
 
 let create ?(config = default_config) control =
-  let t =
-    {
-      config;
-      manager = Security_manager.create control;
-      bus = Coordinated.System.bus control;
-      anames = Intern.create ();
-      a_owner = [||];
-      a_roles = [||];
-      a_home = [||];
-      a_program = [||];
-      a_machine = [||];
-      a_session = [||];
-      a_status = [||];
-      a_end = [||];
-      a_reason = [||];
-      a_location = [||];
-      a_retries = [||];
-      a_step = [||];
-      n_agents = 0;
-      snames = Intern.create ();
-      srv = [||];
-      channels = Channel.create ();
-      signals = Signal_table.create ();
-      events = Sim.create ();
-      clock = Q.zero;
-      appraisal = None;
-      faults = None;
-      metrics = Metrics.create ();
-      processed = 0;
-    }
-  in
-  (* the world's metrics consume the bus rather than being hand-wired
-     into the simulation loop; the membership filter keeps a shared
-     control's foreign traffic out of this world's books *)
-  let mine id = Intern.mem t.anames id in
-  Obs.Bus.subscribe t.bus (Metrics.sink ~relevant:mine t.metrics);
-  t
+  {
+    config;
+    manager = Security_manager.create control;
+    bus = Coordinated.System.bus control;
+    anames = Intern.create ();
+    a_owner = [||];
+    a_roles = [||];
+    a_home = [||];
+    a_program = [||];
+    a_machine = [||];
+    a_session = [||];
+    a_status = [||];
+    a_end = [||];
+    a_reason = [||];
+    a_location = [||];
+    a_retries = [||];
+    a_step = [||];
+    n_agents = 0;
+    snames = Intern.create ();
+    srv = [||];
+    channels = Channel.create ();
+    signals = Signal_table.create ();
+    events = Sim.create ();
+    clock = Q.zero;
+    appraisal = None;
+    faults = None;
+    metrics = Metrics.create ();
+    processed = 0;
+  }
 
 let manager t = t.manager
 let set_appraisal t appraisal = t.appraisal <- Some appraisal
@@ -200,7 +192,10 @@ let metrics t = t.metrics
 let channels t = t.channels
 let processed_events t = t.processed
 
-let emit t ev = Obs.Bus.emit t.bus ev
+(* every event the world emits is counted in its own books first *)
+let emit t ev =
+  Metrics.record t.metrics ev;
+  Obs.Bus.emit t.bus ev
 
 let schedule_step t i ~time = Sim.schedule t.events ~time t.a_step.(i)
 
@@ -383,7 +378,11 @@ let rec handle_access t i ~thread ~time (a : Sral.Access.t) =
              audit record like any other denial *)
           t.a_retries.(i) <- 0;
           emit t (Obs.Trace.Gave_up { time; agent = id; attempts = attempt });
-          (match Security_manager.refuse t.manager ~object_id:id ~time a with
+          let verdict =
+            Security_manager.refuse t.manager ~object_id:id ~time a
+          in
+          Metrics.record_verdict t.metrics verdict;
+          (match verdict with
           | Coordinated.Decision.Granted -> assert false
           | Coordinated.Decision.Denied reason -> (
               match t.config.deny_policy with
@@ -434,10 +433,11 @@ and perform_migration t i ~thread ~time ~dest_id (a : Sral.Access.t) =
   | Appraisal.Sound -> decide_access t i ~thread ~time:arrival ~dest_id a
 
 and decide_access t i ~thread ~time ~dest_id (a : Sral.Access.t) =
-  (* the verdict reaches the trace and the metrics through the bus:
-     [System.check] publishes a [Decision] event, the metrics sink
-     subscribed in [create] folds it in *)
-  match decide_verdict t i ~time a with
+  (* [System.check] publishes the verdict to the bus; the world counts
+     it here *)
+  let verdict = decide_verdict t i ~time a in
+  Metrics.record_verdict t.metrics verdict;
+  match verdict with
   | Coordinated.Decision.Granted ->
       let finish =
         match server_slot t dest_id with

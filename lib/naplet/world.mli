@@ -91,7 +91,9 @@ val at : t -> time:Temporal.Q.t -> (unit -> unit) -> unit
 
 val run : t -> Metrics.t
 (** Drive the event loop to quiescence.  Agents still [Waiting] at the
-    end are counted as deadlocked. *)
+    end are counted as deadlocked.  Returns {!metrics}: this world's own
+    counts, kept where it acts rather than read off the control's bus,
+    so a later world run on the same control does not move them. *)
 
 val halt : t -> unit
 (** Tear the world down early: every pending event is discarded, so
@@ -121,5 +123,9 @@ val agents : t -> Agent.t list
     (existing prefix unchanged). *)
 
 val metrics : t -> Metrics.t
+(** This world's own counters (see {!Metrics}): its verdicts and the
+    events it emitted, nothing another world or caller published on the
+    shared control. *)
+
 val channels : t -> Channel.t
 

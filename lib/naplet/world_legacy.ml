@@ -60,30 +60,22 @@ type t = {
 }
 
 let create ?(config = default_config) control =
-  let t =
-    {
-      config;
-      manager = Security_manager.create control;
-      bus = Coordinated.System.bus control;
-      servers = Hashtbl.create 8;
-      agents = Hashtbl.create 8;
-      spawn_order = [];
-      channels = Channel.create ();
-      signals = Signal_table.create ();
-      events = Sim.create ();
-      clock = Q.zero;
-      appraisal = None;
-      faults = None;
-      metrics = Metrics.create ();
-      processed = 0;
-    }
-  in
-  (* the world's metrics consume the bus rather than being hand-wired
-     into the simulation loop; the membership filter keeps a shared
-     control's foreign traffic out of this world's books *)
-  let mine id = Hashtbl.mem t.agents id in
-  Obs.Bus.subscribe t.bus (Metrics.sink ~relevant:mine t.metrics);
-  t
+  {
+    config;
+    manager = Security_manager.create control;
+    bus = Coordinated.System.bus control;
+    servers = Hashtbl.create 8;
+    agents = Hashtbl.create 8;
+    spawn_order = [];
+    channels = Channel.create ();
+    signals = Signal_table.create ();
+    events = Sim.create ();
+    clock = Q.zero;
+    appraisal = None;
+    faults = None;
+    metrics = Metrics.create ();
+    processed = 0;
+  }
 
 let manager t = t.manager
 let set_appraisal t appraisal = t.appraisal <- Some appraisal
@@ -115,7 +107,10 @@ let metrics t = t.metrics
 let channels t = t.channels
 let processed_events t = t.processed
 
-let emit t ev = Obs.Bus.emit t.bus ev
+(* every event the world emits is counted in its own books first *)
+let emit t ev =
+  Metrics.record t.metrics ev;
+  Obs.Bus.emit t.bus ev
 
 let schedule_step t id ~time = Sim.schedule t.events ~time (Step id)
 
@@ -245,9 +240,11 @@ let rec handle_access t (agent : Agent.t) ~thread ~time (a : Sral.Access.t) =
              audit record like any other denial *)
           Hashtbl.remove f.retries id;
           emit t (Obs.Trace.Gave_up { time; agent = id; attempts = attempt });
-          (match
-             Security_manager.refuse t.manager ~object_id:id ~time a
-           with
+          let verdict =
+            Security_manager.refuse t.manager ~object_id:id ~time a
+          in
+          Metrics.record_verdict t.metrics verdict;
+          (match verdict with
           | Coordinated.Decision.Granted -> assert false
           | Coordinated.Decision.Denied reason -> (
               match t.config.deny_policy with
@@ -297,13 +294,13 @@ and perform_migration t (agent : Agent.t) ~thread ~time (a : Sral.Access.t) =
   | Appraisal.Sound -> decide_access t agent ~thread ~time:arrival a
 
 and decide_access t (agent : Agent.t) ~thread ~time (a : Sral.Access.t) =
-  (* the verdict reaches the trace and the metrics through the bus:
-     [System.check] publishes a [Decision] event, the metrics sink
-     subscribed in [create] folds it in *)
+  (* [System.check] publishes the verdict to the bus; the world counts
+     it here *)
   let verdict =
     Security_manager.check t.manager ~object_id:agent.Agent.id
       ~program:agent.Agent.program ~time a
   in
+  Metrics.record_verdict t.metrics verdict;
   match verdict with
   | Coordinated.Decision.Granted ->
       let finish =

@@ -1,11 +1,13 @@
 type verdict = Granted | Denied of string
 
+(* the names are the request's, so each is echoed clipped *)
+let message ~user ~operation ~target =
+  Printf.sprintf "no active role of %s grants %s on %s" (Sral.Clip.clip user)
+    (Sral.Clip.clip operation) (Sral.Clip.clip target)
+
 let decide session ~operation ~target =
   if Session.may session ~operation ~target then Granted
-  else
-    Denied
-      (Printf.sprintf "no active role of %s grants %s on %s"
-         (Session.user session) operation target)
+  else Denied (message ~user:(Session.user session) ~operation ~target)
 
 let decide_access session (a : Sral.Access.t) =
   decide session
@@ -33,19 +35,26 @@ let put b pos s =
   Bytes.blit_string s 0 b pos (String.length s);
   pos + String.length s
 
-(* [decide_access]'s denial bytes, in one allocation *)
+(* [decide_access]'s denial bytes, in one allocation when no name needs
+   clipping *)
 let denial ~user ~operation (a : Sral.Access.t) =
   let head = "no active role of " and grants = " grants " and on = " on " in
   let len = String.length in
-  let b =
-    Bytes.create
-      (len head + len user + len grants + len operation + len on
-     + len a.resource + 1 + len a.server)
-  in
-  let pos = put b (put b 0 head) user in
-  let pos = put b (put b (put b pos grants) operation) on in
-  ignore (put b (put b (put b pos a.resource) "@") a.server);
-  Bytes.unsafe_to_string b
+  if
+    len user > Sral.Clip.limit
+    || len operation > Sral.Clip.limit
+    || len a.resource + 1 + len a.server > Sral.Clip.limit
+  then message ~user ~operation ~target:(a.resource ^ "@" ^ a.server)
+  else
+    let b =
+      Bytes.create
+        (len head + len user + len grants + len operation + len on
+       + len a.resource + 1 + len a.server)
+    in
+    let pos = put b (put b 0 head) user in
+    let pos = put b (put b (put b pos grants) operation) on in
+    ignore (put b (put b (put b pos a.resource) "@") a.server);
+    Bytes.unsafe_to_string b
 
 let rec has_at s i = i < String.length s && (s.[i] = '@' || has_at s (i + 1))
 

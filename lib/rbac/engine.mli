@@ -9,6 +9,9 @@
 type verdict = Granted | Denied of string
 
 val decide : Session.t -> operation:string -> target:string -> verdict
+(** A denial reads ["no active role of U grants O on T"], each name
+    through {!Sral.Clip.clip}: a name of at most 64 bytes keeps its
+    bytes, a longer one is cut to that prefix plus its length. *)
 
 val decide_access : Session.t -> Sral.Access.t -> verdict
 (** Convenience: target spelled ["resource@server"].  Builds the joined

@@ -137,15 +137,24 @@ type parallel_report = {
   reports_collected : int;
 }
 
-let install_contents world =
+(* install module contents on their servers, corrupting the
+   [tamper_contents] modules *)
+let install_contents ?(tamper_contents = []) world =
   List.iter
     (fun (m, s) ->
       match Naplet.World.server world s with
       | Some srv ->
-          Naplet.Server.put_resource srv ~name:m ~contents:(pristine_contents m)
+          let contents =
+            if List.mem m tamper_contents then
+              pristine_contents m ^ "INJECTED PAYLOAD\n"
+            else pristine_contents m
+          in
+          Naplet.Server.put_resource srv ~name:m ~contents
       | None -> assert false)
     placement
 
+(* hash every module whose access was granted, reading contents from
+   its server — the mobile code's computation, replayed *)
 let report_of world log metrics trace =
   let granted_accesses =
     List.map
@@ -230,7 +239,7 @@ let run_parallel ?deadline ~clones () =
     reports_collected;
   }
 
-let run ?deadline ?(respect_order = true) ?(tamper_contents = []) () =
+let run ?deadline ?(respect_order = true) ?tamper_contents () =
   let control = build_control ~deadline in
   let capture, trace = Obs.Sink.memory () in
   Obs.Bus.subscribe (Coordinated.System.bus control) capture;
@@ -239,61 +248,8 @@ let run ?deadline ?(respect_order = true) ?(tamper_contents = []) () =
   List.iter
     (fun s -> Naplet.World.add_server world (Naplet.Server.create s))
     [ "s1"; "s2"; "s3" ];
-  (* install module contents on their servers *)
-  List.iter
-    (fun (m, s) ->
-      match Naplet.World.server world s with
-      | Some srv ->
-          let contents =
-            if List.mem m tamper_contents then
-              pristine_contents m ^ "INJECTED PAYLOAD\n"
-            else pristine_contents m
-          in
-          Naplet.Server.put_resource srv ~name:m ~contents
-      | None -> assert false)
-    placement;
+  install_contents ?tamper_contents world;
   let program = if respect_order then audit_program () else tampered_program () in
   Naplet.World.spawn world ~id:"audit-naplet" ~owner:"auditor"
     ~roles:[ "system_auditor" ] ~home:"s1" program;
-  let metrics = Naplet.World.run world in
-  (* hash every module whose access was granted, reading contents from
-     its server — the mobile code's computation, replayed *)
-  let granted_accesses =
-    List.map
-      (fun (e : Coordinated.Audit_log.entry) -> e.Coordinated.Audit_log.access)
-      (Coordinated.Audit_log.granted log)
-  in
-  let hashes =
-    List.filter_map
-      (fun (a : Sral.Access.t) ->
-        match Naplet.World.server world a.Sral.Access.server with
-        | Some srv -> (
-            match Naplet.Server.get_resource srv ~name:a.Sral.Access.resource with
-            | Some contents ->
-                Some (a.Sral.Access.resource, Crypto.Sha1.hex_of_string contents)
-            | None -> None)
-        | None -> None)
-      granted_accesses
-  in
-  let deadline_hit =
-    List.exists
-      (fun (e : Coordinated.Audit_log.entry) ->
-        match e.Coordinated.Audit_log.verdict with
-        | Coordinated.Decision.Denied (Coordinated.Decision.Temporal_expired _)
-          ->
-            true
-        | _ -> false)
-      (Coordinated.Audit_log.entries log)
-  in
-  let all_verified =
-    List.for_all (fun m -> List.mem_assoc m hashes) (modules ())
-  in
-  {
-    metrics;
-    hashes;
-    granted = metrics.Naplet.Metrics.granted;
-    denied = metrics.Naplet.Metrics.denied;
-    all_verified;
-    deadline_hit;
-    trace = trace ();
-  }
+  report_of world log (Naplet.World.run world) trace

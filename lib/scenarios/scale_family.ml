@@ -17,9 +17,10 @@ module Drive (W : Naplet.World_intf.S) = struct
   (* ------------------------------------------------------------------
      Randomized small coalitions — the conformance corpus.  Everything
      is drawn from (salt, seed) through the same code path for both
-     engines, so equal inputs must yield byte-equal exported traces. *)
+     engines, so equal inputs must yield byte-equal exported traces
+     and equal metrics. *)
 
-  let random_trace ?(faults = true) ~salt ~seed () =
+  let random_run ~salt ~seed () =
     let rng = Random.State.make [| salt; seed |] in
     let n_servers = 2 + Random.State.int rng 3 in
     let server_names =
@@ -51,7 +52,7 @@ module Drive (W : Naplet.World_intf.S) = struct
           resources;
         W.add_server world s)
       server_names;
-    (if faults && Random.State.int rng 3 > 0 then
+    (if Random.State.int rng 3 > 0 then
        let name =
          Parallel.Workload.pick rng [ "light"; "moderate"; "heavy" ]
        in
@@ -94,8 +95,8 @@ module Drive (W : Naplet.World_intf.S) = struct
             ~time:(Q.of_int (1 + Random.State.int rng 20))
             (fun () -> Coordinated.System.add_binding control b)
     end;
-    ignore (W.run world);
-    Obs.Export.to_string (captured ())
+    let metrics = W.run world in
+    (Obs.Export.to_string (captured ()), metrics)
 
   (* ------------------------------------------------------------------
      Big uniform coalitions — the scaling benchmark.  [objects] agents
@@ -152,12 +153,12 @@ module Soa = Drive (Naplet.World)
 module Legacy = Drive (Naplet.World_legacy)
 
 (* The conformance gate: identical coalitions through both engines,
-   byte-compared.  Returns the divergent seeds (empty = conformant). *)
+   traces byte-compared and metrics compared field by field.  Returns
+   the divergent seeds (empty = conformant). *)
 let divergences ?(salt = 1919) ~runs offset =
   let diverged = ref [] in
   for seed = offset to offset + runs - 1 do
-    let soa = Soa.random_trace ~salt ~seed () in
-    let legacy = Legacy.random_trace ~salt ~seed () in
-    if not (String.equal soa legacy) then diverged := seed :: !diverged
+    if Soa.random_run ~salt ~seed () <> Legacy.random_run ~salt ~seed () then
+      diverged := seed :: !diverged
   done;
   List.rev !diverged

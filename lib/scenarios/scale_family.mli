@@ -4,20 +4,20 @@
     {!Drive} is a functor over the world signature so the exact same
     coalition-building code drives both {!Naplet.World} (the rebuilt
     struct-of-arrays engine) and {!Naplet.World_legacy} (the pre-SoA
-    oracle kept until the new engine has soaked).  [random_trace]
-    builds, runs and exports one seeded randomized coalition — agents
-    with channel/signal programs, teams, fault plans, a mid-run admin
-    action — and {!divergences} byte-compares the two engines' exports
-    over a span of seeds.  [build_big] makes the uniform big coalition
+    oracle kept until the new engine has soaked).  [random_run]
+    builds, runs and exports one seeded randomized coalition — teams,
+    fault plans, a mid-run admin action — and {!divergences} compares
+    the two engines' exports byte for byte, and their metrics, over a
+    span of seeds.  [build_big] makes the uniform big coalition
     the E19 benchmark times (build phase vs run phase) at 10^3..10^6
     objects. *)
 
 module Drive (W : Naplet.World_intf.S) : sig
-  val random_trace : ?faults:bool -> salt:int -> seed:int -> unit -> string
+  val random_run : salt:int -> seed:int -> unit -> string * Naplet.Metrics.t
   (** Build and run one randomized coalition from [(salt, seed)];
       returns the full bus trace as deterministic JSONL
-      ({!Obs.Export.to_string}).  [faults] (default [true]) allows a
-      seeded fault plan (2 in 3 coalitions get one). *)
+      ({!Obs.Export.to_string}) and the world's metrics.  Two in three
+      coalitions get a seeded fault plan. *)
 
   val build_big :
     ?config:W.config -> objects:int -> servers:int -> unit -> W.t
@@ -28,7 +28,7 @@ module Drive (W : Naplet.World_intf.S) : sig
 end
 
 module Soa : sig
-  val random_trace : ?faults:bool -> salt:int -> seed:int -> unit -> string
+  val random_run : salt:int -> seed:int -> unit -> string * Naplet.Metrics.t
 
   val build_big :
     ?config:Naplet.World.config ->
@@ -39,7 +39,7 @@ module Soa : sig
 end
 
 module Legacy : sig
-  val random_trace : ?faults:bool -> salt:int -> seed:int -> unit -> string
+  val random_run : salt:int -> seed:int -> unit -> string * Naplet.Metrics.t
 
   val build_big :
     ?config:Naplet.World_legacy.config ->
@@ -52,5 +52,5 @@ end
 val divergences : ?salt:int -> runs:int -> int -> int list
 (** [divergences ~runs offset] replays seeds
     [offset .. offset + runs - 1] through both engines and returns the
-    seeds whose exported traces were not byte-identical (empty list =
-    conformant). *)
+    seeds whose exported traces were not byte-identical or whose
+    metrics differ (empty list = conformant). *)

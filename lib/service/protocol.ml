@@ -41,12 +41,7 @@ let describe = function
 
 (* Untrusted text echoed into a reply is cut to a fixed prefix, so a
    peer cannot make a refusal as large as the request it refuses. *)
-let quote_limit = 64
-
-let quote s =
-  let n = String.length s in
-  if n <= quote_limit then Printf.sprintf "%S" s
-  else Printf.sprintf "%S... (%d bytes)" (String.sub s 0 quote_limit) n
+let quote = Sral.Clip.quote
 
 let w_u8 buf v = Buffer.add_uint8 buf (v land 0xff)
 let w_u32 buf v = Buffer.add_int32_be buf (Int32.of_int v)

@@ -82,10 +82,10 @@ val encode_reply : reply -> string
 val decode_reply : string -> (reply, error) result
 
 val quote : string -> string
-(** Untrusted text for a refusal reason: [Printf.sprintf "%S" s] when
-    [s] is at most 64 bytes, otherwise its first 64 bytes so quoted,
-    then ["... (N bytes)"].  A reply that echoes what a peer sent so
-    stays bounded whatever the peer sent. *)
+(** Untrusted text for a refusal reason, {!Sral.Clip.quote}:
+    [Printf.sprintf "%S" s] when [s] is at most 64 bytes, otherwise its
+    first 64 bytes so quoted, then ["... (N bytes)"].  A reply that
+    echoes what a peer sent so stays bounded whatever the peer sent. *)
 
 val reply_to_line : reply -> string
 (** One JSON object (no newline); verdicts embed

@@ -726,7 +726,9 @@ let test_team_scope_lazy_vs_naive () =
    ops move the policy version between probes.  Role hierarchies
    exercise the closure the table is built from; the target pool holds
    every pattern shape, and resource and server names holding '@'
-   exercise the first-'@' split. *)
+   exercise the first-'@' split.  Names longer than [Sral.Clip.limit]
+   (a user, an operation, a resource), and short names whose joined
+   target is longer, exercise the clipped denial text. *)
 
 type rbac_event =
   | R_probe of int * Sral.Access.t  (* session index, access *)
@@ -738,34 +740,39 @@ type rbac_event =
   | R_deassign of string * string
   | R_add_role of string
 
-let rbac_users = [| "u0"; "u0"; "u1" |]  (* per session *)
+let long = String.make 70 'l'  (* past the clip limit alone *)
+let half = String.make 40 'h'  (* past it only when joined *)
+let long_user = "u" ^ long
+let rbac_users = [| "u0"; "u0"; "u1"; long_user |]  (* per session *)
 let rbac_roles = [ "ra"; "rb"; "rc"; "rd" ]
 
 let rbac_targets =
   [ "*"; "db"; "db@*"; "*@s1"; "db@s1"; "*@*"; "a@b@s1"; "*@b@s1"; "a@*";
-    "a@b@*"; "cfg@s2" ]
+    "a@b@*"; "cfg@s2"; long ^ "@*"; half ^ "@" ^ half ]
 
 let rbac_event rng =
   let role () = Gen.pick rng rbac_roles in
-  let user () = Gen.pick rng [ "u0"; "u1" ] in
+  let user () = Gen.pick rng [ "u0"; "u1"; long_user ] in
   match Random.State.int rng 16 with
   | 0 | 1 | 2 | 3 | 4 | 5 ->
       let op =
         Gen.pick rng
-          Sral.Access.[ Read; Write; Custom "hash"; Custom "*" ]
+          Sral.Access.[ Read; Write; Custom "hash"; Custom "*"; Custom long ]
       in
       R_probe
         ( Random.State.int rng (Array.length rbac_users),
           Sral.Access.make ~op
-            ~resource:(Gen.pick rng [ "db"; "a"; "a@b"; "cfg"; "*" ])
-            ~server:(Gen.pick rng [ "s1"; "s2"; "b@s1" ]) )
+            ~resource:
+              (Gen.pick rng
+                 [ "db"; "a"; "a@b"; "cfg"; "*"; long; half; long ^ "@b" ])
+            ~server:(Gen.pick rng [ "s1"; "s2"; "b@s1"; half ]) )
   | 6 | 7 ->
       R_activate (Random.State.int rng (Array.length rbac_users), role ())
   | 8 | 9 ->
       R_grant
         ( role (),
           Rbac.Perm.make
-            ~operation:(Gen.pick rng [ "read"; "write"; "hash"; "*" ])
+            ~operation:(Gen.pick rng [ "read"; "write"; "hash"; "*"; long ])
             ~target:(Gen.pick rng rbac_targets) )
   | 10 -> R_revoke (role (), Random.State.int rng 4)
   | 11 | 12 -> R_inherit (role (), role ())
@@ -776,7 +783,8 @@ let rbac_event rng =
 let rbac_schedule rng =
   (* every session starts with an active role, so probes see grants
      early *)
-  [ R_add_role "ra"; R_assign ("u0", "ra"); R_assign ("u1", "ra") ]
+  [ R_add_role "ra"; R_assign ("u0", "ra"); R_assign ("u1", "ra");
+    R_assign (long_user, "ra") ]
   @ List.init (Array.length rbac_users) (fun i -> R_activate (i, "ra"))
   @ List.init (30 + Random.State.int rng 40) (fun _ -> rbac_event rng)
 
@@ -808,6 +816,7 @@ let run_rbac_schedule events =
   let policy = P.create () in
   P.add_user policy "u0";
   P.add_user policy "u1";
+  P.add_user policy long_user;
   let sessions =
     Array.map (fun user -> Rbac.Session.create policy ~user) rbac_users
   in
@@ -871,9 +880,18 @@ let run_rbac_schedule events =
 
 let rbac_runs = 500
 
+(* a denial whose text carries [Sral.Clip]'s length note *)
+let clipped_text why =
+  let note = " bytes)" in
+  let rec at i =
+    i + String.length note <= String.length why
+    && (String.sub why i (String.length note) = note || at (i + 1))
+  in
+  at 0
+
 let test_compiled_rbac_vs_oracle () =
   let grants = ref 0 and denials = ref 0 and inherited = ref 0 in
-  let bumped = ref 0 in
+  let bumped = ref 0 and clipped = ref 0 in
   Gen.each_seed ~salt:2424 ~count:rbac_runs (fun ~seed rng ->
       let events = rbac_schedule rng in
       let diverges events =
@@ -884,8 +902,11 @@ let test_compiled_rbac_vs_oracle () =
       let probes = run_rbac_schedule events in
       List.iter
         (fun p ->
-          if Rbac.Engine.is_granted p.expected then incr grants
-          else incr denials;
+          (match p.expected with
+          | Rbac.Engine.Granted -> incr grants
+          | Rbac.Engine.Denied why ->
+              incr denials;
+              if clipped_text why then incr clipped);
           if p.inherited then incr inherited;
           if p.bumped then incr bumped)
         probes;
@@ -902,11 +923,12 @@ let test_compiled_rbac_vs_oracle () =
           (run_rbac_schedule small)
       end);
   Printf.printf
-    "%d grants (%d through a junior role), %d denials, %d probes after a \
-     version bump\n"
-    !grants !inherited !denials !bumped;
-  Alcotest.(check bool) "schedules grant, deny, inherit and bump" true
+    "%d grants (%d through a junior role), %d denials (%d clipped), %d \
+     probes after a version bump\n"
+    !grants !inherited !denials !clipped !bumped;
+  Alcotest.(check bool) "schedules grant, deny, clip, inherit and bump" true
     (!grants >= rbac_runs && !denials >= rbac_runs
+    && !clipped >= rbac_runs
     && !inherited >= rbac_runs / 5
     && !bumped >= rbac_runs)
 

@@ -1,9 +1,8 @@
 (* The observability spine: trace determinism, JSONL round-tripping,
-   and — the refactor's safety net — sink equivalence: the audit log
-   and the metrics accumulator, now fed exclusively by the trace bus,
-   must report entry-for-entry what the seed's hand-wired recording
-   reported.  The reference here is a plain fold over the
-   captured trace implementing the seed semantics directly. *)
+   and sink equivalence: the audit log (a bus sink) and each world's
+   own metrics must report entry-for-entry what the captured trace
+   says.  The reference here is a plain fold over the captured trace
+   implementing the counting semantics directly. *)
 
 module Q = Temporal.Q
 
@@ -72,47 +71,80 @@ let random_bindings rng =
         (Rbac.Perm.make ~operation:"execute" ~target:"*@*");
     ]
 
-(* Returns the control, the world and the trace capture; the capture
-   sink subscribes right after [System.create] so it observes the whole
-   run, spawn-time authentication included. *)
-let build_world ?mode rng =
+(* A control under a random policy, with a memory capture subscribed
+   right after [System.create] so it observes every run on it,
+   spawn-time authentication included. *)
+let build_control ?mode rng =
   let policy = random_policy rng in
   let bindings = random_bindings rng in
   let control = Coordinated.System.create ?mode ~bindings policy in
   let capture, trace = Obs.Sink.memory () in
   Obs.Bus.subscribe (Coordinated.System.bus control) capture;
-  let world = Naplet.World.create control in
-  let servers = [ "s1"; "s2" ] in
+  (control, trace)
+
+let servers = [ "s1"; "s2" ]
+
+(* One channel or signal step over the coalition's shared names. *)
+let io_action rng =
+  match Random.State.int rng 4 with
+  | 0 -> Sral.Ast.Send ("c", Sral.Expr.Int (Random.State.int rng 10))
+  | 1 -> Sral.Ast.Recv ("c", "x")
+  | 2 -> Sral.Ast.Signal "go"
+  | _ -> Sral.Ast.Wait "go"
+
+(* A world on [control] with 1–4 agents named [prefix]1, [prefix]2, …;
+   [io] gives their programs channel and signal steps, [faults] names a
+   fault-plan intensity.  Returns the world and its agent ids. *)
+let populate ?config ?(io = false) ?faults ?(prefix = "agent") control rng =
+  let world = Naplet.World.create ?config control in
   List.iter
     (fun s -> Naplet.World.add_server world (Naplet.Server.create s))
     servers;
+  (match faults with
+  | None -> ()
+  | Some intensity ->
+      let plan =
+        Fault.Plan.of_name intensity
+          ~seed:(Random.State.int rng 1_000_000)
+          ~servers ~horizon:60
+      in
+      Naplet.World.set_faults
+        ~resilience:
+          (Fault.Resilience.make ~max_retries:1 ~recv_timeout:(Q.of_int 25) ())
+        world
+        (Fault.Injector.create ~seed:(Random.State.int rng 1_000_000) plan));
   let agents = 1 + Random.State.int rng 4 in
-  for i = 1 to agents do
-    let owner = if Random.State.bool rng then "u1" else "u2" in
-    let program =
-      Sral.Generate.program ~allow_io:false ~resources ~servers
-        ~size:(4 + Random.State.int rng 8)
-        rng
-    in
-    let team =
-      if Random.State.bool rng then Some "crew"
-      else if Random.State.bool rng then Some "other"
-      else None
-    in
-    Naplet.World.spawn ?team world
-      ~id:(Printf.sprintf "agent%d" i)
-      ~owner
-      ~roles:[ "ra"; "rb"; "rc" ]
-      ~home:"s1" program
-  done;
+  let ids = List.init agents (fun i -> Printf.sprintf "%s%d" prefix (i + 1)) in
+  List.iter
+    (fun id ->
+      let owner = if Random.State.bool rng then "u1" else "u2" in
+      let program =
+        Sral.Generate.program ~resources ~servers
+          ~size:(4 + Random.State.int rng 8)
+          rng
+      in
+      let program =
+        if io then Sral.Ast.seq [ io_action rng; program; io_action rng ]
+        else program
+      in
+      let team =
+        if Random.State.bool rng then Some "crew"
+        else if Random.State.bool rng then Some "other"
+        else None
+      in
+      Naplet.World.spawn ?team world ~id ~owner ~roles:[ "ra"; "rb"; "rc" ]
+        ~home:"s1" program)
+    ids;
+  (world, ids)
+
+(* Returns the control, the world and the trace capture. *)
+let build_world ?mode rng =
+  let control, trace = build_control ?mode rng in
+  let world, _ = populate control rng in
   (control, world, trace)
 
 let each_seed f =
-  List.iter
-    (fun seed ->
-      let rng = Random.State.make [| 7777; seed |] in
-      f seed rng)
-    (List.init 40 Fun.id)
+  Gen.each_seed ~salt:7777 ~count:40 (fun ~seed rng -> f seed rng)
 
 (* ------------------------------------------------------------------ *)
 (* Trace determinism                                                   *)
@@ -361,11 +393,115 @@ let reason_bucket = function
       `Temporal
   | Obs.Verdict.Server_unavailable _ -> `Unavailable
 
+(* The sixteen counters, named, for field-by-field comparison. *)
+let books (m : Naplet.Metrics.t) =
+  let open Naplet.Metrics in
+  [
+    ("granted", string_of_int m.granted);
+    ("denied", string_of_int m.denied);
+    ("denied rbac", string_of_int m.denied_rbac);
+    ("denied spatial", string_of_int m.denied_spatial);
+    ("denied temporal", string_of_int m.denied_temporal);
+    ("denied unavailable", string_of_int m.denied_unavailable);
+    ("migrations", string_of_int m.migrations);
+    ("messages", string_of_int m.messages);
+    ("signals", string_of_int m.signals);
+    ("completed", string_of_int m.completed_agents);
+    ("aborted", string_of_int m.aborted_agents);
+    ("deadlocked", string_of_int m.deadlocked_agents);
+    ("faults", string_of_int m.faults_injected);
+    ("retries", string_of_int m.retries);
+    ("gave up", string_of_int m.gave_up);
+    ("end time", Q.to_string m.end_time);
+  ]
+
+(* The counter a lifecycle event feeds, and the agent it is about. *)
+let lifecycle = function
+  | Obs.Trace.Migrated { agent; _ } -> Some ("migrations", agent)
+  | Obs.Trace.Message_sent { agent; _ } -> Some ("messages", agent)
+  | Obs.Trace.Signal_raised { agent; _ } -> Some ("signals", agent)
+  | Obs.Trace.Completed { agent; _ } -> Some ("completed", agent)
+  | Obs.Trace.Aborted { agent; _ } -> Some ("aborted", agent)
+  | Obs.Trace.Deadlocked { agent; _ } -> Some ("deadlocked", agent)
+  | Obs.Trace.Fault_injected { agent; _ } -> Some ("faults", agent)
+  | Obs.Trace.Retry_scheduled { agent; _ } -> Some ("retries", agent)
+  | Obs.Trace.Gave_up { agent; _ } -> Some ("gave up", agent)
+  | _ -> None
+
+(* The reference books of one world: count the captured events about
+   [ids] (its agents), and read [end_time] off [finished], the time of
+   that world's own [Run_finished]. *)
+let reference_books ~ids ~finished events =
+  let mine id = List.mem id ids in
+  let count p = string_of_int (List.length (List.filter p events)) in
+  let decided p =
+    count (function
+      | Obs.Trace.Decision { object_id; verdict; _ } ->
+          mine object_id && p verdict
+      | _ -> false)
+  in
+  let denied_with bucket =
+    decided (function
+      | Obs.Verdict.Denied r -> reason_bucket r = bucket
+      | Obs.Verdict.Granted -> false)
+  in
+  let about field =
+    ( field,
+      count (fun ev ->
+          match lifecycle ev with
+          | Some (f, agent) -> f = field && mine agent
+          | None -> false) )
+  in
+  [
+    ("granted", decided (( = ) Obs.Verdict.Granted));
+    ("denied", decided (( <> ) Obs.Verdict.Granted));
+    ("denied rbac", denied_with `Rbac);
+    ("denied spatial", denied_with `Spatial);
+    ("denied temporal", denied_with `Temporal);
+    ("denied unavailable", denied_with `Unavailable);
+    about "migrations";
+    about "messages";
+    about "signals";
+    about "completed";
+    about "aborted";
+    about "deadlocked";
+    about "faults";
+    about "retries";
+    about "gave up";
+    ("end time", Q.to_string finished);
+  ]
+
+(* Each seed picks one of sixteen shapes from its low bits: programs
+   with or without channel and signal I/O, with or without a fault plan,
+   one world or two sharing the control (distinct agent ids, run one
+   after the other), and denials that skip the access or abort the
+   agent.  Every world's books must equal the reference
+   fold over its part of the trace, in all sixteen fields, after every
+   world on the control has run. *)
 let test_sink_equivalence () =
+  let seen = Hashtbl.create 16 in
   each_seed (fun seed rng ->
-      let control, world, trace = build_world rng in
+      let io = seed land 1 = 1
+      and faults = if seed land 2 = 2 then Some "heavy" else None
+      and two = seed land 4 = 4
+      and config =
+        if seed land 8 = 8 then
+          {
+            Naplet.World.default_config with
+            deny_policy = Naplet.World.Abort_agent;
+          }
+        else Naplet.World.default_config
+      in
+      let control, trace = build_control rng in
       let log = Coordinated.Audit_log.attach (Coordinated.System.bus control) in
-      let metrics = Naplet.World.run world in
+      let worlds =
+        List.map
+          (fun prefix -> populate ~config ~io ?faults ~prefix control rng)
+          (if two then [ "a"; "b" ] else [ "agent" ])
+      in
+      let metrics =
+        List.map (fun (world, ids) -> (Naplet.World.run world, ids)) worlds
+      in
       let events = trace () in
       (* audit log = the Decision events, entry for entry *)
       let decisions =
@@ -382,54 +518,66 @@ let test_sink_equivalence () =
         true
         (List.length decisions = List.length entries
         && List.for_all2 ( = ) decisions entries);
-      (* metrics = a counting fold over the trace *)
-      let count p = List.length (List.filter p events) in
-      let granted =
-        count (function
-          | Obs.Trace.Decision { verdict = Obs.Verdict.Granted; _ } -> true
-          | _ -> false)
-      and denied_with bucket =
-        count (function
-          | Obs.Trace.Decision { verdict = Obs.Verdict.Denied r; _ } ->
-              reason_bucket r = bucket
-          | _ -> false)
+      (* each world's books = a counting fold over its events *)
+      let finished =
+        List.filter_map
+          (function Obs.Trace.Run_finished { time } -> Some time | _ -> None)
+          events
       in
+      List.iter2
+        (fun (m, ids) finished ->
+          Alcotest.(check (list (pair string string)))
+            (Printf.sprintf "seed %d: books of %s" seed (List.hd ids))
+            (reference_books ~ids ~finished events)
+            (books m);
+          List.iter
+            (fun (field, v) -> if v <> "0" then Hashtbl.replace seen field ())
+            (books m))
+        metrics finished);
+  (* the corpus reaches every counter but the spatial denials, which
+     its policies make rare (most accesses fail RBAC first) *)
+  List.iter
+    (fun (field, _) ->
+      if field <> "denied spatial" then
+        Alcotest.(check bool) (field ^ " counted somewhere") true
+          (Hashtbl.mem seen field))
+    (books (Naplet.Metrics.create ()))
+
+(* A finished world's books do not move when a second world runs on
+   its control, whether the second world's agent ids are new or repeat
+   the first's. *)
+let test_books_stay_put () =
+  let policy = Rbac.Policy.create () in
+  Rbac.Policy.add_user policy "u1";
+  Rbac.Policy.add_role policy "worker";
+  Rbac.Policy.grant policy "worker"
+    (Rbac.Perm.make ~operation:"*" ~target:"*@*");
+  Rbac.Policy.assign_user policy "u1" "worker";
+  let run_world control ~id ~home program =
+    let world = Naplet.World.create control in
+    List.iter
+      (fun s -> Naplet.World.add_server world (Naplet.Server.create s))
+      servers;
+    Naplet.World.spawn world ~id ~owner:"u1" ~roles:[ "worker" ] ~home
+      (Sral.Parser.program program);
+    Naplet.World.run world
+  in
+  List.iter
+    (fun second_id ->
+      let control = Coordinated.System.create ~bindings:[] policy in
+      let first = run_world control ~id:"a1" ~home:"s1" "read r1 @ s1" in
+      let before = books first in
+      let second =
+        run_world control ~id:second_id ~home:"s2"
+          "read r1 @ s2; read r2 @ s1; write r3 @ s2; read r1 @ s1"
+      in
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "first world's books after a second (%s)" second_id)
+        before (books first);
       Alcotest.(check int)
-        (Printf.sprintf "seed %d: granted" seed)
-        granted metrics.Naplet.Metrics.granted;
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: denied rbac" seed)
-        (denied_with `Rbac) metrics.Naplet.Metrics.denied_rbac;
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: denied spatial" seed)
-        (denied_with `Spatial) metrics.Naplet.Metrics.denied_spatial;
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: denied temporal" seed)
-        (denied_with `Temporal) metrics.Naplet.Metrics.denied_temporal;
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: migrations" seed)
-        (count (function Obs.Trace.Migrated _ -> true | _ -> false))
-        metrics.Naplet.Metrics.migrations;
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: messages" seed)
-        (count (function Obs.Trace.Message_sent _ -> true | _ -> false))
-        metrics.Naplet.Metrics.messages;
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: signals" seed)
-        (count (function Obs.Trace.Signal_raised _ -> true | _ -> false))
-        metrics.Naplet.Metrics.signals;
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: completed" seed)
-        (count (function Obs.Trace.Completed _ -> true | _ -> false))
-        metrics.Naplet.Metrics.completed_agents;
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: aborted" seed)
-        (count (function Obs.Trace.Aborted _ -> true | _ -> false))
-        metrics.Naplet.Metrics.aborted_agents;
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: deadlocked" seed)
-        (count (function Obs.Trace.Deadlocked _ -> true | _ -> false))
-        metrics.Naplet.Metrics.deadlocked_agents)
+        (Printf.sprintf "second world (%s) counts its own grants" second_id)
+        4 second.Naplet.Metrics.granted)
+    [ "b1"; "a1" ]
 
 (* The whole trace must not depend on the decision mode: the lazy and
    the naive runs of the same coalition through the Naplet world
@@ -672,6 +820,8 @@ let () =
             test_sink_equivalence;
           Alcotest.test_case "decisions mode-independent" `Quick
             test_decisions_mode_independent;
+          Alcotest.test_case "books stay put after a 2nd world" `Quick
+            test_books_stay_put;
         ] );
       ( "satellites",
         [

@@ -418,6 +418,31 @@ let test_refusals_bounded () =
   Alcotest.(check string) "dead connection ignored" ""
     (Server.feed server ~conn (frame_req Ping))
 
+(* An RBAC denial names the request's operation, resource and server;
+   each is clipped at its source, so a Check naming a 1 MB resource gets
+   a small verdict. *)
+let test_rbac_denial_bounded () =
+  let server = Server.create ~base:(Script.base_system ()) () in
+  let conn = Server.open_conn server in
+  ignore (register server conn);
+  ignore (feed_req server conn (Arrive { object_id = "obj"; server = "s1" }));
+  let access =
+    Sral.Access.custom "hash" (String.make 1_000_000 '\xff') ~at:"s1"
+  in
+  let out =
+    Server.feed server ~conn (frame_req (Check { object_id = "obj"; access }))
+  in
+  if String.length out >= 512 then
+    Alcotest.failf "%d-byte reply to a 1 MB resource" (String.length out);
+  match decode_replies out with
+  | [ Verdict { verdict = Denied (Rbac_denied why); _ } ] ->
+      Alcotest.(check string) "clipped denial"
+        (Printf.sprintf
+           "no active role of %s grants hash on %s... (1000003 bytes)" user0
+           (String.make 64 '\xff'))
+        why
+  | _ -> Alcotest.fail "want one RBAC-denied verdict"
+
 (* Split a reply stream into (events, direct reply) pairs: each direct
    reply with the events streamed just before it. *)
 let with_events replies =
@@ -959,6 +984,8 @@ let () =
             test_server_chunk_outcomes;
           Alcotest.test_case "segmentation leaves replies alone" `Quick
             test_feed_segmentation;
+          Alcotest.test_case "RBAC denials quote a bounded prefix" `Quick
+            test_rbac_denial_bounded;
         ] );
       ( "differential",
         [
