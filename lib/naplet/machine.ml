@@ -43,22 +43,24 @@ let create ?(fuel = 100_000) program =
     fuel;
   }
 
-let find_thread t id = List.find_opt (fun th -> th.id = id) t.threads
+let rec find_thread id = function
+  | [] -> invalid_arg "Machine: unknown thread"
+  | th :: rest -> if th.id = id then th else find_thread id rest
 
-let request_of_action env (p : Sral.Ast.t) =
+let env_of_tbl tbl =
+  Hashtbl.fold (fun x v env -> Sral.Env.bind env x v) tbl Sral.Env.empty
+
+(* only [Send] reads the environment, so only [Send] builds one *)
+let request_of_action t (p : Sral.Ast.t) =
   match p with
   | Sral.Ast.Access a -> Access a
-  | Sral.Ast.Send (chan, e) ->
-      Send (chan, Sral.Expr.eval env e)
+  | Sral.Ast.Send (chan, e) -> Send (chan, Sral.Expr.eval (env_of_tbl t.env) e)
   | Sral.Ast.Recv (chan, x) -> Recv (chan, x)
   | Sral.Ast.Signal x -> Signal x
   | Sral.Ast.Wait x -> Wait x
   | Sral.Ast.Skip | Sral.Ast.Assign _ | Sral.Ast.Seq _ | Sral.Ast.If _
   | Sral.Ast.While _ | Sral.Ast.Par _ ->
       assert false
-
-let env_of_tbl tbl =
-  Hashtbl.fold (fun x v env -> Sral.Env.bind env x v) tbl Sral.Env.empty
 
 (* Execute one silent step of a thread, or surface its action.
    Returns [`Silent] (made progress), [`Action request], [`Dead]
@@ -124,65 +126,61 @@ let exec_one t th =
           `Silent
       | Sral.Ast.Access _ | Sral.Ast.Send _ | Sral.Ast.Recv _
       | Sral.Ast.Signal _ | Sral.Ast.Wait _ ->
-          `Action (request_of_action (env_of_tbl t.env) p))
+          `Action (request_of_action t p))
 
-let prune t = t.threads <- List.filter (fun th -> th.stack <> []) t.threads
+let dead th = th.stack = []
+let runnable th = not th.blocked
+
+(* The thread list is rebuilt only when a thread has died. *)
+let prune t =
+  if List.exists dead t.threads then
+    t.threads <- List.filter (fun th -> not (dead th)) t.threads
+
+let rec count_runnable n = function
+  | [] -> n
+  | th :: rest -> count_runnable (if runnable th then n + 1 else n) rest
+
+(* the [k]-th runnable thread, counting from 0 *)
+let rec nth_runnable k = function
+  | [] -> assert false
+  | th :: rest ->
+      if not (runnable th) then nth_runnable k rest
+      else if k = 0 then th
+      else nth_runnable (k - 1) rest
+
+(* Run silent steps, rotating over the runnable threads, until one
+   surfaces an action; [silent] counts the steps taken so far. *)
+let rec run t ~silent =
+  prune t;
+  if t.threads = [] then Finished
+  else
+    let n = count_runnable 0 t.threads in
+    if n = 0 then All_blocked
+    else begin
+      let th = nth_runnable (t.rotation mod n) t.threads in
+      t.rotation <- t.rotation + 1;
+      if silent > t.fuel then Fault "divergence: silent-step fuel exhausted"
+      else
+        match exec_one t th with
+        | `Silent -> run t ~silent:(silent + 1)
+        | `Dead -> run t ~silent
+        | `Action request ->
+            th.pending <- Some request;
+            Ready { thread = th.id; request; silent_steps = silent }
+    end
+
+(* an already-surfaced pending request is re-surfaced first *)
+let rec resurface t = function
+  | [] -> ( try run t ~silent:0 with Sral.Expr.Eval_error msg -> Fault msg)
+  | th :: rest -> (
+      match th.pending with
+      | Some request when runnable th ->
+          Ready { thread = th.id; request; silent_steps = 0 }
+      | _ -> resurface t rest)
 
 let step t =
   prune t;
-  if t.threads = [] then Finished
-  else begin
-    (* already-surfaced pending request? re-surface the first *)
-    match
-      List.find_opt (fun th -> (not th.blocked) && th.pending <> None) t.threads
-    with
-    | Some th -> (
-        match th.pending with
-        | Some request -> Ready { thread = th.id; request; silent_steps = 0 }
-        | None -> assert false)
-    | None -> (
-        let runnable () = List.filter (fun th -> not th.blocked) t.threads in
-        match runnable () with
-        | [] -> All_blocked
-        | _ -> (
-            let silent = ref 0 in
-            let result = ref None in
-            (try
-               while !result = None do
-                 prune t;
-                 if t.threads = [] then result := Some Finished
-                 else begin
-                   let candidates = runnable () in
-                   if candidates = [] then result := Some All_blocked
-                   else begin
-                     if !silent > t.fuel then
-                       result :=
-                         Some (Fault "divergence: silent-step fuel exhausted");
-                     let n = List.length candidates in
-                     let th = List.nth candidates (t.rotation mod n) in
-                     t.rotation <- t.rotation + 1;
-                     match !result with
-                     | Some _ -> ()
-                     | None -> (
-                         match exec_one t th with
-                         | `Silent -> incr silent
-                         | `Dead -> ()
-                         | `Action request ->
-                             th.pending <- Some request;
-                             result :=
-                               Some
-                                 (Ready
-                                    {
-                                      thread = th.id;
-                                      request;
-                                      silent_steps = !silent;
-                                    }))
-                   end
-                 end
-               done
-             with Sral.Expr.Eval_error msg -> result := Some (Fault msg));
-            match !result with Some s -> s | None -> assert false))
-  end
+  resurface t t.threads
 
 let pop_action th =
   th.pending <- None;
@@ -190,19 +188,14 @@ let pop_action th =
   | Exec _ :: rest -> th.stack <- rest
   | _ -> assert false
 
-let with_thread t ~thread f =
-  match find_thread t thread with
-  | Some th -> f th
-  | None -> invalid_arg "Machine: unknown thread"
-
-let complete t ~thread = with_thread t ~thread (fun th -> pop_action th)
+let complete t ~thread = pop_action (find_thread thread t.threads)
 
 let complete_recv t ~thread ~var v =
-  with_thread t ~thread (fun th ->
-      Hashtbl.replace t.env var v;
-      pop_action th)
+  let th = find_thread thread t.threads in
+  Hashtbl.replace t.env var v;
+  pop_action th
 
-let block t ~thread = with_thread t ~thread (fun th -> th.blocked <- true)
-let unblock t ~thread = with_thread t ~thread (fun th -> th.blocked <- false)
-let skip_request t ~thread = with_thread t ~thread (fun th -> pop_action th)
+let block t ~thread = (find_thread thread t.threads).blocked <- true
+let unblock t ~thread = (find_thread thread t.threads).blocked <- false
+let skip_request t ~thread = pop_action (find_thread thread t.threads)
 let env_value t x = Hashtbl.find_opt t.env x

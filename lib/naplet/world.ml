@@ -19,13 +19,13 @@ let default_config =
     max_events = 1_000_000;
   }
 
-(* Flat event payloads: everything the steady-state loop schedules is
-   plain data keyed by interned ids — no closures, so a parked event
-   costs a few words and captures nothing.  [Admin] remains only for
-   the public [at] API (security-officer interventions are rare and
-   inherently arbitrary code). *)
-type event =
-  | Step of int  (** agent id *)
+(* The event queue carries ints only.  A step of agent row [i] is
+   scheduled as [i] itself; the rare events below are parked in the
+   [rare] table and scheduled under the negative handle [-1 - k] of
+   their key [k].  [Admin] exists only for the public [at] API
+   (security-officer interventions are rare and inherently arbitrary
+   code). *)
+type rare =
   | Crash_boundary of { server : string; up : bool }
   | Deliver of { chan : string; value : Sral.Value.t }
   | Recv_deadline of { chan : string; agent : int; thread : int }
@@ -65,10 +65,6 @@ type t = {
   mutable a_reason : string array;  (* abort reason when [st_aborted] *)
   mutable a_location : int array;  (* server id, -1 before dispatch *)
   mutable a_retries : int array;
-  mutable a_step : event array;
-      (* row [i]'s [Step i], built once at spawn: a scheduled step then
-         writes an already-promoted value into [Sim]'s payload array,
-         and the heap's sifts record no young pointers *)
   mutable n_agents : int;
   (* server column, indexed by [snames] id; migration targets that were
      never registered intern an id but keep a [None] slot *)
@@ -76,7 +72,9 @@ type t = {
   mutable srv : Server.t option array;
   channels : Channel.t;
   signals : Signal_table.t;
-  events : event Sim.t;
+  events : Sim.t;
+  rare : (int, rare) Hashtbl.t;
+  mutable next_rare : int;
   mutable clock : Q.t;
   mutable appraisal : Appraisal.t option;
   mutable faults : fault_state option;
@@ -101,13 +99,14 @@ let create ?(config = default_config) control =
     a_reason = [||];
     a_location = [||];
     a_retries = [||];
-    a_step = [||];
     n_agents = 0;
     snames = Intern.create ();
     srv = [||];
     channels = Channel.create ();
     signals = Signal_table.create ();
     events = Sim.create ();
+    rare = Hashtbl.create 8;
+    next_rare = 0;
     clock = Q.zero;
     appraisal = None;
     faults = None;
@@ -197,15 +196,24 @@ let emit t ev =
   Metrics.record t.metrics ev;
   Obs.Bus.emit t.bus ev
 
-let schedule_step t i ~time = Sim.schedule t.events ~time t.a_step.(i)
+let schedule_step t i ~time = Sim.schedule t.events ~time i
 
-let at t ~time action = Sim.schedule t.events ~time (Admin action)
+let schedule_rare t ~time ev =
+  let k = t.next_rare in
+  t.next_rare <- k + 1;
+  Hashtbl.replace t.rare k ev;
+  Sim.schedule t.events ~time (-1 - k)
+
+let at t ~time action = schedule_rare t ~time (Admin action)
 
 let pending_events t = Sim.size t.events
 
-(* Kill switch: forget every pending event; [run]'s next pop sees an
-   empty queue and winds the world down. *)
-let halt t = Sim.clear t.events
+(* Kill switch: forget every pending event, and release the rare events
+   parked for them; [run]'s next pop sees an empty queue and winds the
+   world down. *)
+let halt t =
+  Sim.clear t.events;
+  Hashtbl.reset t.rare
 
 let set_faults ?(resilience = Fault.Resilience.default) t injector =
   t.faults <- Some { injector; resilience };
@@ -218,9 +226,9 @@ let set_faults ?(resilience = Fault.Resilience.default) t injector =
     (fun (server, windows) ->
       List.iter
         (fun (w : Fault.Plan.window) ->
-          Sim.schedule t.events ~time:w.Fault.Plan.from_
+          schedule_rare t ~time:w.Fault.Plan.from_
             (Crash_boundary { server; up = false });
-          Sim.schedule t.events ~time:w.Fault.Plan.until
+          schedule_rare t ~time:w.Fault.Plan.until
             (Crash_boundary { server; up = true }))
         windows)
     plan.Fault.Plan.crashes
@@ -272,8 +280,7 @@ let grow_agents t ~program ~machine needed =
     t.a_end <- col t.a_end Q.zero;
     t.a_reason <- col t.a_reason "";
     t.a_location <- col t.a_location (-1);
-    t.a_retries <- col t.a_retries 0;
-    t.a_step <- col t.a_step (Step (-1))
+    t.a_retries <- col t.a_retries 0
   end
 
 let spawn ?team t ~id ~owner ~roles ~home program =
@@ -298,7 +305,6 @@ let spawn ?team t ~id ~owner ~roles ~home program =
   t.a_reason.(i) <- "";
   t.a_location.(i) <- -1;
   t.a_retries.(i) <- 0;
-  t.a_step.(i) <- Step i;
   t.n_agents <- i + 1;
   (match team with
   | Some team ->
@@ -497,8 +503,7 @@ let handle_request t i ~thread ~time request =
        | Fault.Injector.Drop -> fault Obs.Trace.Channel_drop
        | Fault.Injector.Delay d ->
            fault Obs.Trace.Channel_delay;
-           Sim.schedule t.events ~time:(Q.add time d)
-             (Deliver { chan; value = v })
+           schedule_rare t ~time:(Q.add time d) (Deliver { chan; value = v })
        | Fault.Injector.Duplicate ->
            fault Obs.Trace.Channel_duplicate;
            deliver t ~chan v ~time;
@@ -521,7 +526,7 @@ let handle_request t i ~thread ~time request =
           | Some { resilience = { Fault.Resilience.recv_timeout = Some d; _ };
                    _ } ->
               (* if still parked at the deadline, give up on the message *)
-              Sim.schedule t.events ~time:(Q.add time d)
+              schedule_rare t ~time:(Q.add time d)
                 (Recv_deadline { chan; agent = i; thread })
           | _ -> ());
           `Continue_at time)
@@ -582,49 +587,49 @@ let process_step t i ~time =
         | Machine.All_blocked -> t.a_status.(i) <- st_waiting
         | Machine.Ready { thread; request; silent_steps } -> (
             let time =
-              Q.add time (Q.mul (Q.of_int silent_steps) t.config.step_cost)
+              if silent_steps = 0 then time
+              else Q.add time (Q.mul (Q.of_int silent_steps) t.config.step_cost)
             in
             match handle_request t i ~thread ~time request with
             | `Continue_at next -> schedule_step t i ~time:next
             | `Abort why -> finish_agent t i (Agent.Aborted why)))
 
+let process_rare t = function
+  | Crash_boundary { server; up = false } ->
+      emit t (Obs.Trace.Server_down { time = t.clock; server })
+  | Crash_boundary { server; up = true } ->
+      emit t (Obs.Trace.Server_up { time = t.clock; server })
+  | Deliver { chan; value } -> deliver t ~chan value ~time:t.clock
+  | Recv_deadline { chan; agent = i; thread } ->
+      let waiter = { Channel.agent = Intern.name t.anames i; thread } in
+      if Channel.cancel t.channels ~chan waiter then begin
+        emit t
+          (Obs.Trace.Fault_injected
+             {
+               time = t.clock;
+               agent = waiter.Channel.agent;
+               fault = Obs.Trace.Recv_timeout;
+               target = chan;
+             });
+        abandon t i ~thread ~time:t.clock
+      end
+  | Admin action -> action ()
+
 let run t =
   let budget = ref t.config.max_events in
-  let rec loop () =
-    if !budget <= 0 then ()
-    else
-      match Sim.pop t.events with
-      | None -> ()
-      | Some (time, payload) ->
-          decr budget;
-          t.processed <- t.processed + 1;
-          t.clock <- Q.max t.clock time;
-          (match payload with
-          | Step i -> process_step t i ~time:t.clock
-          | Crash_boundary { server; up = false } ->
-              emit t (Obs.Trace.Server_down { time = t.clock; server })
-          | Crash_boundary { server; up = true } ->
-              emit t (Obs.Trace.Server_up { time = t.clock; server })
-          | Deliver { chan; value } -> deliver t ~chan value ~time:t.clock
-          | Recv_deadline { chan; agent = i; thread } ->
-              let waiter =
-                { Channel.agent = Intern.name t.anames i; thread }
-              in
-              if Channel.cancel t.channels ~chan waiter then begin
-                emit t
-                  (Obs.Trace.Fault_injected
-                     {
-                       time = t.clock;
-                       agent = waiter.Channel.agent;
-                       fault = Obs.Trace.Recv_timeout;
-                       target = chan;
-                     });
-                abandon t i ~thread ~time:t.clock
-              end
-          | Admin action -> action ());
-          loop ()
-  in
-  loop ();
+  while !budget > 0 && not (Sim.is_empty t.events) do
+    decr budget;
+    let payload = Sim.pop t.events in
+    t.processed <- t.processed + 1;
+    t.clock <- Q.max t.clock (Sim.now t.events);
+    if payload >= 0 then process_step t payload ~time:t.clock
+    else begin
+      let k = -1 - payload in
+      let ev = Hashtbl.find t.rare k in
+      Hashtbl.remove t.rare k;
+      process_rare t ev
+    end
+  done;
   (* deadlock sweep in id order — deterministic by construction *)
   for i = 0 to t.n_agents - 1 do
     if t.a_status.(i) = st_waiting then

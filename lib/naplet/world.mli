@@ -96,8 +96,10 @@ val run : t -> Metrics.t
     so a later world run on the same control does not move them. *)
 
 val halt : t -> unit
-(** Tear the world down early: every pending event is discarded, so
-    {!run} winds down at the current clock.  Usable from an {!at}
+(** Tear the world down early: every pending event is discarded, and
+    the world drops its references to pending {!at} actions, which
+    never run.  {!run} then winds down at the current clock.  Usable
+    from an {!at}
     action as a kill switch (e.g. when a chaos run decides the
     coalition is lost). *)
 

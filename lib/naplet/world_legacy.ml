@@ -1,14 +1,16 @@
-(* The pre-SoA emulation engine, kept verbatim as the differential
-   oracle for the rebuilt [World]: hashtable-of-records state, closure
-   payloads in the event queue.  The E19 harness and the test suite
-   run randomized coalitions through both engines and require the
-   exported traces to be byte-identical; once that gate has survived
-   long enough, this module is scheduled for deletion.
+(* The pre-SoA emulation engine, kept as the differential oracle for
+   the rebuilt [World]: hashtable-of-records state, closure payloads in
+   its own event queue.  The E19 harness and the test suite run
+   randomized coalitions through both engines and require the exported
+   traces to be byte-identical; once that gate has survived long
+   enough, this module is scheduled for deletion.
 
-   One deliberate canonicalization vs. the historical code: the
-   end-of-run deadlock sweep walks agents in spawn order (the rebuilt
-   engine's id order) rather than [Hashtbl.iter] order, which was
-   unspecified and could never have been compared across engines. *)
+   Two deliberate departures from the historical code: the end-of-run
+   deadlock sweep walks agents in spawn order (the rebuilt engine's id
+   order) rather than [Hashtbl.iter] order, which was unspecified and
+   could never have been compared across engines; and the event queue
+   is a [Map] rather than [Sim], so the gate checks [Sim]'s pop order
+   instead of sharing it. *)
 
 module Q = Temporal.Q
 
@@ -33,6 +35,17 @@ let default_config =
 
 type event = Step of string | Admin of (unit -> unit)
 
+(* The legacy engine keeps its own event queue, independent of [Sim]:
+   a map ordered by (time, schedule sequence), so the E19 byte gate
+   also checks [Sim]'s pop order. *)
+module Agenda = Map.Make (struct
+  type t = Q.t * int
+
+  let compare (t1, s1) (t2, s2) =
+    let c = Q.compare t1 t2 in
+    if c <> 0 then c else Int.compare s1 s2
+end)
+
 (* Installed fault machinery: the injector answers "does this fault
    fire?", the resilience policy says how to react, and [retries]
    tracks each agent's consecutive failed migration attempts. *)
@@ -51,7 +64,8 @@ type t = {
   mutable spawn_order : string list;  (* newest first *)
   channels : Channel.t;
   signals : Signal_table.t;
-  events : event Sim.t;
+  mutable events : event Agenda.t;
+  mutable next_seq : int;
   mutable clock : Q.t;
   mutable appraisal : Appraisal.t option;
   mutable faults : fault_state option;
@@ -69,7 +83,8 @@ let create ?(config = default_config) control =
     spawn_order = [];
     channels = Channel.create ();
     signals = Signal_table.create ();
-    events = Sim.create ();
+    events = Agenda.empty;
+    next_seq = 0;
     clock = Q.zero;
     appraisal = None;
     faults = None;
@@ -112,15 +127,26 @@ let emit t ev =
   Metrics.record t.metrics ev;
   Obs.Bus.emit t.bus ev
 
-let schedule_step t id ~time = Sim.schedule t.events ~time (Step id)
+let schedule t ~time ev =
+  t.events <- Agenda.add (time, t.next_seq) ev t.events;
+  t.next_seq <- t.next_seq + 1
 
-let at t ~time action = Sim.schedule t.events ~time (Admin action)
+let schedule_step t id ~time = schedule t ~time (Step id)
 
-let pending_events t = Sim.size t.events
+let at t ~time action = schedule t ~time (Admin action)
+
+let pending_events t = Agenda.cardinal t.events
 
 (* Kill switch: forget every pending event; [run]'s next pop sees an
    empty queue and winds the world down. *)
-let halt t = Sim.clear t.events
+let halt t = t.events <- Agenda.empty
+
+let pop t =
+  match Agenda.min_binding_opt t.events with
+  | None -> None
+  | Some (((time, _) as key), ev) ->
+      t.events <- Agenda.remove key t.events;
+      Some (time, ev)
 
 let set_faults ?(resilience = Fault.Resilience.default) t injector =
   t.faults <- Some { injector; resilience; retries = Hashtbl.create 8 };
@@ -477,7 +503,7 @@ let run t =
   let rec loop () =
     if !budget <= 0 then ()
     else
-      match Sim.pop t.events with
+      match pop t with
       | None -> ()
       | Some (time, Step id) ->
           decr budget;

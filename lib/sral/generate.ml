@@ -25,6 +25,20 @@ let bounded_loop rng body =
             (body, Ast.Assign (i, Expr.Binop (Expr.Add, Expr.Var i, Expr.Int 1)))
         ) )
 
+(* Channel and signal names come from small fixed sets, so that in a
+   coalition of generated programs sends meet receives and raised
+   signals release waiters. *)
+let channels = [ "c1"; "c2" ]
+let signals = [ "g1"; "g2" ]
+
+let io_step rng =
+  match Random.State.int rng 5 with
+  | 0 -> Ast.Assign (fresh_var (), Expr.Int (Random.State.int rng 100))
+  | 1 -> Ast.Send (choose rng channels, Expr.Int (Random.State.int rng 100))
+  | 2 -> Ast.Recv (choose rng channels, fresh_var ())
+  | 3 -> Ast.Signal (choose rng signals)
+  | _ -> Ast.Wait (choose rng signals)
+
 let rec gen ~allow_par ~allow_io ~allow_loop ~resources ~servers size rng =
   if size <= 1 then Ast.Access (access ~resources ~servers rng)
   else
@@ -50,8 +64,8 @@ let rec gen ~allow_par ~allow_io ~allow_loop ~resources ~servers size rng =
           (gen ~allow_par ~allow_io ~allow_loop ~resources ~servers (size - 1)
              rng)
     | 8 when allow_io ->
-        let x = fresh_var () in
-        Ast.Seq (Ast.Assign (x, Expr.Int (Random.State.int rng 100)), right ())
+        let step = io_step rng in
+        Ast.Seq (step, right ())
     | _ -> Ast.Seq (left (), right ())
 
 let program ?(allow_par = true) ?(allow_io = false) ~resources ~servers ~size

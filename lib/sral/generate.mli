@@ -21,8 +21,11 @@ val program :
   Ast.t
 (** A random well-formed program with approximately [size] AST nodes.
     [allow_par] (default [true]) enables [||]; [allow_io] (default
-    [false]) enables channels/signals/assignment — disable it when the
-    program is meant for pure trace-model work. *)
+    [false]) enables assignment, [ch ! e], [ch ? x], [signal(x)] and
+    [wait(x)] over the fixed channel names [c1], [c2] and signal names
+    [g1], [g2], so that generated programs run side by side meet each
+    other's sends and signals — disable it when the program is meant
+    for pure trace-model work. *)
 
 val loop_free_program :
   resources:string list ->

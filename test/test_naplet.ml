@@ -10,39 +10,60 @@ module Sim = Naplet.Sim
 
 (* --- sim event queue --- *)
 
+(* the earliest (time, payload), or [None] when empty *)
+let sim_pop queue =
+  if Sim.is_empty queue then None
+  else
+    let v = Sim.pop queue in
+    Some (Sim.now queue, v)
+
+let drain_values queue =
+  let rec go acc =
+    match sim_pop queue with Some (_, v) -> go (v :: acc) | None -> List.rev acc
+  in
+  go []
+
 let test_sim_ordering () =
+  let late = 3 and early = 1 and mid = 2 in
   let queue = Sim.create () in
-  Sim.schedule queue ~time:(q 5) "late";
-  Sim.schedule queue ~time:(q 1) "early";
-  Sim.schedule queue ~time:(q 3) "mid";
+  Sim.schedule queue ~time:(q 5) late;
+  Sim.schedule queue ~time:(q 1) early;
+  Sim.schedule queue ~time:(q 3) mid;
   Alcotest.(check (option string)) "peek" (Some "1")
     (Option.map Q.to_string (Sim.peek_time queue));
-  let order =
-    List.filter_map (fun _ -> Option.map snd (Sim.pop queue)) [ (); (); () ]
-  in
-  Alcotest.(check (list string)) "time order" [ "early"; "mid"; "late" ] order;
-  Alcotest.(check bool) "empty" true (Sim.is_empty queue)
+  Alcotest.(check (list int)) "time order" [ early; mid; late ]
+    (drain_values queue);
+  Alcotest.(check bool) "empty" true (Sim.is_empty queue);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Sim.pop: empty queue")
+    (fun () -> ignore (Sim.pop queue))
 
 let test_sim_fifo_at_equal_times () =
   let queue = Sim.create () in
-  List.iter (fun s -> Sim.schedule queue ~time:(q 2) s) [ "a"; "b"; "c" ];
-  let order =
-    List.filter_map (fun _ -> Option.map snd (Sim.pop queue)) [ (); (); () ]
-  in
-  Alcotest.(check (list string)) "insertion order" [ "a"; "b"; "c" ] order
+  List.iter (fun v -> Sim.schedule queue ~time:(q 2) v) [ 7; 3; 5 ];
+  Alcotest.(check (list int)) "insertion order" [ 7; 3; 5 ] (drain_values queue)
 
 let test_sim_interleaved_ops () =
   let queue = Sim.create () in
   for i = 20 downto 1 do
     Sim.schedule queue ~time:(q i) i
   done;
-  let rec drain acc =
-    match Sim.pop queue with
-    | Some (_, v) -> drain (v :: acc)
-    | None -> List.rev acc
-  in
   Alcotest.(check (list int)) "sorted" (List.init 20 (fun i -> i + 1))
-    (drain [])
+    (drain_values queue)
+
+(* [now] is shared while pops repeat a time: no allocation per pop *)
+let test_sim_now_reused () =
+  let queue = Sim.create () in
+  List.iter (fun v -> Sim.schedule queue ~time:(Q.make 3 2) v) [ 1; 2; 3 ];
+  Sim.schedule queue ~time:(q 4) 4;
+  ignore (Sim.pop queue);
+  let first = Sim.now queue in
+  Alcotest.(check string) "time" "3/2" (Q.to_string first);
+  ignore (Sim.pop queue);
+  ignore (Sim.pop queue);
+  Alcotest.(check bool) "same value while the time repeats" true
+    (Sim.now queue == first);
+  ignore (Sim.pop queue);
+  Alcotest.(check string) "moves on" "4" (Q.to_string (Sim.now queue))
 
 (* --- sim properties: the SoA heap against sorted-list oracles ---
 
@@ -54,12 +75,6 @@ let test_sim_interleaved_ops () =
    genuine cross-denominator comparisons both occur *)
 let gen_time rng =
   Q.make (Random.State.int rng 8) (1 + Random.State.int rng 4)
-
-let drain_values queue =
-  let rec go acc =
-    match Sim.pop queue with Some (_, v) -> go (v :: acc) | None -> List.rev acc
-  in
-  go []
 
 (* Heap ordering + FIFO at equal times, in one property: popping
    everything equals a stable sort of the insertions by time. *)
@@ -77,11 +92,16 @@ let test_sim_pop_is_stable_sort () =
         (Printf.sprintf "seed %d: stable sort by time" seed)
         expected (drain_values queue))
 
-(* Random schedule/pop interleavings against a sorted-list oracle that
-   also checks the popped times themselves. *)
+(* Random schedule/pop/clear interleavings against a sorted-list
+   oracle that also checks the popped times themselves.  A [`Burst]
+   schedules enough entries to grow the backing array past its
+   initial capacity, and the pops and clears after it shrink it
+   again. *)
 let pp_sim_op ppf = function
   | `Pop -> Format.pp_print_string ppf "pop"
+  | `Clear -> Format.pp_print_string ppf "clear"
   | `Schedule t -> Format.fprintf ppf "schedule %s" (Q.to_string t)
+  | `Burst (n, t) -> Format.fprintf ppf "burst %d at %s" n (Q.to_string t)
 
 let pp_sim_script ppf script =
   Format.fprintf ppf "[%a]"
@@ -94,12 +114,24 @@ let sim_script_disagrees script =
   let queue = Sim.create () in
   let pending = ref [] (* (time, tag) in insertion order — the oracle *) in
   let tag = ref 0 in
+  let schedule time =
+    incr tag;
+    Sim.schedule queue ~time !tag;
+    pending := !pending @ [ (time, !tag) ]
+  in
   let step = function
     | `Schedule time ->
-        incr tag;
-        Sim.schedule queue ~time !tag;
-        pending := !pending @ [ (time, !tag) ];
+        schedule time;
         None
+    | `Burst (n, time) ->
+        for _ = 1 to n do
+          schedule time
+        done;
+        None
+    | `Clear ->
+        Sim.clear queue;
+        pending := [];
+        if Sim.size queue = 0 then None else Some "size after clear is not 0"
     | `Pop -> (
         let best =
           List.fold_left
@@ -109,7 +141,7 @@ let sim_script_disagrees script =
               | Some (bt, _) -> if Q.lt t bt then Some (t, g) else acc)
             None !pending
         in
-        match (Sim.pop queue, best) with
+        match (sim_pop queue, best) with
         | None, None -> None
         | Some (t, v), Some (bt, bg) when v = bg && Q.compare t bt = 0 ->
             pending := List.filter (fun (_, g) -> g <> bg) !pending;
@@ -134,8 +166,11 @@ let test_sim_interleaving_vs_oracle () =
       let n = 10 + Random.State.int rng 60 in
       let script =
         List.init n (fun _ ->
-            if Random.State.int rng 3 = 0 then `Pop
-            else `Schedule (gen_time rng))
+            match Random.State.int rng 24 with
+            | 0 -> `Clear
+            | 1 | 2 -> `Burst (20 + Random.State.int rng 60, gen_time rng)
+            | k when k < 10 -> `Pop
+            | _ -> `Schedule (gen_time rng))
         (* drain tail: pops over an emptying (and shrinking) heap *)
         @ List.init (n / 2) (fun _ -> `Pop)
       in
@@ -533,18 +568,20 @@ let test_sim_drain_clear () =
   let queue = Sim.create () in
   List.iter (fun i -> Sim.schedule queue ~time:(q i) i) [ 4; 1; 3; 2 ];
   Alcotest.(check int) "size" 4 (Sim.size queue);
-  let drained = Sim.drain queue in
   Alcotest.(check (list int)) "drain pops in time order" [ 1; 2; 3; 4 ]
-    (List.map snd drained);
+    (drain_values queue);
   Alcotest.(check int) "size after drain" 0 (Sim.size queue);
-  List.iter (fun i -> Sim.schedule queue ~time:(q i) i) [ 9; 8 ];
+  List.iter (fun i -> Sim.schedule queue ~time:(q 5) i) [ 9; 8 ];
   Sim.clear queue;
   Alcotest.(check int) "size after clear" 0 (Sim.size queue);
   Alcotest.(check bool) "empty after clear" true (Sim.is_empty queue);
-  (* still usable afterwards *)
-  Sim.schedule queue ~time:(q 5) 5;
+  (* still usable afterwards, and equal-time entries scheduled after the
+     clear keep their schedule order *)
+  List.iter (fun i -> Sim.schedule queue ~time:(q 5) i) [ 6; 5; 7 ];
   Alcotest.(check (option string)) "usable after clear" (Some "5")
-    (Option.map Q.to_string (Sim.peek_time queue))
+    (Option.map Q.to_string (Sim.peek_time queue));
+  Alcotest.(check (list int)) "fifo across a clear" [ 6; 5; 7 ]
+    (drain_values queue)
 
 let test_channel_cancel () =
   let channels = Naplet.Channel.create () in
@@ -629,6 +666,54 @@ let test_world_halt_tears_down () =
     (Q.le metrics.Naplet.Metrics.end_time (q 6));
   Alcotest.(check bool) "work was cut short" true
     (metrics.Naplet.Metrics.granted < 3)
+
+(* Administrative actions still pending at a [halt] are dropped with
+   the queue: they never run, and the world no longer holds them. *)
+let test_world_halt_releases_admin () =
+  let world = world_with_servers [ "s1" ] in
+  Naplet.World.spawn world ~id:"a" ~owner:"owner" ~roles:[ "worker" ]
+    ~home:"s1" (prog "read x @ s1; read y @ s1; read z @ s1");
+  let ran = ref 0 in
+  let parked = Weak.create 2 in
+  let park slot time =
+    let token = Sys.opaque_identity (Bytes.make 64 'x') in
+    Weak.set parked slot (Some token);
+    Naplet.World.at world ~time (fun () ->
+        incr ran;
+        ignore (Bytes.length token))
+  in
+  park 0 (q 20);
+  park 1 (q 30);
+  Naplet.World.at world ~time:(Q.make 1 2) (fun () -> Naplet.World.halt world);
+  ignore (Naplet.World.run world);
+  Gc.full_major ();
+  Alcotest.(check int) "no pending action ran" 0 !ran;
+  Alcotest.(check int) "queue empty" 0 (Naplet.World.pending_events world);
+  Alcotest.(check bool) "pending actions released" false
+    (Weak.check parked 0 || Weak.check parked 1)
+
+(* Minor words per event of [World.run] over the E19 uniform coalition
+   (2,000 objects on 4 servers, no sink on the bus).  The event queue
+   allocates nothing per event; what remains is the machine's status
+   and continuation, the decision, the trace events and the rationals
+   of new event times.  It reads ~32 (OCaml 5); the engine whose queue
+   held boxed payloads read ~65. *)
+let world_run_words_budget = 40.
+
+let test_world_run_allocation () =
+  let world =
+    Scenarios.Scale_family.Soa.build_big ~objects:2_000 ~servers:4 ()
+  in
+  let w0 = Gc.minor_words () in
+  ignore (Naplet.World.run world);
+  let events = Naplet.World.processed_events world in
+  let words = (Gc.minor_words () -. w0) /. float_of_int events in
+  Printf.printf "World.run: %d events, %.1f minor words per event\n" events
+    words;
+  Alcotest.(check int) "three events per object" 6_000 events;
+  if words > world_run_words_budget then
+    Alcotest.failf "World.run: %.1f minor words per event, budget %.0f" words
+      world_run_words_budget
 
 let test_itinerary_linearize_avoiding () =
   let open Naplet.Itinerary in
@@ -1024,6 +1109,8 @@ let () =
           Alcotest.test_case "ordering" `Quick test_sim_ordering;
           Alcotest.test_case "fifo ties" `Quick test_sim_fifo_at_equal_times;
           Alcotest.test_case "many events" `Quick test_sim_interleaved_ops;
+          Alcotest.test_case "now reused while the time repeats" `Quick
+            test_sim_now_reused;
           Alcotest.test_case "drain and clear" `Quick test_sim_drain_clear;
           Alcotest.test_case "pop is a stable sort (seeded)" `Quick
             test_sim_pop_is_stable_sort;
@@ -1129,6 +1216,10 @@ let () =
             test_world_abort_releases_waiters;
           Alcotest.test_case "halt tears down" `Quick
             test_world_halt_tears_down;
+          Alcotest.test_case "halt releases pending admin actions" `Quick
+            test_world_halt_releases_admin;
+          Alcotest.test_case "run allocation per event" `Quick
+            test_world_run_allocation;
           Alcotest.test_case "enumeration order stable" `Quick
             test_world_enumeration_order_stable;
           Alcotest.test_case "SoA = legacy oracle (seeded)" `Slow
