@@ -11,7 +11,10 @@ type status =
   | Finished
   | Fault of string
 
-type item = Exec of Sral.Ast.t | Join of int
+(* both branches of a [||] end on the same [Join]; the last one to
+   reach it carries on with the continuation *)
+type item = Exec of Sral.Ast.t | Join of join
+and join = { mutable remaining : int; continuation : item list }
 
 type thread = {
   id : int;
@@ -20,14 +23,10 @@ type thread = {
   mutable pending : request option;
 }
 
-type join = { mutable remaining : int; continuation : item list }
-
 type t = {
   mutable threads : thread list;  (** live threads, in creation order *)
-  env : (string, Sral.Value.t) Hashtbl.t;
-  joins : (int, join) Hashtbl.t;
+  mutable env : Sral.Env.t;
   mutable next_thread : int;
-  mutable next_join : int;
   mutable rotation : int;  (** fair scheduling offset *)
   fuel : int;
 }
@@ -35,10 +34,8 @@ type t = {
 let create ?(fuel = 100_000) program =
   {
     threads = [ { id = 0; stack = [ Exec program ]; blocked = false; pending = None } ];
-    env = Hashtbl.create 8;
-    joins = Hashtbl.create 4;
+    env = Sral.Env.empty;
     next_thread = 1;
-    next_join = 0;
     rotation = 0;
     fuel;
   }
@@ -47,14 +44,10 @@ let rec find_thread id = function
   | [] -> invalid_arg "Machine: unknown thread"
   | th :: rest -> if th.id = id then th else find_thread id rest
 
-let env_of_tbl tbl =
-  Hashtbl.fold (fun x v env -> Sral.Env.bind env x v) tbl Sral.Env.empty
-
-(* only [Send] reads the environment, so only [Send] builds one *)
 let request_of_action t (p : Sral.Ast.t) =
   match p with
   | Sral.Ast.Access a -> Access a
-  | Sral.Ast.Send (chan, e) -> Send (chan, Sral.Expr.eval (env_of_tbl t.env) e)
+  | Sral.Ast.Send (chan, e) -> Send (chan, Sral.Expr.eval t.env e)
   | Sral.Ast.Recv (chan, x) -> Recv (chan, x)
   | Sral.Ast.Signal x -> Signal x
   | Sral.Ast.Wait x -> Wait x
@@ -68,55 +61,45 @@ let request_of_action t (p : Sral.Ast.t) =
 let exec_one t th =
   match th.stack with
   | [] -> `Dead
-  | Join j :: rest -> (
+  | Join join :: rest ->
       assert (rest = []);
-      match Hashtbl.find_opt t.joins j with
-      | None -> assert false
-      | Some join ->
-          join.remaining <- join.remaining - 1;
-          if join.remaining = 0 then begin
-            (* last branch continues with the continuation *)
-            th.stack <- join.continuation;
-            Hashtbl.remove t.joins j;
-            `Silent
-          end
-          else begin
-            th.stack <- [];
-            `Dead
-          end)
+      join.remaining <- join.remaining - 1;
+      if join.remaining = 0 then begin
+        th.stack <- join.continuation;
+        `Silent
+      end
+      else begin
+        th.stack <- [];
+        `Dead
+      end
   | Exec p :: rest -> (
       match p with
       | Sral.Ast.Skip ->
           th.stack <- rest;
           `Silent
       | Sral.Ast.Assign (x, e) ->
-          let v = Sral.Expr.eval (env_of_tbl t.env) e in
-          Hashtbl.replace t.env x v;
+          t.env <- Sral.Env.bind t.env x (Sral.Expr.eval t.env e);
           th.stack <- rest;
           `Silent
       | Sral.Ast.Seq (p1, p2) ->
           th.stack <- Exec p1 :: Exec p2 :: rest;
           `Silent
       | Sral.Ast.If (c, p1, p2) ->
-          let branch =
-            if Sral.Expr.eval_bool (env_of_tbl t.env) c then p1 else p2
-          in
+          let branch = if Sral.Expr.eval_bool t.env c then p1 else p2 in
           th.stack <- Exec branch :: rest;
           `Silent
       | Sral.Ast.While (c, body) ->
-          if Sral.Expr.eval_bool (env_of_tbl t.env) c then
+          if Sral.Expr.eval_bool t.env c then
             th.stack <- Exec body :: Exec p :: rest
           else th.stack <- rest;
           `Silent
       | Sral.Ast.Par (p1, p2) ->
-          let j = t.next_join in
-          t.next_join <- j + 1;
-          Hashtbl.add t.joins j { remaining = 2; continuation = rest };
-          th.stack <- [ Exec p1; Join j ];
+          let j = Join { remaining = 2; continuation = rest } in
+          th.stack <- [ Exec p1; j ];
           let sibling =
             {
               id = t.next_thread;
-              stack = [ Exec p2; Join j ];
+              stack = [ Exec p2; j ];
               blocked = false;
               pending = None;
             }
@@ -192,10 +175,10 @@ let complete t ~thread = pop_action (find_thread thread t.threads)
 
 let complete_recv t ~thread ~var v =
   let th = find_thread thread t.threads in
-  Hashtbl.replace t.env var v;
+  t.env <- Sral.Env.bind t.env var v;
   pop_action th
 
 let block t ~thread = (find_thread thread t.threads).blocked <- true
 let unblock t ~thread = (find_thread thread t.threads).blocked <- false
 let skip_request t ~thread = pop_action (find_thread thread t.threads)
-let env_value t x = Hashtbl.find_opt t.env x
+let env_value t x = Sral.Env.find t.env x

@@ -133,7 +133,10 @@ module Client = struct
       match addr with Unix_path _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET
     in
     let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    Unix.connect fd (sockaddr_of addr);
+    (try Unix.connect fd (sockaddr_of addr)
+     with e ->
+       Unix.close fd;
+       raise e);
     {
       fd;
       decoder = Frame.Decoder.create ();

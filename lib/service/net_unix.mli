@@ -44,7 +44,7 @@ module Client : sig
   type t
 
   val connect : addr -> t
-  (** @raise Unix.Unix_error *)
+  (** @raise Unix.Unix_error, having closed the socket *)
 
   val send : t -> Protocol.request -> unit
 

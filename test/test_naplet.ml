@@ -230,10 +230,9 @@ let test_signal_waiters () =
 
 (* --- machine --- *)
 
-let run_accesses program =
-  (* drive a machine to completion, auto-granting accesses; returns the
-     access trace *)
-  let machine = Naplet.Machine.create program in
+(* drive a machine to completion, auto-granting accesses; returns the
+   access trace *)
+let drive machine =
   let rec loop acc guard =
     if guard = 0 then Alcotest.fail "machine did not terminate"
     else
@@ -258,6 +257,8 @@ let run_accesses program =
               loop acc (guard - 1))
   in
   loop [] 10_000
+
+let run_accesses program = drive (Naplet.Machine.create program)
 
 let test_machine_sequence () =
   let trace = run_accesses (prog "read a @ s1; write b @ s2; read c @ s1") in
@@ -318,6 +319,48 @@ let test_machine_env () =
   match Naplet.Machine.env_value machine "x" with
   | Some (Sral.Value.Int 5) -> ()
   | _ -> Alcotest.fail "x should be 5"
+
+(* A fresh machine is its record, one thread and that thread's stack:
+   it reads 19 words.  One that also held its variables and joins in
+   hash tables read 65. *)
+let machine_create_words_budget = 24.
+
+let test_machine_create_allocation () =
+  let program = prog "read a @ s1" in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Sys.opaque_identity (Naplet.Machine.create program))
+  done;
+  let words = (Gc.minor_words () -. w0) /. 1_000. in
+  Printf.printf "Machine.create: %.1f minor words\n" words;
+  if words > machine_create_words_budget then
+    Alcotest.failf "Machine.create: %.1f minor words, budget %.0f" words
+      machine_create_words_budget
+
+(* A silent step with 32 variables bound costs one path copy of the
+   environment, not a rebuild of it: it reads ~31 words per step.
+   Rebuilding the environment from a table on every step read ~934. *)
+let silent_step_words_budget = 40.
+
+let test_machine_silent_step_allocation () =
+  let assigns = List.init 32 (fun n -> Printf.sprintf "v%d := %d; " n n) in
+  let program =
+    prog
+      (String.concat "" assigns
+      ^ "i := 0; while i < 200 do { i := i + 1 }; read a @ s1")
+  in
+  let machine = Naplet.Machine.create program in
+  let w0 = Gc.minor_words () in
+  let steps =
+    match Naplet.Machine.step machine with
+    | Naplet.Machine.Ready { silent_steps; _ } -> silent_steps
+    | _ -> Alcotest.fail "the read should surface"
+  in
+  let words = (Gc.minor_words () -. w0) /. float_of_int steps in
+  Printf.printf "%d silent steps, %.1f minor words per step\n" steps words;
+  if words > silent_step_words_budget then
+    Alcotest.failf "silent step: %.1f minor words, budget %.0f" words
+      silent_step_words_budget
 
 (* --- itineraries --- *)
 
@@ -953,18 +996,30 @@ let test_appraisal_sound_agent_unaffected () =
 
 (* --- machine vs big-step evaluator (differential) --- *)
 
-let machine_matches_bigstep =
-  QCheck.Test.make
-    ~name:"machine trace = big-step trace (sequential programs)" ~count:100
-    (QCheck.make (fun rng ->
-         Sral.Generate.program ~allow_par:false ~allow_io:false
-           ~resources:[ "a"; "b" ] ~servers:[ "s1"; "s2" ] ~size:8 rng))
-    (fun p ->
+(* Sequential programs: the machine surfaces the big-step evaluator's
+   access trace and ends with its variables. *)
+let test_machine_matches_bigstep () =
+  let compared = ref 0 in
+  Gen.each_seed ~salt:7072 ~count:100 (fun ~seed:_ rng ->
+      let p =
+        Sral.Generate.program ~allow_par:false ~allow_io:false
+          ~resources:[ "a"; "b" ] ~servers:[ "s1"; "s2" ] ~size:8 rng
+      in
       match Sral.Eval.run p with
-      | Error _ -> QCheck.assume_fail ()
-      | Ok { Sral.Eval.trace = expected; _ } ->
-          let actual = run_accesses p in
-          Sral.Trace.equal expected actual)
+      | Error _ -> ()
+      | Ok { Sral.Eval.trace = expected; env } ->
+          incr compared;
+          let machine = Naplet.Machine.create p in
+          if not (Sral.Trace.equal expected (drive machine)) then
+            Alcotest.failf "trace differs on %s" (Sral.Pretty.to_string p);
+          List.iter
+            (fun (x, v) ->
+              match Naplet.Machine.env_value machine x with
+              | Some v' when Sral.Value.equal v v' -> ()
+              | _ ->
+                  Alcotest.failf "%s differs on %s" x (Sral.Pretty.to_string p))
+            (Sral.Env.bindings env));
+  Alcotest.(check bool) "most programs run to the end" true (!compared > 50)
 
 (* --- clones (ApplAgentProg) --- *)
 
@@ -1140,6 +1195,10 @@ let () =
           Alcotest.test_case "divergence fuel" `Quick
             test_machine_divergence_fuel;
           Alcotest.test_case "env" `Quick test_machine_env;
+          Alcotest.test_case "create allocation" `Quick
+            test_machine_create_allocation;
+          Alcotest.test_case "silent step allocation" `Quick
+            test_machine_silent_step_allocation;
         ] );
       ( "itinerary",
         [
@@ -1191,7 +1250,12 @@ let () =
           Alcotest.test_case "sound agent unaffected" `Quick
             test_appraisal_sound_agent_unaffected;
         ] );
-      ("differential", [ QCheck_alcotest.to_alcotest machine_matches_bigstep ]);
+      ( "differential",
+        [
+          Alcotest.test_case
+            "machine trace = big-step trace (sequential programs)" `Quick
+            test_machine_matches_bigstep;
+        ] );
       ( "clone",
         [
           Alcotest.test_case "plan shares" `Quick test_clone_plan_shares;

@@ -889,12 +889,16 @@ let test_serve_end_to_end () =
     done
   in
   Fun.protect ~finally (fun () ->
-      wait_until ~what:"no socket" (fun () ->
-          match Unix.stat path with
-          | { st_kind = S_SOCK; _ } -> true
-          | _ -> false
-          | exception Unix.Unix_error (ENOENT, _, _) -> false);
-      let client = Net_unix.Client.connect (Unix_path path) in
+      (* the socket file appears at bind, before the daemon listens, so
+         readiness is a connect that succeeds *)
+      let client = ref None in
+      wait_until ~what:"no connection" (fun () ->
+          match Net_unix.Client.connect (Unix_path path) with
+          | c ->
+              client := Some c;
+              true
+          | exception Unix.Unix_error ((ENOENT | ECONNREFUSED), _, _) -> false);
+      let client = Option.get !client in
       Fun.protect
         ~finally:(fun () -> Net_unix.Client.close client)
         (fun () ->

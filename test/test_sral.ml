@@ -204,6 +204,24 @@ let test_program_flags () =
   Alcotest.(check bool) "has par" true (Program.has_par p);
   Alcotest.(check bool) "has loop" true (Program.has_loop p)
 
+(* A program depends only on its seed: generating it again in the same
+   process, after other programs, gives the same variable names. *)
+let test_generate_reproducible () =
+  let gen seed =
+    Generate.program ~allow_io:true ~resources:[ "r1"; "r2" ]
+      ~servers:[ "s1"; "s2" ] ~size:16 (Random.State.make [| seed |])
+  in
+  let programs = List.init 20 gen in
+  Alcotest.(check bool) "some program has a loop counter" true
+    (List.exists Program.has_loop programs);
+  List.iteri
+    (fun seed p ->
+      if not (Ast.equal p (gen seed)) then
+        Alcotest.failf "seed %d: a second program differs:\n%s\n%s" seed
+          (Pretty.to_string p)
+          (Pretty.to_string (gen seed)))
+    programs
+
 let test_normalize () =
   let p = Ast.Seq (Ast.Skip, Ast.Seq (Ast.Access (read_ "a" "s1"), Ast.Skip)) in
   Alcotest.(check bool) "skips removed" true
@@ -416,6 +434,8 @@ let () =
             test_program_channels_signals;
           Alcotest.test_case "flags" `Quick test_program_flags;
           Alcotest.test_case "normalize" `Quick test_normalize;
+          Alcotest.test_case "generate: same seed, same program" `Quick
+            test_generate_reproducible;
           Alcotest.test_case "server flow" `Quick test_server_flow;
           QCheck_alcotest.to_alcotest normalize_preserves_traces;
         ] );
