@@ -1316,6 +1316,118 @@ let e22 () =
     burst
 
 (* ------------------------------------------------------------------ *)
+(* E23 — the emulation's event queue on its own: ns per pop+schedule
+   pair at a steady pending count, the best of 5 blocks of 500,000
+   pairs.  Each pop reschedules one entry at its popped time plus a
+   delay drawn uniformly from [1, spread], over integer times:
+   - tie-heavy (spread 4 at 10² pending, 400 at 10⁴): ~25 entries
+     share each pending time, as in the E19 coalition, where ~96% of
+     pops repeat the previous pop's time;
+   - tie-free (spread 10⁹): every pending time is distinct, the
+     workload the equal-time buckets do not help.
+
+   Before timing, each row replays 100,000 pairs against a reference
+   queue (a [Map] over (time, schedule number)) and exits 1 unless
+   every pop returns the reference's entry.  The rows are timings, so
+   they stay out of rows.expected. *)
+
+let e23 () =
+  let module Sim = Naplet.Sim in
+  let module M = Map.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end) in
+  let pairs = 500_000 and check_pairs = 100_000 in
+  (* [time t] is a Q.t for integer time [t], memoized in a direct-mapped
+     table, so a tie-heavy loop allocates no times of its own *)
+  let memo = Array.make 4096 Q.zero in
+  let time t =
+    let i = t land 4095 in
+    let q = memo.(i) in
+    if q.Q.num = t then q
+    else begin
+      let q = Q.of_int t in
+      memo.(i) <- q;
+      q
+    end
+  in
+  let delays spread =
+    let rng = rng_of spread in
+    Array.init 65_536 (fun _ -> 1 + Random.State.int rng spread)
+  in
+  (* [pending] entries at times in [0, spread), entry [p] at [times.(p)] *)
+  let filled ~pending ~spread =
+    let rng = rng_of (pending + spread) in
+    let times = Array.init pending (fun _ -> Random.State.int rng spread) in
+    let queue = Sim.create () in
+    Array.iteri (fun p t -> Sim.schedule queue ~time:(time t) p) times;
+    (queue, times)
+  in
+  let diverges ~pending ~spread =
+    let queue, times = filled ~pending ~spread in
+    let reference = ref M.empty in
+    Array.iteri (fun p t -> reference := M.add (t, p) p !reference) times;
+    let delays = delays spread in
+    let rec go k next =
+      if k = check_pairs then None
+      else
+        let ((t, _) as key), expected = M.min_binding !reference in
+        let got = Sim.pop queue in
+        let now = Sim.now queue in
+        if got <> expected || now.Q.num <> t || now.Q.den <> 1 then
+          Some
+            (Printf.sprintf "pair %d: popped #%d at %s, reference #%d at %d" k
+               got (Q.to_string now) expected t)
+        else begin
+          reference := M.remove key !reference;
+          let t' = t + delays.(k land 65_535) in
+          Sim.schedule queue ~time:(time t') next;
+          reference := M.add (t', next) next !reference;
+          go (k + 1) (next + 1)
+        end
+    in
+    go 0 pending
+  in
+  let ns_per_pair ~pending ~spread =
+    let queue, _ = filled ~pending ~spread and delays = delays spread in
+    let block () =
+      let t0 = Monotonic_clock.now () in
+      for k = 0 to pairs - 1 do
+        let p = Sim.pop queue in
+        let t = (Sim.now queue).Q.num + Array.unsafe_get delays (k land 65_535) in
+        Sim.schedule queue ~time:(time t) p
+      done;
+      Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. float_of_int pairs
+    in
+    ignore (block ());
+    List.fold_left min infinity (List.init 5 (fun _ -> block ()))
+  in
+  Printf.printf "  %-10s %8s %12s %14s   (best of 5 blocks of %d pairs)\n%!"
+    "times" "pending" "spread" "ns/pair" pairs;
+  let failed = ref false in
+  List.iter
+    (fun (name, pending, spread) ->
+      match diverges ~pending ~spread with
+      | Some msg ->
+          Printf.printf "  %-10s %8d %12d   ORDER DIVERGES: %s\n%!" name pending
+            spread msg;
+          failed := true
+      | None ->
+          Printf.printf "  %-10s %8d %12d %14.1f\n%!" name pending spread
+            (ns_per_pair ~pending ~spread))
+    [
+      ("tie-heavy", 100, 4);
+      ("tie-heavy", 10_000, 400);
+      ("tie-free", 100, 1_000_000_000);
+      ("tie-free", 10_000, 1_000_000_000);
+    ];
+  Printf.printf "  order check: %d pairs per row against a sorted reference, %s\n%!"
+    check_pairs
+    (if !failed then "DIVERGED" else "0 divergences");
+  if !failed then exit 1
+
+(* ------------------------------------------------------------------ *)
 (* Runner                                                               *)
 
 let experiments =
@@ -1345,6 +1457,7 @@ let experiments =
     ("E20", "E20 — decision service: differential gate + saturation sweep", e20);
     ("E21", "E21 — administrative safety: symbolic vs enumeration", e21);
     ("E22", "E22 — the lazy-derivative decision path", e22);
+    ("E23", "E23 — the emulation event queue: pop+schedule cost", e23);
   ]
 
 let () =

@@ -1,131 +1,219 @@
 module Q = Temporal.Q
 
-(* Binary min-heap on (time, seq); seq gives FIFO order at equal times.
+(* A binary min-heap over the distinct pending times; each time owns a
+   FIFO bucket of payloads in schedule order, so a schedule or pop at a
+   time that is already pending costs O(1), and only the first
+   schedule and the last pop of a time touch the heap.
 
-   Entry [i] is the four ints at [h.(4i) .. h.(4i+3)]:
-   (num, den, seq, payload) — the rational time's normalized numerator
-   and denominator, the insertion sequence number and the payload.
-   With no pointers in the heap a 10^4-entry queue steps without the
-   write barrier, and sifting moves a hole (one entry written per
-   level) instead of swapping.  The sift loops index with
-   [unsafe_get]/[unsafe_set]: every index they form is below [4 * size],
-   and [size] never exceeds the array's capacity. *)
+   Everything lives in flat [int array]s, so neither [schedule] nor
+   [pop] allocates or runs the write barrier:
+   - [slots], stride 4: (next, payload, num, den) per entry — the next
+     entry of its bucket (or -1), the payload, and the entry's time as
+     a normalized numerator and denominator.  A free slot has [den = 0]
+     (a live one has [den > 0]) and its [next] links the free list.
+   - [heap], stride 4: (num, den, created, head) per open bucket — its
+     time, its creation number and its first slot.  Sifting moves a
+     hole (one entry written per level) instead of swapping.
+   - [index]: a direct-mapped table from a hash of a time to the slot
+     last scheduled at that time, or -1.  While that slot is live with
+     that time it is the tail of the time's newest bucket, so a
+     schedule appends behind it; otherwise (the slot was popped, or
+     another time has since taken the entry) the schedule opens a new
+     bucket.  A time can therefore own several open buckets, but only
+     the newest ever grows, and [created] orders equal-time buckets in
+     the heap, so pops follow (time, schedule order) exactly.
+
+   Every index [get]/[set] forms is in bounds: slot ids are below the
+   slot capacity, heap positions below [open_buckets], which never
+   exceeds the heap's capacity, and index positions are masked. *)
 type t = {
-  mutable h : int array;
+  mutable slots : int array;
+  mutable slot_mark : int;  (* slots below it have been handed out *)
+  mutable free_slot : int;
+  mutable heap : int array;
+  mutable open_buckets : int;
+  mutable index : int array;  (* length a power of two *)
   mutable size : int;
-  mutable next_seq : int;
+  mutable created : int;
   mutable now : Q.t;  (* time of the last pop, reused while it repeats *)
 }
 
+external get : int array -> int -> int = "%array_unsafe_get"
+external set : int array -> int -> int -> unit = "%array_unsafe_set"
+
 let stride = 4
-let create () = { h = [||]; size = 0; next_seq = 0; now = Q.zero }
+let min_capacity = 16
+
+(* the index grows with the heap (4 entries per open bucket) up to
+   this many entries, 32 KB *)
+let max_index = 4096
+let small_index () = Array.make (stride * min_capacity) (-1)
+
+let create () =
+  {
+    slots = [||];
+    slot_mark = 0;
+    free_slot = -1;
+    heap = [||];
+    open_buckets = 0;
+    index = small_index ();
+    size = 0;
+    created = 0;
+    now = Q.zero;
+  }
+
+(* Fibonacci hashing: the product's middle bits mix every bit of both
+   inputs; the mask keeps as many as the index has entries. *)
+let[@inline] index_of q n d =
+  let h = ((n * 0x2545F4914F6CDD1D) + d) * 0x2545F4914F6CDD1D in
+  (h lsr 35) land (Array.length q.index - 1)
 
 (* Q keeps [den > 0], so cross-multiplication is an exact comparison
    (same overflow caveat as [Q.compare] itself). *)
-let[@inline] before n1 d1 s1 n2 d2 s2 =
+let[@inline] before n1 d1 c1 n2 d2 c2 =
   let l = n1 * d2 and r = n2 * d1 in
-  if l <> r then l < r else s1 < s2
+  if l <> r then l < r else c1 < c2
 
-let[@inline] put h i n d s p =
-  let b = stride * i in
-  Array.unsafe_set h b n;
-  Array.unsafe_set h (b + 1) d;
-  Array.unsafe_set h (b + 2) s;
-  Array.unsafe_set h (b + 3) p
+let[@inline] put h i n d c s =
+  let e = stride * i in
+  set h e n;
+  set h (e + 1) d;
+  set h (e + 2) c;
+  set h (e + 3) s
 
-(* Fill the hole at [i] with (n, d, s, p), moving parents down past it. *)
-let rec sift_up h i n d s p =
-  if i = 0 then put h 0 n d s p
+(* Fill the hole at [i] with (n, d, c, s), moving parents down past it. *)
+let rec sift_up h i n d c s =
+  if i = 0 then put h 0 n d c s
   else begin
     let parent = (i - 1) / 2 in
-    let b = stride * parent in
-    let pn = Array.unsafe_get h b
-    and pd = Array.unsafe_get h (b + 1)
-    and ps = Array.unsafe_get h (b + 2) in
-    if before n d s pn pd ps then begin
-      put h i pn pd ps (Array.unsafe_get h (b + 3));
-      sift_up h parent n d s p
+    let e = stride * parent in
+    let pn = get h e and pd = get h (e + 1) and pc = get h (e + 2) in
+    if before n d c pn pd pc then begin
+      put h i pn pd pc (get h (e + 3));
+      sift_up h parent n d c s
     end
-    else put h i n d s p
+    else put h i n d c s
   end
 
-(* Fill the hole at [i] with (n, d, s, p), moving the smaller child up
+(* Fill the hole at [i] with (n, d, c, s), moving the smaller child up
    past it while that child comes first. *)
-let rec sift_down h size i n d s p =
+let rec sift_down h size i n d c s =
   let l = (2 * i) + 1 in
-  if l >= size then put h i n d s p
+  if l >= size then put h i n d c s
   else begin
-    let bl = stride * l in
-    let c =
+    let el = stride * l in
+    let child =
       let r = l + 1 in
-      let br = bl + stride in
+      let er = el + stride in
       if
         r < size
-        && before (Array.unsafe_get h br)
-             (Array.unsafe_get h (br + 1))
-             (Array.unsafe_get h (br + 2))
-             (Array.unsafe_get h bl)
-             (Array.unsafe_get h (bl + 1))
-             (Array.unsafe_get h (bl + 2))
+        && before (get h er) (get h (er + 1)) (get h (er + 2)) (get h el)
+             (get h (el + 1)) (get h (el + 2))
       then r
       else l
     in
-    let b = stride * c in
-    let cn = Array.unsafe_get h b
-    and cd = Array.unsafe_get h (b + 1)
-    and cs = Array.unsafe_get h (b + 2) in
-    if before cn cd cs n d s then begin
-      put h i cn cd cs (Array.unsafe_get h (b + 3));
-      sift_down h size c n d s p
+    let e = stride * child in
+    let cn = get h e and cd = get h (e + 1) and cc = get h (e + 2) in
+    if before cn cd cc n d c then begin
+      put h i cn cd cc (get h (e + 3));
+      sift_down h size child n d c s
     end
-    else put h i n d s p
+    else put h i n d c s
   end
 
-let resize q capacity =
-  let h = Array.make (stride * capacity) 0 in
-  Array.blit q.h 0 h 0 (stride * q.size);
-  q.h <- h
+let grow a =
+  let bigger = Array.make (stride * max min_capacity (Array.length a / 2)) 0 in
+  Array.blit a 0 bigger 0 (Array.length a);
+  bigger
+
+let take_slot q =
+  let s = q.free_slot in
+  if s >= 0 then begin
+    q.free_slot <- get q.slots (stride * s);
+    s
+  end
+  else begin
+    let s = q.slot_mark in
+    if stride * s = Array.length q.slots then q.slots <- grow q.slots;
+    q.slot_mark <- s + 1;
+    s
+  end
+
+(* Push a bucket whose first slot is [s].  A grown index starts empty,
+   which costs each time it forgets one extra bucket. *)
+let open_bucket q n d s =
+  let i = q.open_buckets in
+  if stride * i = Array.length q.heap then begin
+    q.heap <- grow q.heap;
+    let entries = min max_index (Array.length q.heap) in
+    if Array.length q.index < entries then q.index <- Array.make entries (-1)
+  end;
+  let c = q.created in
+  q.created <- c + 1;
+  q.open_buckets <- i + 1;
+  sift_up q.heap i n d c s
 
 let schedule q ~time payload =
-  let capacity = Array.length q.h / stride in
-  if q.size >= capacity then resize q (max 16 (2 * capacity));
-  let i = q.size in
-  let s = q.next_seq in
-  q.size <- i + 1;
-  q.next_seq <- s + 1;
-  sift_up q.h i (time : Q.t).Q.num time.Q.den s payload
+  let n = (time : Q.t).Q.num and d = time.Q.den in
+  let s = take_slot q in
+  (* look up before [s] is filled in: the index may still name [s]
+     from before it was freed *)
+  let tail = get q.index (index_of q n d) in
+  if
+    tail >= 0
+    && get q.slots ((stride * tail) + 2) = n
+    && get q.slots ((stride * tail) + 3) = d
+  then set q.slots (stride * tail) s
+  else open_bucket q n d s;
+  set q.index (index_of q n d) s;
+  let slots = q.slots and e = stride * s in
+  set slots e (-1);
+  set slots (e + 1) payload;
+  set slots (e + 2) n;
+  set slots (e + 3) d;
+  q.size <- q.size + 1
 
-(* Release the backing store's slack once the queue has emptied out:
-   after a large run's peak, a mostly-idle queue should not pin the
-   peak-sized array.  Halving at 1/4 occupancy keeps the resize cost
-   amortized O(1). *)
-let maybe_shrink q =
-  let capacity = Array.length q.h / stride in
-  if capacity > 16 && q.size < capacity / 4 then
-    if q.size = 0 then q.h <- [||] else resize q (max 16 (capacity / 2))
+(* Forget every entry.  Storage past the minimum is released, so a
+   queue that peaked at millions of entries does not pin that storage
+   once it has emptied; a small queue keeps its arrays. *)
+let reset q =
+  q.size <- 0;
+  q.open_buckets <- 0;
+  q.slot_mark <- 0;
+  q.free_slot <- -1;
+  if Array.length q.slots > stride * min_capacity then begin
+    q.slots <- [||];
+    q.heap <- [||];
+    q.index <- small_index ()
+  end
+  else Array.fill q.index 0 (Array.length q.index) (-1)
 
 let pop q =
   if q.size = 0 then invalid_arg "Sim.pop: empty queue";
-  let h = q.h in
-  let n = h.(0) and d = h.(1) and p = h.(3) in
-  let last = q.size - 1 in
-  q.size <- last;
-  if last > 0 then begin
-    let b = stride * last in
-    sift_down h last 0 h.(b) h.(b + 1) h.(b + 2) h.(b + 3)
+  let heap = q.heap and slots = q.slots in
+  let n = get heap 0 and d = get heap 1 and s = get heap 3 in
+  let e = stride * s in
+  let p = get slots (e + 1) and next = get slots e in
+  set slots e q.free_slot;
+  set slots (e + 3) 0;
+  q.free_slot <- s;
+  if next >= 0 then set heap 3 next
+  else begin
+    let last = q.open_buckets - 1 in
+    q.open_buckets <- last;
+    if last > 0 then begin
+      let e = stride * last in
+      sift_down heap last 0 (get heap e) (get heap (e + 1)) (get heap (e + 2))
+        (get heap (e + 3))
+    end
   end;
+  q.size <- q.size - 1;
   if n <> q.now.Q.num || d <> q.now.Q.den then q.now <- Q.make n d;
-  maybe_shrink q;
+  if q.size = 0 then reset q;
   p
 
 let now q = q.now
-let peek_time q = if q.size = 0 then None else Some (Q.make q.h.(0) q.h.(1))
+let peek_time q = if q.size = 0 then None else Some (Q.make q.heap.(0) q.heap.(1))
 let is_empty q = q.size = 0
 let size q = q.size
-
-(* Forgets every pending entry and releases the backing store;
-   next_seq is preserved so FIFO tie-breaking stays monotone across a
-   clear. *)
-let clear q =
-  q.size <- 0;
-  maybe_shrink q
+let clear = reset

@@ -4,24 +4,30 @@
     Ties are broken by insertion order, so runs are deterministic.
 
     {b Layout.}  Payloads are [int]s: a caller that needs richer events
-    keeps them in its own table and schedules their handles.  Each
-    entry is the four ints [(num, den, seq, payload)] — the time's
-    normalized numerator and denominator, the insertion sequence
-    number and the payload — stored consecutively in one flat
-    [int array] that is sifted with a hole.  The heap therefore holds
-    no pointers: scheduling and popping never run the write barrier,
-    and comparing two entries touches at most two cache lines.  A pop
-    allocates nothing when the popped time equals the previous pop's
-    (see {!now}).
+    keeps them in its own table and schedules their handles.  The
+    queue is a binary min-heap over the {e distinct} pending times;
+    each time owns a FIFO bucket of payloads in schedule order.  A
+    schedule at a time that is already pending appends to its bucket,
+    and a pop that leaves its bucket non-empty only advances the
+    bucket's head, so both cost O(1); only the first schedule and the
+    last pop of a time sift the heap.  A time finds its bucket through
+    a direct-mapped index of at most 4,096 entries; a collision only
+    opens one more bucket for the evicted time.  Heap entries, bucket
+    links and the index are all flat [int array]s, so scheduling and
+    popping neither allocate nor run the write barrier.  A pop
+    allocates only {!now}'s value, and only when the popped time
+    differs from the previous pop's.  Storage past a 16-entry minimum
+    is released when the queue empties.
 
-    {b Sequence monotonicity.}  Every {!schedule} consumes the next
-    value of an internal sequence counter that only ever increases for
-    the lifetime of the queue — it is {e not} reset by {!pop} or
-    {!clear}.  Consequences callers may rely on: two events scheduled
-    at equal times pop in schedule order (FIFO), and that remains true
-    even when the two schedules straddle a [clear] or any number of
-    pops — nothing stale can ever win a tie against a later
-    schedule. *)
+    {b FIFO at equal times.}  Two events scheduled at equal times pop
+    in schedule order, however many pops, collisions or {!clear}s lie
+    between the two schedules.  Within a bucket this is its list
+    order.  Across buckets of one time (a time whose index entry was
+    evicted while its bucket was still pending opens a second one)
+    the heap orders equal times by the buckets' creation numbers,
+    which only ever increase for the lifetime of the queue and are not
+    reset by {!pop} or {!clear}; only the newest bucket of a time ever
+    takes new entries. *)
 
 type t
 
@@ -43,9 +49,8 @@ val is_empty : t -> bool
 val size : t -> int
 
 val clear : t -> unit
-(** Discard all pending events; [size] returns to [0].  The backing
-    array is released (shrunk whenever occupancy falls below 1/4 of
-    capacity, here to empty), so a queue that peaked at millions of
-    entries does not pin that storage after the run.  Sequence numbers
-    keep increasing (see the header note), so later schedules still
-    tie-break FIFO against nothing stale. *)
+(** Discard all pending events; [size] returns to [0].  As when the
+    queue empties by popping, storage past the 16-entry minimum is
+    released, so a queue that peaked at millions of entries does not
+    pin that storage after the run.  Events scheduled after a [clear]
+    still pop FIFO at equal times (see the header note). *)

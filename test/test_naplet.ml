@@ -65,7 +65,7 @@ let test_sim_now_reused () =
   ignore (Sim.pop queue);
   Alcotest.(check string) "moves on" "4" (Q.to_string (Sim.now queue))
 
-(* --- sim properties: the SoA heap against sorted-list oracles ---
+(* --- sim properties: the bucketed heap against sorted oracles ---
 
    Seeded via Gen (STACC_TEST_SEED shifts the whole space); failing
    scripts are shrunk with Gen.shrink_list before reporting. *)
@@ -92,16 +92,39 @@ let test_sim_pop_is_stable_sort () =
         (Printf.sprintf "seed %d: stable sort by time" seed)
         expected (drain_values queue))
 
-(* Random schedule/pop/clear interleavings against a sorted-list
-   oracle that also checks the popped times themselves.  A [`Burst]
-   schedules enough entries to grow the backing array past its
-   initial capacity, and the pops and clears after it shrink it
-   again. *)
-let pp_sim_op ppf = function
+(* Random scripts against an oracle ordered by (time, schedule order)
+   that also checks the popped times themselves.  Besides single
+   schedules and pops:
+   - [`Burst] schedules enough entries at one time to grow the backing
+     arrays, and the pops and clears after it shrink them again;
+   - [`Spray] schedules [n] entries at times drawn (from its own seed)
+     out of a shared pool, so many distinct times are pending at once
+     and equal times arrive from separate ops;
+   - [`Drain k] pops [k] entries;
+   - [`At_now] schedules at the last popped time: to the back of that
+     time's bucket while it drains, or reopening it once it has;
+   - [`Before dt] schedules [dt] before the last popped time. *)
+type sim_op =
+  [ `Pop
+  | `Clear
+  | `Schedule of Q.t
+  | `Burst of int * Q.t
+  | `Spray of int * int * Q.t array
+  | `Drain of int
+  | `At_now
+  | `Before of Q.t ]
+
+let pp_sim_op ppf : sim_op -> unit = function
   | `Pop -> Format.pp_print_string ppf "pop"
   | `Clear -> Format.pp_print_string ppf "clear"
   | `Schedule t -> Format.fprintf ppf "schedule %s" (Q.to_string t)
   | `Burst (n, t) -> Format.fprintf ppf "burst %d at %s" n (Q.to_string t)
+  | `Spray (n, seed, pool) ->
+      Format.fprintf ppf "spray %d over a %d-time pool (seed %d)" n
+        (Array.length pool) seed
+  | `Drain k -> Format.fprintf ppf "drain %d" k
+  | `At_now -> Format.pp_print_string ppf "schedule at now"
+  | `Before dt -> Format.fprintf ppf "schedule at now - %s" (Q.to_string dt)
 
 let pp_sim_script ppf script =
   Format.fprintf ppf "[%a]"
@@ -110,14 +133,66 @@ let pp_sim_script ppf script =
        pp_sim_op)
     script
 
-let sim_script_disagrees script =
+module Pending = Set.Make (struct
+  type t = Q.t * int
+
+  let compare (t1, g1) (t2, g2) =
+    match Q.compare t1 t2 with 0 -> Int.compare g1 g2 | c -> c
+end)
+
+(* How often a script reached each case the buckets treat specially. *)
+type sim_cover = {
+  mutable onto_draining : int;  (** [`At_now] while its time still has entries *)
+  mutable reopened : int;  (** [`At_now] after its time drained *)
+  mutable before_now : int;
+  mutable clear_mid_drain : int;  (** [`Clear] while the popped time has entries *)
+  mutable peak_times : int;  (** most distinct times pending at once *)
+}
+
+let sim_cover () =
+  { onto_draining = 0; reopened = 0; before_now = 0; clear_mid_drain = 0;
+    peak_times = 0 }
+
+let sim_script_disagrees ?(cover = sim_cover ()) (script : sim_op list) =
   let queue = Sim.create () in
-  let pending = ref [] (* (time, tag) in insertion order — the oracle *) in
+  let pending = ref Pending.empty (* the oracle *) in
+  (* pending entries per time, for the coverage counts *)
+  let per_time = Hashtbl.create 64 in
+  let now = ref None in
   let tag = ref 0 in
+  let count t = Option.value (Hashtbl.find_opt per_time t) ~default:0 in
   let schedule time =
     incr tag;
     Sim.schedule queue ~time !tag;
-    pending := !pending @ [ (time, !tag) ]
+    pending := Pending.add (time, !tag) !pending;
+    Hashtbl.replace per_time time (count time + 1);
+    cover.peak_times <- max cover.peak_times (Hashtbl.length per_time)
+  in
+  let pop () =
+    match (sim_pop queue, Pending.min_elt_opt !pending) with
+    | None, None -> None
+    | Some (t, v), Some ((bt, bg) as key) when v = bg && Q.equal t bt ->
+        pending := Pending.remove key !pending;
+        (match count bt with
+        | 1 -> Hashtbl.remove per_time bt
+        | c -> Hashtbl.replace per_time bt (c - 1));
+        now := Some bt;
+        None
+    | Some (t, v), best ->
+        Some
+          (Printf.sprintf "popped (%s, #%d), oracle wanted %s" (Q.to_string t)
+             v
+             (match best with
+             | None -> "empty"
+             | Some (bt, bg) -> Printf.sprintf "(%s, #%d)" (Q.to_string bt) bg))
+    | None, Some (bt, bg) ->
+        Some
+          (Printf.sprintf "queue empty, oracle still has (%s, #%d)"
+             (Q.to_string bt) bg)
+  in
+  let rec pops k =
+    if k = 0 || (Sim.is_empty queue && Pending.is_empty !pending) then None
+    else match pop () with None -> pops (k - 1) | e -> e
   in
   let step = function
     | `Schedule time ->
@@ -128,60 +203,171 @@ let sim_script_disagrees script =
           schedule time
         done;
         None
+    | `Spray (n, seed, pool) ->
+        let rng = Random.State.make [| seed |] in
+        for _ = 1 to n do
+          schedule pool.(Random.State.int rng (Array.length pool))
+        done;
+        None
+    | `At_now ->
+        let t = Sim.now queue in
+        if count t > 0 then cover.onto_draining <- cover.onto_draining + 1
+        else if !now <> None then cover.reopened <- cover.reopened + 1;
+        schedule t;
+        None
+    | `Before dt ->
+        cover.before_now <- cover.before_now + 1;
+        schedule (Q.sub (Sim.now queue) dt);
+        None
     | `Clear ->
+        (match !now with
+        | Some t when count t > 0 ->
+            cover.clear_mid_drain <- cover.clear_mid_drain + 1
+        | _ -> ());
         Sim.clear queue;
-        pending := [];
+        pending := Pending.empty;
+        Hashtbl.reset per_time;
         if Sim.size queue = 0 then None else Some "size after clear is not 0"
-    | `Pop -> (
-        let best =
-          List.fold_left
-            (fun acc (t, g) ->
-              match acc with
-              | None -> Some (t, g)
-              | Some (bt, _) -> if Q.lt t bt then Some (t, g) else acc)
-            None !pending
-        in
-        match (sim_pop queue, best) with
-        | None, None -> None
-        | Some (t, v), Some (bt, bg) when v = bg && Q.compare t bt = 0 ->
-            pending := List.filter (fun (_, g) -> g <> bg) !pending;
-            None
-        | Some (t, v), _ ->
-            Some
-              (Printf.sprintf "popped (%s, #%d), oracle wanted %s"
-                 (Q.to_string t) v
-                 (match best with
-                 | None -> "empty"
-                 | Some (bt, bg) ->
-                     Printf.sprintf "(%s, #%d)" (Q.to_string bt) bg))
-        | None, Some (bt, bg) ->
-            Some
-              (Printf.sprintf "queue empty, oracle still has (%s, #%d)"
-                 (Q.to_string bt) bg))
+    | `Pop -> pop ()
+    | `Drain k -> pops k
   in
   List.find_map step script
+
+let check_sim_script ~seed script =
+  match sim_script_disagrees script with
+  | None -> ()
+  | Some msg ->
+      Gen.report_minimized ~seed ~what:"sim script" pp_sim_script
+        (Gen.shrink_list ~fails:(fun s -> sim_script_disagrees s <> None) script);
+      Alcotest.failf "seed %d: sim diverges from oracle: %s" seed msg
 
 let test_sim_interleaving_vs_oracle () =
   Gen.each_seed ~salt:7071 ~count:150 (fun ~seed rng ->
       let n = 10 + Random.State.int rng 60 in
       let script =
         List.init n (fun _ ->
-            match Random.State.int rng 24 with
+            match Random.State.int rng 28 with
             | 0 -> `Clear
             | 1 | 2 -> `Burst (20 + Random.State.int rng 60, gen_time rng)
-            | k when k < 10 -> `Pop
+            | 3 | 4 -> `At_now
+            | 5 -> `Before (Q.make 1 (1 + Random.State.int rng 4))
+            | k when k < 12 -> `Pop
             | _ -> `Schedule (gen_time rng))
         (* drain tail: pops over an emptying (and shrinking) heap *)
         @ List.init (n / 2) (fun _ -> `Pop)
       in
-      match sim_script_disagrees script with
+      check_sim_script ~seed script)
+
+(* Times spread over 10⁹ with denominators up to 1,000: a pool of up to
+   4,000 of them pends at once, so times collide in the queue's index
+   and evict each other, and equal times still recur across ops. *)
+let gen_wide_time rng =
+  Q.make (Random.State.int rng 1_000_000_000) (1 + Random.State.int rng 1_000)
+
+let test_sim_wide_times_vs_oracle () =
+  let total = sim_cover () in
+  Gen.each_seed ~salt:7073 ~count:40 (fun ~seed rng ->
+      let pool = Array.init (100 + Random.State.int rng 3_900) (fun _ -> gen_wide_time rng) in
+      let n = 40 + Random.State.int rng 80 in
+      let script =
+        List.init n (fun _ ->
+            match Random.State.int rng 40 with
+            | 0 -> `Clear
+            | k when k < 8 -> `Spray (1 + Random.State.int rng 800, Random.State.bits rng, pool)
+            | k when k < 16 -> `Drain (1 + Random.State.int rng 400)
+            | k when k < 24 -> `At_now
+            | k when k < 27 -> `Before (Q.make (1 + Random.State.int rng 1_000) 7)
+            | k when k < 32 -> `Pop
+            | _ -> `Schedule pool.(Random.State.int rng (Array.length pool)))
+        @ [ `Drain max_int ]
+      in
+      let cover = sim_cover () in
+      (match sim_script_disagrees ~cover script with
       | None -> ()
-      | Some msg ->
-          Gen.report_minimized ~seed ~what:"sim script" pp_sim_script
-            (Gen.shrink_list
-               ~fails:(fun s -> sim_script_disagrees s <> None)
-               script);
-          Alcotest.failf "seed %d: sim diverges from oracle: %s" seed msg)
+      | Some _ -> check_sim_script ~seed script);
+      total.onto_draining <- total.onto_draining + cover.onto_draining;
+      total.reopened <- total.reopened + cover.reopened;
+      total.before_now <- total.before_now + cover.before_now;
+      total.clear_mid_drain <- total.clear_mid_drain + cover.clear_mid_drain;
+      total.peak_times <- max total.peak_times cover.peak_times);
+  Printf.printf
+    "onto a draining bucket %d, reopened %d, before now %d, clear mid-drain \
+     %d, peak distinct times %d\n"
+    total.onto_draining total.reopened total.before_now total.clear_mid_drain
+    total.peak_times;
+  List.iter
+    (fun (what, n) ->
+      if n = 0 then Alcotest.failf "no script reached: %s" what)
+    [
+      ("a schedule onto a draining bucket", total.onto_draining);
+      ("a reopened time", total.reopened);
+      ("a schedule before now", total.before_now);
+      ("a clear mid-drain", total.clear_mid_drain);
+    ];
+  if total.peak_times < 1_000 then
+    Alcotest.failf "at most %d distinct times pending: too few to collide"
+      total.peak_times
+
+(* A pop+schedule pair allocates nothing but [now]'s Q.t, 3 words, when
+   the popped time differs from the previous pop's.  Three warm queues
+   of 10⁴ entries, each pop rescheduling one entry:
+   - all at one time, so the time never changes: 0 words per pair;
+   - ~400 pending times, ~25 entries each, each pop rescheduling up to
+     800 times later: a change every ~25 pops, 0.12 words per pair;
+   - distinct times drawn from a pool of 16,384 spread over 10⁹: a
+     change on nearly every pop, up to 3 words per pair.
+   The times are built before measuring. *)
+let test_sim_pair_allocation () =
+  let measure ~times ~fill ~next =
+    let queue = Sim.create () in
+    for i = 0 to 9_999 do
+      Sim.schedule queue ~time:times.(fill i) (fill i)
+    done;
+    let pairs = 100_000 in
+    let run () =
+      let changes = ref 0 and last = ref (Sim.now queue) in
+      let w0 = Gc.minor_words () in
+      for k = 1 to pairs do
+        let p = Sim.pop queue in
+        let t = Sim.now queue in
+        if t != !last then begin
+          incr changes;
+          last := t
+        end;
+        let p' = next p k in
+        Sim.schedule queue ~time:times.(p') p'
+      done;
+      (Gc.minor_words () -. w0, !changes)
+    in
+    ignore (run ());
+    let words, changes = run () in
+    let per_pair x = x /. float_of_int pairs in
+    (per_pair words, per_pair (float_of_int changes))
+  in
+  let rng = Random.State.make [| 7074 |] in
+  List.iter
+    (fun (name, times, fill, next) ->
+      let words, changes = measure ~times ~fill ~next in
+      let beyond_now = words -. (3. *. changes) in
+      Printf.printf
+        "%s: %.3f time changes and %.3f minor words per pair (%.4f beyond \
+         now's Q.t)\n"
+        name changes words beyond_now;
+      (* the two boxed [Gc.minor_words] floats are the only slack *)
+      if beyond_now > 0.001 then
+        Alcotest.failf "%s: %.4f minor words per pair beyond now's Q.t" name
+          beyond_now)
+    [
+      ("one time", [| Q.make 7 3 |], (fun _ -> 0), fun _ _ -> 0);
+      ( "~400 times",
+        Array.init 16_384 (fun i -> Q.make (i + 1) 4),
+        (fun i -> i mod 400),
+        fun p k -> p + 1 + (k mod 800) );
+      ( "distinct times",
+        Array.init 16_384 (fun _ -> gen_wide_time rng),
+        (fun i -> i),
+        fun _ k -> (10_000 + k) land 16_383 );
+    ]
 
 (* --- channels --- *)
 
@@ -1171,6 +1357,10 @@ let () =
             test_sim_pop_is_stable_sort;
           Alcotest.test_case "interleavings match oracle (seeded)" `Quick
             test_sim_interleaving_vs_oracle;
+          Alcotest.test_case "wide-spread times match oracle (seeded)" `Quick
+            test_sim_wide_times_vs_oracle;
+          Alcotest.test_case "pop+schedule allocation" `Quick
+            test_sim_pair_allocation;
         ] );
       ( "channel",
         [
