@@ -9,6 +9,8 @@ type t = {
   residuals : Residual.store;
   mutable clock : Q.t;
   mutable history_epoch : int;
+  mutable companions : t list;  (* as of [companions_stamp] *)
+  mutable companions_stamp : int;  (* team-membership version; -1 = never *)
 }
 
 let create ~object_id =
@@ -20,6 +22,8 @@ let create ~object_id =
     residuals = Residual.create ();
     clock = Q.zero;
     history_epoch = 0;
+    companions = [];
+    companions_stamp = -1;
   }
 
 let object_id m = m.object_id
@@ -65,6 +69,13 @@ let set_active m (c : Residual.cell) ~time state =
 let activation_fn m b = Residual.step_fn (activation m b)
 
 let residuals m = m.residuals
+
+let companions m = m.companions
+let companions_stamp m = m.companions_stamp
+
+let stamp_companions m ~version companions =
+  m.companions <- companions;
+  m.companions_stamp <- version
 
 let now m = m.clock
 

@@ -58,6 +58,17 @@ val residuals : t -> Residual.store
     program and the binding, so they live in the table a system shares
     with its clones ({!Residual.Program_outcomes}), not here. *)
 
+val companions : t -> t list
+val companions_stamp : t -> int
+(** The object's companions' monitors as {!stamp_companions} last
+    recorded them, and the team-membership version they were computed
+    at: [[]] and [-1] on a fresh monitor, below every version.  The
+    owning {!System} computes the list and compares the stamp; the
+    monitor only holds them, so the cache lives and dies with the
+    object's record. *)
+
+val stamp_companions : t -> version:int -> t list -> unit
+
 val now : t -> Temporal.Q.t
 (** Largest time seen so far (zero initially). *)
 

@@ -10,8 +10,6 @@ type t = {
   teams : (string, string) Hashtbl.t;  (* object_id -> team name *)
   rosters : (string, String_set.t) Hashtbl.t;  (* team name -> members *)
   mutable teams_version : int;
-  companion_cache : (string, int * Monitor.t list) Hashtbl.t;
-      (* object_id -> (teams_version, its companions' monitors) *)
   outcomes : Residual.Program_outcomes.t;  (* shared with every clone *)
   bus : Obs.Bus.t;
 }
@@ -26,7 +24,6 @@ let make ~mode ~bindings ~outcomes ?bus policy =
     teams = Hashtbl.create 8;
     rosters = Hashtbl.create 8;
     teams_version = 0;
-    companion_cache = Hashtbl.create 8;
     outcomes;
     bus;
   }
@@ -96,49 +93,52 @@ let teammates_scan t ~object_id =
       |> List.sort String.compare
 
 (* Monitors are never replaced and membership moves only through
-   [join_team], which bumps [teams_version]: a list stamped with the
-   current version is still exact.  Objects outside every team skip
-   the cache, so it holds only team members. *)
-let companions t ~object_id =
-  if not (Hashtbl.mem t.teams object_id) then []
+   [join_team], which bumps [teams_version]: a list stamped on the
+   monitor with the current version is still exact.  A fresh monitor's
+   stamp is -1, below every version, and objects outside every team
+   are stamped too (with []), so a check never hashes the object id. *)
+let companions t m =
+  if Monitor.companions_stamp m = t.teams_version then Monitor.companions m
   else
-    match Hashtbl.find t.companion_cache object_id with
-    | version, monitors when version = t.teams_version -> monitors
-    | _ | (exception Not_found) ->
-        let monitors =
-          List.map (fun id -> monitor t ~object_id:id) (teammates t ~object_id)
-        in
-        Hashtbl.replace t.companion_cache object_id (t.teams_version, monitors);
-        monitors
+    let monitors =
+      List.map
+        (fun id -> monitor t ~object_id:id)
+        (teammates t ~object_id:(Monitor.object_id m))
+    in
+    Monitor.stamp_companions m ~version:t.teams_version monitors;
+    monitors
 
 let companions_scan t ~object_id =
   List.map (fun id -> monitor t ~object_id:id) (teammates_scan t ~object_id)
 
-let check t ~session ~object_id ~program ~time access =
-  let m = monitor t ~object_id in
+let check_monitor t ~session ~monitor:m ~program ~time access =
   let verdict =
     match t.mode with
     | Naive ->
         Decision.decide_naive ~bus:t.bus
-          ~companions:(companions_scan t ~object_id)
+          ~companions:(companions_scan t ~object_id:(Monitor.object_id m))
           ~session ~monitor:m
           ~bindings:(Binding_index.to_list t.index)
           ~outcomes:t.outcomes ~program ~time access
     | Lazy ->
-        Decision.decide_lazy ~bus:t.bus
-          ~companions:(companions t ~object_id)
-          ~session ~monitor:m
+        Decision.decide_lazy ~bus:t.bus ~companions:(companions t m) ~session
+          ~monitor:m
           ~applicable:(Binding_index.applicable t.index access)
           ~team_version:t.teams_version ~outcomes:t.outcomes ~program ~time
           access
   in
   if Obs.Bus.observed t.bus then
     Obs.Bus.emit t.bus
-      (Obs.Trace.Decision { time; object_id; access; verdict });
+      (Obs.Trace.Decision
+         { time; object_id = Monitor.object_id m; access; verdict });
   (match verdict with
   | Decision.Granted -> Monitor.record_access m access ~time
   | Decision.Denied _ -> ());
   verdict
+
+let check t ~session ~object_id ~program ~time access =
+  check_monitor t ~session ~monitor:(monitor t ~object_id) ~program ~time
+    access
 
 let arrive t ~object_id ~server ~time =
   Monitor.record_arrival (monitor t ~object_id) ~server ~time;
@@ -155,6 +155,6 @@ let refresh t ~session ~object_id ~program ~time =
         ~session ~monitor ~bindings ~outcomes:t.outcomes ~program ~time ()
   | Lazy ->
       Decision.refresh_activation_lazy
-        ~companions:(companions t ~object_id)
+        ~companions:(companions t monitor)
         ~session ~monitor ~bindings ~team_version:t.teams_version
         ~outcomes:t.outcomes ~program ~time ()

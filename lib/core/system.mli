@@ -10,9 +10,10 @@
 
     - [Lazy] (the default) takes the applicable bindings from
       {!Binding_index}'s per-access memo, the companions' monitors
-      from a per-object cache stamped with the team-membership
-      version, and evaluates history-scope spatial constraints
-      incrementally as memoized Brzozowski-derivative residuals
+      from a list cached on the object's own monitor and stamped with
+      the team-membership version, and evaluates history-scope
+      spatial constraints incrementally as memoized
+      Brzozowski-derivative residuals
       ({!Decision.decide_lazy} over {!Srac.Lazy_dfa}).
     - [Naive] is the seed's linear path — full binding scan, companion
       fold over every object, history-scope constraints rechecked from
@@ -87,7 +88,12 @@ val bus : t -> Obs.Bus.t
     no sink, no event is built. *)
 
 val monitor : t -> object_id:string -> Monitor.t
-(** The monitor for a mobile object, created on first use. *)
+(** The monitor for a mobile object, created on first use.  A system
+    never removes or replaces a monitor it has created, so a caller may
+    keep the one returned here as the object's handle for the life of
+    the system and decide through it with {!check_monitor}: the
+    emulation's [World] fetches each agent's monitor once at spawn, and
+    the service's [Server] once per [Register]. *)
 
 val join_team : t -> object_id:string -> team:string -> unit
 (** Make the object a member of the named team; bindings with [Team]
@@ -99,9 +105,10 @@ val team_of : t -> object_id:string -> string option
 val teammates : t -> object_id:string -> string list
 (** Other members of the object's team, sorted.  O(|team|) via the
     precomputed roster.  [Lazy]-mode checks read the same members'
-    monitors from a per-object companion cache: each entry is stamped
-    with the membership version that {!join_team} bumps, and an object
-    in no team gets no entry. *)
+    monitors from a list cached on the object's own monitor
+    ({!Monitor.companions}), stamped with the membership version that
+    {!join_team} bumps; an object in no team caches [[]] the same
+    way. *)
 
 val new_session : t -> user:string -> Rbac.Session.t
 
@@ -116,7 +123,25 @@ val check :
 (** Decide, publish the decision on the {!bus} (where an attached
     audit log records it), and — when granted — record the execution
     proof in the object's monitor (the server "carries out" the access and issues
-    the proof, Section 2). *)
+    the proof, Section 2).  [check t ~object_id] is
+    [check_monitor t ~monitor:(monitor t ~object_id)]. *)
+
+val check_monitor :
+  t ->
+  session:Rbac.Session.t ->
+  monitor:Monitor.t ->
+  program:Sral.Ast.t ->
+  time:Temporal.Q.t ->
+  Sral.Access.t ->
+  Decision.verdict
+(** {!check} for a caller that already holds the object's monitor: no
+    lookup by object id.  [monitor] must have come from {!monitor} on
+    this same system (not a clone of it, nor one built with
+    {!Monitor.create}); the companion list it caches is stamped with
+    this system's membership version.  Since monitors are never
+    replaced, a handle fetched once stays the object's record, and
+    verdicts, published events and recorded proofs are exactly those
+    of {!check} with the handle's {!Monitor.object_id}. *)
 
 val arrive :
   t -> object_id:string -> server:string -> time:Temporal.Q.t -> unit

@@ -64,15 +64,19 @@ let on_arrival t ~object_id ~owner ~roles ~server ~time ~program =
   Coordinated.System.refresh t.control ~session ~object_id ~program ~time;
   (session, rejected)
 
-let check_session t ~session ~object_id ~program ~time access =
+let check_session t ~session ~monitor ~program ~time access =
   if unavailable t ~server:access.Sral.Access.server ~time then
-    refuse t ~object_id ~time access
+    refuse t ~object_id:(Coordinated.Monitor.object_id monitor) ~time access
   else
-    Coordinated.System.check t.control ~session ~object_id ~program ~time access
+    Coordinated.System.check_monitor t.control ~session ~monitor ~program ~time
+      access
 
 let check t ~object_id ~program ~time access =
   match Hashtbl.find_opt t.sessions object_id with
   | None -> invalid_arg ("Security_manager.check: unknown object " ^ object_id)
-  | Some session -> check_session t ~session ~object_id ~program ~time access
+  | Some session ->
+      check_session t ~session
+        ~monitor:(Coordinated.System.monitor t.control ~object_id)
+        ~program ~time access
 
 let session t ~object_id = Hashtbl.find_opt t.sessions object_id

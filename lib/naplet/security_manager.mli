@@ -69,15 +69,18 @@ val check :
 val check_session :
   t ->
   session:Rbac.Session.t ->
-  object_id:string ->
+  monitor:Coordinated.Monitor.t ->
   program:Sral.Ast.t ->
   time:Temporal.Q.t ->
   Sral.Access.t ->
   Coordinated.Decision.verdict
-(** {!check} with the session supplied by the caller, skipping the
-    per-object session lookup — the id-indexed world caches each
-    agent's session and decides accesses through this entry point.
-    Identical verdicts (and published events) to {!check} given the
-    session {!on_arrival} established for [object_id]. *)
+(** {!check} with the session and the object's monitor supplied by the
+    caller, skipping both per-object lookups — the id-indexed world
+    keeps each agent's session and monitor in its row and decides
+    accesses through this entry point
+    ({!Coordinated.System.check_monitor}).  Identical verdicts (and
+    published events) to {!check} given the session {!on_arrival}
+    established for the object and the control's
+    {!Coordinated.System.monitor} for it. *)
 
 val session : t -> object_id:string -> Rbac.Session.t option

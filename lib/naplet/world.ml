@@ -60,6 +60,9 @@ type t = {
   mutable a_program : Sral.Ast.t array;
   mutable a_machine : Machine.t array;
   mutable a_session : Rbac.Session.t option array;
+  mutable a_monitor : Coordinated.Monitor.t array;
+      (* the control's monitor for the agent, fetched once at spawn:
+         [System] never replaces a monitor, so the handle stays valid *)
   mutable a_status : int array;
   mutable a_end : Q.t array;  (* completion time when [st_completed] *)
   mutable a_reason : string array;  (* abort reason when [st_aborted] *)
@@ -94,6 +97,7 @@ let create ?(config = default_config) control =
     a_program = [||];
     a_machine = [||];
     a_session = [||];
+    a_monitor = [||];
     a_status = [||];
     a_end = [||];
     a_reason = [||];
@@ -262,7 +266,7 @@ let finish_agent t i status =
       emit t (Obs.Trace.Aborted { time = t.clock; agent = name; reason = why })
   | Agent.Running | Agent.Waiting -> ()
 
-let grow_agents t ~program ~machine needed =
+let grow_agents t ~program ~machine ~monitor needed =
   if needed > Array.length t.a_status then begin
     let cap = max 16 (2 * needed) in
     let col a fill =
@@ -276,6 +280,7 @@ let grow_agents t ~program ~machine needed =
     t.a_program <- col t.a_program program;
     t.a_machine <- col t.a_machine machine;
     t.a_session <- col t.a_session None;
+    t.a_monitor <- col t.a_monitor monitor;
     t.a_status <- col t.a_status st_running;
     t.a_end <- col t.a_end Q.zero;
     t.a_reason <- col t.a_reason "";
@@ -292,14 +297,19 @@ let spawn ?team t ~id ~owner ~roles ~home program =
     | _ -> invalid_arg ("World.spawn: unknown home server " ^ home)
   in
   let machine = Machine.create ~fuel:t.config.fuel program in
+  let monitor =
+    Coordinated.System.monitor (Security_manager.control t.manager)
+      ~object_id:id
+  in
   let i = Intern.intern t.anames id in
-  grow_agents t ~program ~machine (i + 1);
+  grow_agents t ~program ~machine ~monitor (i + 1);
   t.a_owner.(i) <- owner;
   t.a_roles.(i) <- roles;
   t.a_home.(i) <- home_id;
   t.a_program.(i) <- program;
   t.a_machine.(i) <- machine;
   t.a_session.(i) <- None;
+  t.a_monitor.(i) <- monitor;
   t.a_status.(i) <- st_running;
   t.a_end.(i) <- Q.zero;
   t.a_reason.(i) <- "";
@@ -339,19 +349,24 @@ let wake t ~agent ~thread ~time =
   | Some i -> wake_id t i ~thread ~time
 
 let decide_verdict t i ~time a =
-  let object_id = Intern.name t.anames i in
   match t.a_session.(i) with
   | Some session ->
-      Security_manager.check_session t.manager ~session ~object_id
-        ~program:t.a_program.(i) ~time a
+      Security_manager.check_session t.manager ~session
+        ~monitor:t.a_monitor.(i) ~program:t.a_program.(i) ~time a
   | None ->
-      Security_manager.check t.manager ~object_id ~program:t.a_program.(i)
-        ~time a
+      Security_manager.check t.manager ~object_id:(Intern.name t.anames i)
+        ~program:t.a_program.(i) ~time a
 
 let rec handle_access t i ~thread ~time (a : Sral.Access.t) =
-  (* migrate first when the access targets another server *)
-  let dest_id = Intern.intern t.snames a.Sral.Access.server in
-  let migrated = t.a_location.(i) <> dest_id in
+  (* migrate first when the access targets another server; a local
+     access reuses the row's location id, only a move interns *)
+  let loc = t.a_location.(i) in
+  let dest_id =
+    if loc >= 0 && String.equal (Intern.name t.snames loc) a.Sral.Access.server
+    then loc
+    else Intern.intern t.snames a.Sral.Access.server
+  in
+  let migrated = loc <> dest_id in
   match t.faults with
   | Some f when migrated -> (
       (* the transport can fail: the destination may be crashed at
@@ -439,8 +454,8 @@ and perform_migration t i ~thread ~time ~dest_id (a : Sral.Access.t) =
   | Appraisal.Sound -> decide_access t i ~thread ~time:arrival ~dest_id a
 
 and decide_access t i ~thread ~time ~dest_id (a : Sral.Access.t) =
-  (* [System.check] publishes the verdict to the bus; the world counts
-     it here *)
+  (* [System.check_monitor] publishes the verdict to the bus; the world
+     counts it here *)
   let verdict = decide_verdict t i ~time a in
   Metrics.record_verdict t.metrics verdict;
   match verdict with

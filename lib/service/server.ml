@@ -5,7 +5,14 @@ type config = { queue_capacity : int }
 
 let default_config = { queue_capacity = 256 }
 
-type obj_state = { session : Rbac.Session.t; program : Sral.Ast.t }
+(* [monitor] is the connection system's monitor for the object, fetched
+   at [Register]: [System] never replaces a monitor, so a re-registered
+   object gets the same one back, with its history *)
+type obj_state = {
+  session : Rbac.Session.t;
+  program : Sral.Ast.t;
+  monitor : Coordinated.Monitor.t;
+}
 
 type conn = {
   id : int;
@@ -137,7 +144,8 @@ let exec c (req : Protocol.request) : Protocol.reply =
                 ->
                   ())
               roles;
-            Hashtbl.replace c.objects object_id { session; program };
+            let monitor = System.monitor c.system ~object_id in
+            Hashtbl.replace c.objects object_id { session; program; monitor };
             Ack { seq })
   | Arrive { object_id; server } ->
       if not (Hashtbl.mem c.objects object_id) then unknown_object seq object_id
@@ -157,8 +165,9 @@ let exec c (req : Protocol.request) : Protocol.reply =
       | exception Not_found -> unknown_object seq object_id
       | o ->
           let verdict =
-            System.check c.system ~session:o.session ~object_id
-              ~program:o.program ~time:(Q.of_int seq) access
+            System.check_monitor c.system ~session:o.session
+              ~monitor:o.monitor ~program:o.program ~time:(Q.of_int seq)
+              access
           in
           Verdict { seq; verdict })
   | Activate { object_id; role } -> (

@@ -559,14 +559,33 @@ type team_run = {
   swaps : int;  (* equal-total swaps with a third member in either team *)
 }
 
-let run_team_schedule ~mode sc =
-  let module S = Coordinated.System in
+(* One user "u" whose role "r" may do anything: every verdict below
+   comes from the bindings. *)
+let team_policy () =
   let policy = Rbac.Policy.create () in
   Rbac.Policy.add_user policy "u";
   Rbac.Policy.add_role policy "r";
   Rbac.Policy.assign_user policy "u" "r";
   Rbac.Policy.grant policy "r" (Rbac.Perm.make ~operation:"*" ~target:"*@*");
-  let sys = S.create ~mode ~bindings:sc.team_bindings policy in
+  policy
+
+(* Every member's activation function for every binding, as text. *)
+let activation_lines sys ~members bindings =
+  List.concat_map
+    (fun i ->
+      let m = Coordinated.System.monitor sys ~object_id:(Printf.sprintf "m%d" i) in
+      List.map
+        (fun b ->
+          Format.asprintf "m%d %s: %a" i
+            (Coordinated.Perm_binding.key b)
+            Temporal.Step_fn.pp
+            (Coordinated.Monitor.activation_fn m b))
+        bindings)
+    (List.init members Fun.id)
+
+let run_team_schedule ~mode sc =
+  let module S = Coordinated.System in
+  let sys = S.create ~mode ~bindings:sc.team_bindings (team_policy ()) in
   let programs = Array.of_list (List.map fst sc.members) in
   let all = List.init (Array.length programs) Fun.id in
   let id i = Printf.sprintf "m%d" i in
@@ -650,17 +669,7 @@ let run_team_schedule ~mode sc =
       sc.team_events
   in
   let activations =
-    List.concat_map
-      (fun i ->
-        let m = S.monitor sys ~object_id:(id i) in
-        List.map
-          (fun b ->
-            Format.asprintf "%s %s: %a" (id i)
-              (Coordinated.Perm_binding.key b)
-              Temporal.Step_fn.pp
-              (Coordinated.Monitor.activation_fn m b))
-          sc.team_bindings)
-      all
+    activation_lines sys ~members:(Array.length programs) sc.team_bindings
   in
   { trace = verdicts @ activations; lagging = !lagging; swaps = !swaps }
 
@@ -719,6 +728,215 @@ let test_team_scope_lazy_vs_naive () =
     (!lagging >= team_runs);
   Alcotest.(check bool) "schedules produce equal-total swaps" true
     (!swaps >= team_runs / 10)
+
+(* --- companion lists stamped on the monitor ---
+   A [Lazy] check reads the object's companions from a list cached on
+   the object's own monitor and stamped with the system's membership
+   version.  Here some members start outside every team, so a member
+   is checked (and stamped with no companions) before it joins; joins
+   land after a teammate's list was stamped; and [S_clone] moves the
+   run onto a clone of a system whose version is past zero, where the
+   clone's fresh monitors must compute their own lists.  Every check
+   and refresh goes through the by-id [System] entry points, and the
+   lazy run must match the naive oracle's verdicts and activation
+   functions. *)
+
+type stamp_event =
+  | S_check of int * int * Sral.Access.t  (* member, clock step, access *)
+  | S_refresh of int * int
+  | S_join of int * string
+  | S_clone
+
+type stamp_schedule = {
+  s_members : (Sral.Ast.t * string option) list;  (* program, first team *)
+  s_bindings : Coordinated.Perm_binding.t list;
+  s_events : stamp_event list;
+}
+
+let stamp_schedule rng =
+  let n = 2 + Random.State.int rng 3 in
+  let s_members =
+    List.init n (fun _ ->
+        let program =
+          Sral.Generate.program ~allow_io:false ~resources:[ "r1"; "r2" ]
+            ~servers:[ "s1"; "s2" ]
+            ~size:(4 + Random.State.int rng 6)
+            rng
+        in
+        let team =
+          if Random.State.bool rng then Some (Gen.pick rng [ "t1"; "t2" ])
+          else None
+        in
+        (program, team))
+  in
+  let event _ =
+    let who = Random.State.int rng n in
+    let step = Random.State.int rng ((2 * who) + 2) in
+    match Random.State.int rng 16 with
+    | 0 | 1 | 2 -> S_join (who, Gen.pick rng [ "t1"; "t2" ])
+    | 3 -> S_clone
+    | 4 -> S_refresh (who, step)
+    | _ -> S_check (who, step, Gen.pick rng team_pool)
+  in
+  {
+    s_members;
+    s_bindings =
+      [ team_binding rng ~proof_scope:Coordinated.Perm_binding.Team ];
+    s_events = List.init (20 + Random.State.int rng 30) event;
+  }
+
+type stamp_run = {
+  s_trace : string list;  (* verdicts, then activation functions *)
+  teamless_then_joined : int;  (* joins by a member checked while team-less *)
+  joined_after_stamp : int;  (* joins into a team with a checked member *)
+  versioned_clones : int;  (* clones of a system that saw a join *)
+}
+
+let run_stamp_schedule ~mode sc =
+  let module S = Coordinated.System in
+  let members = Array.of_list sc.s_members in
+  let n = Array.length members in
+  let id i = Printf.sprintf "m%d" i in
+  let sys = ref (S.create ~mode ~bindings:sc.s_bindings (team_policy ())) in
+  let sessions =
+    Array.map
+      (fun _ ->
+        let s = S.new_session !sys ~user:"u" in
+        Rbac.Session.activate s "r";
+        s)
+      members
+  in
+  let clocks = Array.make n 0 in
+  (* per member, on the current system: checked at all / while team-less *)
+  let checked = Array.make n false and teamless = Array.make n false in
+  let joins = ref 0 in
+  let join i team =
+    S.join_team !sys ~object_id:(id i) ~team;
+    teamless.(i) <- false;
+    incr joins
+  in
+  let enter () =
+    Array.iteri
+      (fun i _ ->
+        S.arrive !sys ~object_id:(id i) ~server:"s1"
+          ~time:(Q.of_int clocks.(i));
+        checked.(i) <- false;
+        teamless.(i) <- false)
+      members;
+    joins := 0
+  in
+  enter ();
+  Array.iteri (fun i (_, team) -> Option.iter (join i) team) members;
+  let teamless_then_joined = ref 0
+  and joined_after_stamp = ref 0
+  and versioned_clones = ref 0 in
+  let tick i dt =
+    clocks.(i) <- clocks.(i) + dt;
+    Q.of_int clocks.(i)
+  in
+  let verdicts =
+    List.filter_map
+      (function
+        | S_check (i, dt, access) ->
+            let time = tick i dt in
+            if S.team_of !sys ~object_id:(id i) = None then
+              teamless.(i) <- true;
+            checked.(i) <- true;
+            let v =
+              S.check !sys ~session:sessions.(i) ~object_id:(id i)
+                ~program:(fst members.(i)) ~time access
+            in
+            Some
+              (Format.asprintf "%s@%a %a: %a" (id i) Q.pp time Sral.Access.pp
+                 access Coordinated.Decision.pp_verdict v)
+        | S_refresh (i, dt) ->
+            S.refresh !sys ~session:sessions.(i) ~object_id:(id i)
+              ~program:(fst members.(i)) ~time:(tick i dt);
+            None
+        | S_join (i, team) ->
+            if teamless.(i) then incr teamless_then_joined;
+            if
+              List.exists
+                (fun j ->
+                  j <> i && checked.(j)
+                  && S.team_of !sys ~object_id:(id j) = Some team)
+                (List.init n Fun.id)
+            then incr joined_after_stamp;
+            join i team;
+            None
+        | S_clone ->
+            if !joins > 0 then incr versioned_clones;
+            sys := S.clone !sys;
+            enter ();
+            Some "clone")
+      sc.s_events
+  in
+  {
+    s_trace = verdicts @ activation_lines !sys ~members:n sc.s_bindings;
+    teamless_then_joined = !teamless_then_joined;
+    joined_after_stamp = !joined_after_stamp;
+    versioned_clones = !versioned_clones;
+  }
+
+let pp_stamp_schedule ppf sc =
+  Format.fprintf ppf "@[<v>";
+  List.iteri
+    (fun i (program, team) ->
+      Format.fprintf ppf "m%d in %s, program %a@," i
+        (Option.value team ~default:"no team")
+        Sral.Pretty.pp program)
+    sc.s_members;
+  List.iter
+    (fun b -> Format.fprintf ppf "%a@," Coordinated.Perm_binding.pp b)
+    sc.s_bindings;
+  List.iter
+    (function
+      | S_check (i, dt, a) ->
+          Format.fprintf ppf "m%d +%d checks %a@," i dt Sral.Access.pp a
+      | S_refresh (i, dt) -> Format.fprintf ppf "m%d +%d refreshes@," i dt
+      | S_join (i, team) -> Format.fprintf ppf "m%d joins %s@," i team
+      | S_clone -> Format.fprintf ppf "clone@,")
+    sc.s_events;
+  Format.fprintf ppf "@]"
+
+let stamp_runs = 400
+
+let test_companion_stamp_lazy_vs_naive () =
+  let teamless = ref 0 and after_stamp = ref 0 and clones = ref 0 in
+  Gen.each_seed ~salt:4246 ~count:stamp_runs (fun ~seed rng ->
+      let sc = stamp_schedule rng in
+      let trace mode sc = (run_stamp_schedule ~mode sc).s_trace in
+      let diverges sc =
+        trace Coordinated.System.Lazy sc <> trace Coordinated.System.Naive sc
+      in
+      let r = run_stamp_schedule ~mode:Coordinated.System.Lazy sc in
+      teamless := !teamless + r.teamless_then_joined;
+      after_stamp := !after_stamp + r.joined_after_stamp;
+      clones := !clones + r.versioned_clones;
+      if r.s_trace <> trace Coordinated.System.Naive sc then begin
+        let candidates sc =
+          List.map
+            (fun evs -> { sc with s_events = evs })
+            (Gen.drop_one sc.s_events)
+        in
+        let small = Gen.shrink ~fails:diverges ~candidates sc in
+        Gen.report_minimized ~seed ~what:"stamp schedule" pp_stamp_schedule
+          small;
+        Alcotest.(check (list string))
+          (Printf.sprintf "seed %d: lazy companions = naive oracle" seed)
+          (trace Coordinated.System.Naive small)
+          (trace Coordinated.System.Lazy small)
+      end);
+  Printf.printf
+    "%d joins after a team-less check, %d joins after a teammate's stamp, %d \
+     clones of a versioned system over %d schedules\n"
+    !teamless !after_stamp !clones stamp_runs;
+  Alcotest.(check bool) "schedules join after team-less checks" true
+    (!teamless >= stamp_runs);
+  Alcotest.(check bool) "schedules join after a teammate's stamp" true
+    (!after_stamp >= stamp_runs);
+  Alcotest.(check bool) "schedules clone versioned systems" true
+    (!clones >= stamp_runs)
 
 (* --- the compiled RBAC table = Engine.decide_access ---
    [Rbac.Engine.decide_compiled] (the production RBAC stage) must give
@@ -964,6 +1182,10 @@ let () =
           Alcotest.test_case
             (Printf.sprintf "lazy = naive over %d team schedules" team_runs)
             `Quick test_team_scope_lazy_vs_naive;
+          Alcotest.test_case
+            (Printf.sprintf "lazy = naive over %d companion-stamp schedules"
+               stamp_runs)
+            `Quick test_companion_stamp_lazy_vs_naive;
         ] );
       ( "rbac-table",
         [

@@ -676,6 +676,92 @@ let test_world_matches_legacy_oracle () =
     "no divergent seeds" []
     (Scenarios.Scale_family.divergences ~runs:24 (1000 + Gen.offset))
 
+(* [World] fetches each agent's monitor once at spawn and decides
+   through it.  The handle must be the control's own monitor even when
+   [System.arrive] or [System.check] created it before any world
+   existed, when two worlds share the control, and when a teammate's
+   membership changes after the monitor cached its companions.  The
+   courier's write is granted only through the scout's proof (a
+   Team-scope binding), and the scout's hop to "s3", a server no world
+   registered, runs the access on an interned id with no server slot. *)
+let handle_run (module W : Naplet.World_intf.S) =
+  let module S = Coordinated.System in
+  let control = permissive_control () in
+  let manifest = Sral.Access.read "manifest" ~at:"s1" in
+  let vault = Sral.Access.write "vault" ~at:"s2" in
+  S.add_binding control
+    (Coordinated.Perm_binding.make
+       ~spatial:(Srac.Formula.Ordered (manifest, vault))
+       ~spatial_scope:Coordinated.Perm_binding.Performed
+       ~proof_scope:Coordinated.Perm_binding.Team
+       (Rbac.Perm.make ~operation:"write" ~target:"vault@s2"));
+  let sink, events = Obs.Sink.memory () in
+  Obs.Bus.subscribe (S.bus control) sink;
+  S.arrive control ~object_id:"scout" ~server:"s1" ~time:Q.zero;
+  let session = S.new_session control ~user:"owner" in
+  Rbac.Session.activate session "worker";
+  ignore
+    (S.check control ~session ~object_id:"courier" ~program:(prog "skip")
+       ~time:Q.zero (Sral.Access.read "x" ~at:"s2"));
+  let world () =
+    let w = W.create control in
+    List.iter (fun s -> W.add_server w (Naplet.Server.create s)) [ "s1"; "s2" ];
+    w
+  in
+  let w1 = world () and w2 = world () in
+  W.spawn ~team:"survey" w1 ~id:"scout" ~owner:"owner" ~roles:[ "worker" ]
+    ~home:"s1" (prog "read manifest @ s1; read log @ s3; read log @ s3");
+  S.join_team control ~object_id:"courier" ~team:"survey";
+  W.spawn w2 ~id:"courier" ~owner:"owner" ~roles:[ "worker" ] ~home:"s2"
+    (prog "read y @ s1; write vault @ s2");
+  W.spawn w2 ~id:"loner" ~owner:"owner" ~roles:[ "worker" ] ~home:"s2"
+    (prog "write vault @ s2");
+  ignore (W.run w1);
+  ignore (W.run w2);
+  let trace = events () in
+  List.iter
+    (fun id ->
+      let granted =
+        List.filter_map
+          (function
+            | Obs.Trace.Decision
+                { object_id; access; verdict = Obs.Verdict.Granted; _ }
+              when String.equal object_id id ->
+                Some access
+            | _ -> None)
+          trace
+      in
+      Alcotest.(check string)
+        (id ^ ": grants land in the control's monitor")
+        (Sral.Trace.to_string granted)
+        (Sral.Trace.to_string
+           (Coordinated.Monitor.performed (S.monitor control ~object_id:id))))
+    [ "scout"; "courier"; "loner" ];
+  trace
+
+let test_world_decides_through_handle () =
+  let trace = handle_run (module Naplet.World) in
+  let verdict id access =
+    List.find_map
+      (function
+        | Obs.Trace.Decision { object_id; access = a; verdict; _ }
+          when String.equal object_id id && Sral.Access.equal a access ->
+            Some (Coordinated.Decision.is_granted verdict)
+        | _ -> None)
+      trace
+  in
+  let vault = Sral.Access.write "vault" ~at:"s2" in
+  Alcotest.(check (option bool)) "the courier's write is granted" (Some true)
+    (verdict "courier" vault);
+  Alcotest.(check (option bool)) "the loner's write is denied" (Some false)
+    (verdict "loner" vault);
+  Alcotest.(check (option bool)) "the scout reads at the unregistered server"
+    (Some true)
+    (verdict "scout" (Sral.Access.read "log" ~at:"s3"));
+  Alcotest.(check string) "trace = the by-id legacy engine's"
+    (Obs.Export.to_string (handle_run (module Naplet.World_legacy)))
+    (Obs.Export.to_string trace)
+
 let test_world_producer_consumer () =
   let world = world_with_servers [ "s1" ] in
   Naplet.World.spawn world ~id:"producer" ~owner:"owner" ~roles:[ "worker" ]
@@ -1474,6 +1560,8 @@ let () =
             test_world_halt_releases_admin;
           Alcotest.test_case "run allocation per event" `Quick
             test_world_run_allocation;
+          Alcotest.test_case "decides through the spawn-time monitor" `Quick
+            test_world_decides_through_handle;
           Alcotest.test_case "enumeration order stable" `Quick
             test_world_enumeration_order_stable;
           Alcotest.test_case "SoA = legacy oracle (seeded)" `Slow

@@ -592,6 +592,57 @@ let test_differential_gate () =
       if not (String.equal sim sim2) then
         Alcotest.failf "sim replay is not deterministic at seed %d" seed)
 
+(* [Server] keeps the monitor it fetched at [Register] and decides
+   through it.  A departed object that registers again on the same
+   connection must get the same monitor back, arrival and history
+   and all: the binding allows one read, so the second check is denied
+   by the spatial stage exactly as the by-id direct drive denies it. *)
+let test_reregister_keeps_monitor () =
+  let base =
+    Coordinated.System.of_policy_text
+      "user u\nrole r\nassign u r\ngrant r *:*@*\n\
+       bind read:r1@s1 spatial \"count(0, 1, op=read)\" scope performed\n"
+  in
+  let read = Sral.Access.read "r1" ~at:"s1" in
+  let register : Protocol.request =
+    Register
+      {
+        object_id = "o";
+        owner = "u";
+        roles = [ "r" ];
+        program = Sral.Parser.program "skip";
+      }
+  in
+  let check : Protocol.request = Check { object_id = "o"; access = read } in
+  let script =
+    List.map
+      (fun req -> { Script.conn = 0; req })
+      [
+        register;
+        Arrive { object_id = "o"; server = "s1" };
+        check;
+        Depart { object_id = "o" };
+        register;
+        check;
+      ]
+  in
+  let sim = Script.run_sim ~base script in
+  Alcotest.(check string) "sim = direct"
+    (Script.render (Script.drive_direct ~base script))
+    (Script.render sim);
+  match sim with
+  | [
+      (0, [ _; _; Verdict { verdict = first; _ }; _; _; Verdict { verdict; _ } ]);
+    ] ->
+      Alcotest.(check bool) "first read granted" true
+        (Coordinated.Decision.is_granted first);
+      Alcotest.(check string) "second read denied by the kept history"
+        "spatial"
+        (match verdict with
+        | Obs.Verdict.Denied (Obs.Verdict.Spatial_violation _) -> "spatial"
+        | v -> Format.asprintf "%a" Coordinated.Decision.pp_verdict v)
+  | _ -> Alcotest.fail "unexpected reply shape"
+
 (* sim = direct compares two drives, so a change that moved both would
    pass it unseen; this pins the reply bytes themselves.  Update the
    digest only for an intended change to the reply bytes, and name that
@@ -996,6 +1047,8 @@ let () =
           Alcotest.test_case "sim = direct, byte-identical" `Quick
             test_differential_gate;
           Alcotest.test_case "replay bytes pinned" `Quick test_replay_digest;
+          Alcotest.test_case "re-registered object keeps its monitor" `Quick
+            test_reregister_keeps_monitor;
           Alcotest.test_case "wire path on lazy = naive oracle" `Quick
             test_wire_vs_naive_oracle;
           Alcotest.test_case "warm check feed allocation" `Quick
