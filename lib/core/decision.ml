@@ -97,8 +97,8 @@ let spatial_ok ~monitor ~companions ~outcomes ~program ~access
           | Ok () -> performed_side ()
           | Error _ as failure -> failure))
 
-let temporal_state ~monitor ~time cell (binding : Perm_binding.t) =
-  let active = Residual.step_fn cell in
+let temporal_state ~monitor ~time slot (binding : Perm_binding.t) =
+  let active = Residual.step_fn slot in
   match Monitor.arrivals monitor with
   | [] -> `Not_arrived
   | arrivals ->
@@ -140,7 +140,7 @@ let refresh_one ~session ~monitor ~companions ~outcomes ~program ~time
             Srac.Program_sat.prefix_feasible
               ~performed:(history ~monitor ~companions b) c)
   in
-  Monitor.set_active monitor (Monitor.activation monitor b) ~time
+  Monitor.set_active monitor (Monitor.slot monitor ~session b) ~time
     (rbac_ok && spatial_active)
 
 let refresh_activation ?(companions = []) ~session ~monitor ~bindings
@@ -151,11 +151,11 @@ let refresh_activation ?(companions = []) ~session ~monitor ~bindings
 
 (* The temporal tail of the decision, in binding order.  It reads the
    query time, so it is recomputed on every decision. *)
-let first_temporal_failure ~monitor ~time applicable =
+let first_temporal_failure ~session ~monitor ~time applicable =
   List.find_map
     (fun b ->
-      let cell = Monitor.activation monitor b in
-      match temporal_state ~monitor ~time cell b with
+      let slot = Monitor.slot monitor ~session b in
+      match temporal_state ~monitor ~time slot b with
       | `Valid -> None
       | `Inactive -> Some (Not_active (Perm_binding.key b))
       | `Not_arrived -> Some Not_arrived
@@ -225,7 +225,9 @@ let decide_naive ?(companions = []) ~bus ~session ~monitor ~bindings
       | Some reason -> Denied reason
       | None -> (
           let t0 = stage_start bus ~monitor ~time Obs.Trace.Temporal in
-          let temporal = first_temporal_failure ~monitor ~time applicable in
+          let temporal =
+            first_temporal_failure ~session ~monitor ~time applicable
+          in
           stage_end bus ~monitor ~time Obs.Trace.Temporal t0
             (Option.is_none temporal);
           match temporal with Some reason -> Denied reason | None -> Granted))
@@ -239,45 +241,14 @@ let decide_naive ?(companions = []) ~bus ~session ~monitor ~bindings
    recomputation with incremental Brzozowski-derivative residuals
    ({!Srac.Lazy_dfa}), a version-stamped role bit per binding and the
    policy's compiled RBAC table, so a warm decision allocates nothing.
-   Per binding, the monitor keeps a
-   {!Residual.slot} holding the binding's lazy machine and a cursor
-   into the object's performed history; each decision folds only the
-   not-yet-seen proof entries into the residual state (a Team-scope
-   slot refolds the team's merged history when its stamp moves), then
-   answers grant (residual nullability after the access) and
-   activation (residual feasibility) from memoized per-state bits.
-   Denial details fall back to the eager oracle so messages stay
-   byte-identical. *)
-
-let get_slot ~session ~monitor (b : Perm_binding.t) =
-  let store = Monitor.residuals monitor in
-  match Residual.Binding_tbl.find store b with
-  | slot -> slot
-  | exception Not_found ->
-      let machine =
-        match (b.spatial, b.spatial_scope) with
-        | Some c, (Perm_binding.Performed | Perm_binding.Both) ->
-            Some (Srac.Lazy_dfa.create c)
-        | _ -> None
-      in
-      let slot =
-        {
-          Residual.machine;
-          cell = Monitor.activation monitor b;
-          own_state = 0;
-          own_consumed = 0;
-          team_state = -1;
-          team_version = -1;
-          team_epoch = -1;
-          may_session = session;
-          may_version = -1 (* not computed yet: [slot_may_ok] fills it *);
-          may_ok = false;
-          prog_program = None;
-          prog_result = Ok ();
-        }
-      in
-      Residual.Binding_tbl.add store b slot;
-      slot
+   Per binding, the monitor's {!Residual.slot} holds the binding's
+   lazy machine and a cursor into the object's performed history;
+   each decision folds only the not-yet-seen proof entries into the
+   residual state (a Team-scope slot refolds the team's merged history
+   when its stamp moves), then answers grant (residual nullability
+   after the access) and activation (residual feasibility) from
+   memoized per-state bits.  Denial details fall back to the eager
+   oracle so messages stay byte-identical. *)
 
 (* Whether an active role holds the binding's permission pattern is
    fixed by the session object and its version (which bumps on every
@@ -370,18 +341,22 @@ let team_state ~monitor ~companions ~team_version machine slot b =
   end;
   slot.Residual.team_state
 
-(* A machine answers [feasible] over every access it has stepped; the
-   oracle, over the accesses of the history it is given.  Under one
-   [team_version] the team's history only grows, so the two alphabets
-   agree.  A membership change can drop a former companion's accesses
-   from the history, so a slot that has folded a team starts a fresh
-   machine when the version moves. *)
+(* The slot's machine is built on the first lazy use of a history
+   scope.  A machine answers [feasible] over every access it has
+   stepped; the oracle, over the accesses of the history it is given.
+   Under one [team_version] the team's history only grows, so the two
+   alphabets agree.  A membership change can drop a former companion's
+   accesses from the history, so a slot that has folded a team starts a
+   fresh machine when the version moves.  A [Dropped] slot stays on the
+   eager oracles. *)
 let scope_machine ~team_version slot (b : Perm_binding.t) c =
   (match (b.proof_scope, slot.Residual.machine) with
-  | Perm_binding.Team, Some _
+  | _, Residual.Unbuilt ->
+      slot.Residual.machine <- Residual.Built (Srac.Lazy_dfa.create c)
+  | Perm_binding.Team, Residual.Built _
     when slot.Residual.team_epoch >= 0
          && slot.Residual.team_version <> team_version ->
-      slot.Residual.machine <- Some (Srac.Lazy_dfa.create c)
+      slot.Residual.machine <- Residual.Built (Srac.Lazy_dfa.create c)
   | _ -> ());
   slot.Residual.machine
 
@@ -393,7 +368,7 @@ let scope_state ~monitor ~companions ~team_version machine slot
       team_state ~monitor ~companions ~team_version machine slot b
 
 (* The state valve: a machine that raises {!Srac.Lazy_dfa.State_limit}
-   is dropped ([machine = None] on a history-scope slot), and the
+   is dropped ([machine = Dropped]), and the
    binding is answered by the eager oracles from then on — the same
    calls the naive path makes. *)
 let feasible_eager ~monitor ~companions b c =
@@ -401,7 +376,7 @@ let feasible_eager ~monitor ~companions b c =
 
 let refresh_one_lazy ~session ~monitor ~companions ~outcomes ~program ~time
     ~team_version (b : Perm_binding.t) =
-  let slot = get_slot ~session ~monitor b in
+  let slot = Monitor.slot monitor ~session b in
   let rbac_ok = slot_may_ok ~session slot b in
   let spatial_active =
     match b.spatial with
@@ -412,8 +387,9 @@ let refresh_one_lazy ~session ~monitor ~companions ~outcomes ~program ~time
             Result.is_ok (program_ok_cached ~outcomes ~program slot b c)
         | Perm_binding.Performed -> (
             match scope_machine ~team_version slot b c with
-            | None -> feasible_eager ~monitor ~companions b c
-            | Some machine -> (
+            | Residual.Unbuilt | Residual.Dropped ->
+                feasible_eager ~monitor ~companions b c
+            | Residual.Built machine -> (
                 match
                   Srac.Lazy_dfa.feasible machine
                     (scope_state ~monitor ~companions ~team_version machine
@@ -421,11 +397,10 @@ let refresh_one_lazy ~session ~monitor ~companions ~outcomes ~program ~time
                 with
                 | feasible -> feasible
                 | exception Srac.Lazy_dfa.State_limit ->
-                    slot.Residual.machine <- None;
+                    slot.Residual.machine <- Residual.Dropped;
                     feasible_eager ~monitor ~companions b c)))
   in
-  Monitor.set_active monitor slot.Residual.cell ~time
-    (rbac_ok && spatial_active)
+  Monitor.set_active monitor slot ~time (rbac_ok && spatial_active)
 
 let rec refresh_all_lazy ~session ~monitor ~companions ~outcomes ~program
     ~time ~team_version = function
@@ -438,10 +413,11 @@ let rec refresh_all_lazy ~session ~monitor ~companions ~outcomes ~program
 
 let performed_ok_lazy ~session ~monitor ~companions ~access ~team_version
     (b : Perm_binding.t) c =
-  let slot = get_slot ~session ~monitor b in
+  let slot = Monitor.slot monitor ~session b in
   match scope_machine ~team_version slot b c with
-  | None -> performed_scope_ok ~monitor ~companions ~access b c
-  | Some machine -> (
+  | Residual.Unbuilt | Residual.Dropped ->
+      performed_scope_ok ~monitor ~companions ~access b c
+  | Residual.Built machine -> (
       match
         Srac.Lazy_dfa.nullable_after machine
           (scope_state ~monitor ~companions ~team_version machine slot b)
@@ -455,7 +431,7 @@ let performed_ok_lazy ~session ~monitor ~companions ~access ~team_version
              the residual property tests and the differential gate) *)
           performed_scope_ok ~monitor ~companions ~access b c
       | exception Srac.Lazy_dfa.State_limit ->
-          slot.Residual.machine <- None;
+          slot.Residual.machine <- Residual.Dropped;
           performed_scope_ok ~monitor ~companions ~access b c)
 
 let spatial_ok_lazy ~session ~monitor ~companions ~outcomes ~program ~access
@@ -463,7 +439,7 @@ let spatial_ok_lazy ~session ~monitor ~companions ~outcomes ~program ~access
   match b.spatial with
   | None -> Ok ()
   | Some c -> (
-      let slot = get_slot ~session ~monitor b in
+      let slot = Monitor.slot monitor ~session b in
       match b.spatial_scope with
       | Perm_binding.Program -> program_ok_cached ~outcomes ~program slot b c
       | Perm_binding.Performed ->
@@ -498,15 +474,15 @@ let temporal_state_lazy ~monitor ~time slot (b : Perm_binding.t) =
         (* no duration budget: the validity window union covers
            [first arrival, ∞) under both schemes, so validity at the
            (clock-current) query time is exactly the newest activation
-           state — the cell head.  Expiry needs a budget, so the
+           state — the history's head.  Expiry needs a budget, so the
            remaining distinction is only Valid/Inactive. *)
-        if Residual.active_now slot.Residual.cell then `Valid else `Inactive
-    | Some _ -> temporal_state ~monitor ~time slot.Residual.cell b
+        if Residual.active_now slot then `Valid else `Inactive
+    | Some _ -> temporal_state ~monitor ~time slot b
 
 let rec first_temporal_failure_lazy ~session ~monitor ~time = function
   | [] -> None
   | b :: rest -> (
-      let slot = get_slot ~session ~monitor b in
+      let slot = Monitor.slot monitor ~session b in
       match temporal_state_lazy ~monitor ~time slot b with
       | `Valid -> first_temporal_failure_lazy ~session ~monitor ~time rest
       | `Inactive -> Some (Not_active (Perm_binding.key b))

@@ -4,9 +4,7 @@ type t = {
   object_id : string;
   proofs : Srac.Proof.store;
   mutable visits : (string * Q.t) list;  (* reverse order *)
-  activations : Residual.cell Residual.Binding_tbl.t;
-      (* per binding, physically — as the residual slots are keyed *)
-  residuals : Residual.store;
+  residuals : Residual.store;  (* the one per-binding table *)
   mutable clock : Q.t;
   mutable history_epoch : int;
   mutable companions : t list;  (* as of [companions_stamp] *)
@@ -18,8 +16,7 @@ let create ~object_id =
     object_id;
     proofs = Srac.Proof.create ();
     visits = [];
-    activations = Residual.Binding_tbl.create 8;
-    residuals = Residual.create ();
+    residuals = Residual.Binding_tbl.create 8;
     clock = Q.zero;
     history_epoch = 0;
     companions = [];
@@ -53,20 +50,23 @@ let record_access m a ~time =
 
 let performed m = Srac.Proof.performed_trace m.proofs
 
-let activation m b =
-  match Residual.Binding_tbl.find_opt m.activations b with
-  | Some c -> c
-  | None ->
-      let c = ref [] in
-      Residual.Binding_tbl.add m.activations b c;
-      c
+let slot m ~session b =
+  match Residual.Binding_tbl.find m.residuals b with
+  | slot -> slot
+  | exception Not_found ->
+      let slot = Residual.slot ~session in
+      Residual.Binding_tbl.add m.residuals b slot;
+      slot
 
-let set_active m (c : Residual.cell) ~time state =
+let set_active m (slot : Residual.slot) ~time state =
   advance m time;
-  if not (Bool.equal (Residual.active_now c) state) then
-    c := (time, state) :: !c
+  if not (Bool.equal (Residual.active_now slot) state) then
+    slot.activation <- (time, state) :: slot.activation
 
-let activation_fn m b = Residual.step_fn (activation m b)
+let activation_fn m b =
+  match Residual.Binding_tbl.find_opt m.residuals b with
+  | Some slot -> Residual.step_fn slot
+  | None -> Temporal.Step_fn.const false
 
 let residuals m = m.residuals
 

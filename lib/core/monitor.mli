@@ -2,10 +2,12 @@
 
     One monitor follows one mobile object through its journey: the
     servers it arrived at (and when), the execution proofs of the
-    accesses it performed, and the activation history of each
-    permission binding.  It is the state both halves of the coordinated
-    decision read: the spatial checker consumes the proof store, the
-    temporal checker the activation step functions and arrival times.
+    accesses it performed, and one {!Residual.slot} per permission
+    binding, which holds the binding's activation history beside the
+    lazy decision path's caches.  It is the state both halves of the
+    coordinated decision read: the spatial checker consumes the proof
+    store, the temporal checker the activation step functions and
+    arrival times.
 
     Times must be fed in non-decreasing order (there is one logical
     clock per object — its own execution timeline, Section 4's "time
@@ -35,28 +37,31 @@ val record_access : t -> Sral.Access.t -> time:Temporal.Q.t -> unit
 val performed : t -> Sral.Trace.t
 (** The trace performed so far, in time order. *)
 
-val activation : t -> Perm_binding.t -> Residual.cell
-(** The binding's activation-change cell, created empty on first use.
-    Each binding has its own history, keyed physically (as
-    {!Residual} slots are): two bindings on one permission keep
-    separate activation histories and spend separate [dur] budgets.
-    The lazy decision path caches the cell in the binding's slot. *)
+val slot : t -> session:Rbac.Session.t -> Perm_binding.t -> Residual.slot
+(** The binding's slot, created on first use with an empty activation
+    history and no machine; [session] seeds the slot's RBAC bit, which
+    the lazy path fills on its first read.  Bindings are keyed
+    physically: two bindings on one permission get two slots, so they
+    keep separate activation histories and spend separate [dur]
+    budgets.  Both decision modes call it; the naive one writes only
+    the activation history. *)
 
-val set_active : t -> Residual.cell -> time:Temporal.Q.t -> bool -> unit
-(** Record an activation state change in the cell at [time], advancing
+val set_active : t -> Residual.slot -> time:Temporal.Q.t -> bool -> unit
+(** Record an activation state change in the slot at [time], advancing
     the clock.  Idempotent when the state does not change. *)
 
 val activation_fn : t -> Perm_binding.t -> Temporal.Step_fn.t
-(** The binding's [active(perm, ·)] function so far; constant-false
-    for a binding never refreshed on this monitor. *)
+(** The binding's [active(perm, ·)] function so far, read from its
+    slot; constant-false for a binding with no slot.  Creates no slot. *)
 
 val residuals : t -> Residual.store
-(** The monitor's lazy-decision state: one slot per binding, nothing
-    per requested access.  Owned by the monitor so its lifetime matches
-    the proof store the residual cursors index into.  Everything it holds
-    is about its own object: Program-scope outcomes depend only on the
-    program and the binding, so they live in the table a system shares
-    with its clones ({!Residual.Program_outcomes}), not here. *)
+(** The monitor's one per-binding table: a slot per binding refreshed
+    or evaluated, nothing per requested access.  Owned by the monitor
+    so its lifetime matches the proof store the residual cursors index
+    into.  Everything it holds is about its own object: Program-scope
+    outcomes depend only on the program and the binding, so they live
+    in the table a system shares with its clones
+    ({!Residual.Program_outcomes}), not here. *)
 
 val companions : t -> t list
 val companions_stamp : t -> int

@@ -1,24 +1,29 @@
-(* Lazy-decision state (Decision.decide_lazy): per monitor, and the
-   Program-scope outcomes a base system shares with its clones.
+(* A monitor's per-binding state, and the Program-scope outcomes a base
+   system shares with its clones.
 
-   Each monitor owns one [store]: a slot per permission binding it has
-   evaluated, holding the binding's lazy constraint machine, a residual
-   cursor into the object's performed history, the residual state of
-   the team's merged history with the (membership, proof total) stamp
-   it was folded at, a version-stamped RBAC activation bit, the
-   binding's activation change cell and the last Program-scope outcome
-   by program identity.  The slots are stamp-invalidated, never
-   evicted: a monitor sees only the policy's bindings.  Nothing here is
-   keyed by the requested access — the RBAC verdict for an access comes
-   from the policy's compiled table ({!Rbac.Engine.decide_compiled}).
+   Each monitor owns one [store], its only per-binding table: a slot
+   per permission binding it has refreshed or evaluated.  A slot's
+   [activation] is the oracle's state, the binding's Section 4
+   active(perm, .) history, written by both decision modes.  Every
+   other field is a fast-path cache that only [Decision.decide_lazy]
+   reads, rebuilt from the monitor, session and policy: the lazy
+   constraint machine (built on the lazy path's first use, so a
+   naive-mode slot never holds one), a residual cursor into the
+   object's performed history, the team history's residual state with
+   the (membership, proof total) stamp it was folded at, a
+   version-stamped RBAC activation bit and the last Program-scope
+   outcome by program identity.  Slots are stamp-invalidated, never
+   evicted: a monitor sees only the policy's bindings.  Nothing here
+   is keyed by the requested access — the RBAC verdict for an access
+   comes from the policy's compiled table
+   ({!Rbac.Engine.decide_compiled}).
 
-   Slots, like the monitor's activation cells, are keyed by the binding
-   value *physically*: bindings are immutable and the binding index
-   hands out the same objects on every lookup, and two
-   structurally-equal bindings are semantically interchangeable, so
-   distinct slots for them are merely harmless duplicates.  Two
-   bindings on one permission get two slots and two activation
-   histories. *)
+   Slots are keyed by the binding value *physically*: bindings are
+   immutable and the binding index hands out the same objects on every
+   lookup, and two structurally-equal bindings are semantically
+   interchangeable, so distinct slots for them are merely harmless
+   duplicates.  Two bindings on one permission get two slots and two
+   activation histories. *)
 
 module Binding_tbl = Hashtbl.Make (struct
   type t = Perm_binding.t
@@ -27,21 +32,17 @@ module Binding_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-type cell = (Temporal.Q.t * bool) list ref
-(* a binding's activation-change list (newest first), owned by
-   Monitor.activations — cached in the slot so the hot path skips the
-   hashtable probe *)
-
-let active_now (c : cell) = match !c with [] -> false | (_, v) :: _ -> v
-let step_fn (c : cell) = Temporal.Step_fn.of_changes ~init:false (List.rev !c)
+type machine =
+  | Unbuilt  (* no lazy use of a history scope yet *)
+  | Built of Srac.Lazy_dfa.t
+  | Dropped  (* hit Lazy_dfa's state cap: eager oracles for good *)
 
 type slot = {
-  mutable machine : Srac.Lazy_dfa.t option;
-      (* present iff the binding has a Performed/Both spatial scope and
-         its machine has stayed under Lazy_dfa's state cap; a
-         history-scope slot without one is evaluated eagerly; a
-         Team-scope slot starts a fresh one when [team_version] moves *)
-  cell : cell;
+  mutable activation : (Temporal.Q.t * bool) list;
+      (* the binding's activation changes, newest first *)
+  mutable machine : machine;
+      (* built only for a Performed/Both spatial scope; a Team-scope
+         slot starts a fresh one when [team_version] moves *)
   mutable own_state : int;  (* residual state after own performed trace *)
   mutable own_consumed : int;  (* own history entries folded so far *)
   mutable team_state : int;  (* residual state after the team's history *)
@@ -61,7 +62,27 @@ type slot = {
 
 type store = slot Binding_tbl.t
 
-let create () : store = Binding_tbl.create 8
+let slot ~session =
+  {
+    activation = [];
+    machine = Unbuilt;
+    own_state = 0;
+    own_consumed = 0;
+    team_state = -1;
+    team_version = -1;
+    team_epoch = -1;
+    may_session = session;
+    may_version = -1 (* not computed yet: the first lazy read fills it *);
+    may_ok = false;
+    prog_program = None;
+    prog_result = Ok ();
+  }
+
+let active_now slot =
+  match slot.activation with [] -> false | (_, v) :: _ -> v
+
+let step_fn slot =
+  Temporal.Step_fn.of_changes ~init:false (List.rev slot.activation)
 
 (* Program-scope outcomes, one per (binding, program), shared by a base
    system and every clone of it — across domains, since the parallel

@@ -34,11 +34,10 @@ let listen addr =
   { addr; listener = fd; peers = []; buf = Bytes.create read_buffer_size }
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+  let n = String.length s in
   let off = ref 0 in
   while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
+    off := !off + Unix.write_substring fd s !off (n - !off)
   done
 
 let read_chunk buf fd =

@@ -58,20 +58,39 @@ let test_monitor_clock_monotone () =
 
 let test_monitor_activation_fn () =
   let m = Monitor.create ~object_id:"o" in
+  let session = Rbac.Session.create (base_policy ()) ~user:"u" in
   let perm = Rbac.Perm.make ~operation:"read" ~target:"db@s1" in
   let b = Perm_binding.make perm and sibling = Perm_binding.make perm in
-  let cell = Monitor.activation m b in
-  Monitor.set_active m cell ~time:(q 1) true;
-  Monitor.set_active m cell ~time:(q 3) true (* no-op *);
-  Monitor.set_active m cell ~time:(q 5) false;
-  Alcotest.(check bool) "one cell per binding" true
-    (Monitor.activation m b == cell);
+  let slots () = Residual.Binding_tbl.length (Monitor.residuals m) in
+  Alcotest.(check bool) "no slot: constant-false" false
+    (Temporal.Step_fn.value_at (Monitor.activation_fn m b) (q 2));
+  Alcotest.(check int) "activation_fn creates no slot" 0 (slots ());
+  let slot = Monitor.slot m ~session b in
+  Monitor.set_active m slot ~time:(q 1) true;
+  Monitor.set_active m slot ~time:(q 3) true (* no-op *);
+  Monitor.set_active m slot ~time:(q 5) false;
+  Alcotest.(check bool) "one slot per binding" true
+    (Monitor.slot m ~session b == slot);
   let f = Monitor.activation_fn m b in
+  Alcotest.(check int) "idempotent: two changes" 2
+    (List.length (Temporal.Step_fn.changes f));
   Alcotest.(check bool) "before" false (Temporal.Step_fn.value_at f Q.zero);
   Alcotest.(check bool) "during" true (Temporal.Step_fn.value_at f (q 2));
   Alcotest.(check bool) "after" false (Temporal.Step_fn.value_at f (q 7));
   Alcotest.(check bool) "same-permission sibling inactive" false
-    (Temporal.Step_fn.value_at (Monitor.activation_fn m sibling) (q 2))
+    (Temporal.Step_fn.value_at (Monitor.activation_fn m sibling) (q 2));
+  Alcotest.(check int) "still one slot" 1 (slots ());
+  Monitor.set_active m (Monitor.slot m ~session sibling) ~time:(q 6) true;
+  Alcotest.(check bool) "sibling keeps its own history" true
+    (Temporal.Step_fn.value_at (Monitor.activation_fn m sibling) (q 7)
+    && not (Temporal.Step_fn.value_at (Monitor.activation_fn m b) (q 7)))
+
+(* Every Naplet agent carries a monitor, so its fresh size is paid per
+   object: one per-binding table, nothing else sized by bindings. *)
+let test_monitor_footprint () =
+  let words = Obj.reachable_words (Obj.repr (Monitor.create ~object_id:"o")) in
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 41" words) true
+    (words <= 41)
 
 (* --- decisions --- *)
 
@@ -1512,21 +1531,79 @@ let test_valve_matches_naive () =
     (control, log, trace ())
   in
   let lazy_, lazy_log, lazy_trace = run System.Lazy in
-  let _, naive_log, naive_trace = run System.Naive in
+  let naive, naive_log, naive_trace = run System.Naive in
   let render = Format.asprintf "%a" Audit_log.pp in
   Alcotest.(check string) "audit log" (render naive_log) (render lazy_log);
   Alcotest.(check bool) "trace" true
     (List.equal Obs.Trace.equal naive_trace lazy_trace);
   Alcotest.(check (pair int int)) "two grants, one denial" (2, 1)
     (Audit_log.granted_count lazy_log, Audit_log.denied_count lazy_log);
-  let slots =
-    Monitor.residuals (System.monitor lazy_ ~object_id:"agent-1")
+  (* the fixture's one binding: dropped at the valve under lazy, never
+     built under naive *)
+  let machines control =
+    Residual.Binding_tbl.fold
+      (fun _ slot acc ->
+        match slot.Residual.machine with
+        | Residual.Unbuilt -> "unbuilt" :: acc
+        | Residual.Built _ -> "built" :: acc
+        | Residual.Dropped -> "dropped" :: acc)
+      (Monitor.residuals (System.monitor control ~object_id:"agent-1"))
+      []
   in
-  Alcotest.(check bool) "machine dropped" true
-    (Residual.Binding_tbl.fold
-       (fun (b : Perm_binding.t) slot dropped ->
-         dropped || (b.spatial <> None && Option.is_none slot.Residual.machine))
-       slots false)
+  Alcotest.(check (list string)) "machine dropped" [ "dropped" ]
+    (machines lazy_);
+  Alcotest.(check (list string)) "naive: never built" [ "unbuilt" ]
+    (machines naive)
+
+(* Naive mode shares only the activation history in a binding's slot:
+   its checks and refreshes over Performed- and Both-scope bindings
+   build no machine.  The lazy run of the same schedule builds one per
+   binding, with the same verdicts. *)
+let test_naive_builds_no_machine () =
+  let c = Srac.Formula.at_most 2 (Srac.Selector.Resource "db") in
+  let perm = Rbac.Perm.make ~operation:"read" ~target:"db@s1" in
+  let bindings =
+    [
+      Perm_binding.make ~spatial:c ~spatial_scope:Perm_binding.Performed perm;
+      Perm_binding.make ~spatial:c ~spatial_scope:Perm_binding.Both perm;
+    ]
+  in
+  let program = prog "read db @ s1" in
+  let run mode =
+    let control, session = setup ~mode ~bindings () in
+    System.arrive control ~object_id:"o" ~server:"s1" ~time:Q.zero;
+    System.refresh control ~session ~object_id:"o" ~program ~time:Q.zero;
+    let verdicts =
+      List.init 4 (fun i ->
+          Format.asprintf "%a" Decision.pp_verdict
+            (System.check control ~session ~object_id:"o" ~program
+               ~time:(q (i + 1)) a_db))
+    in
+    System.refresh control ~session ~object_id:"o" ~program ~time:(q 9);
+    let machines =
+      Residual.Binding_tbl.fold
+        (fun _ slot acc -> slot.Residual.machine :: acc)
+        (Monitor.residuals (System.monitor control ~object_id:"o"))
+        []
+    in
+    (verdicts, machines)
+  in
+  let naive, naive_machines = run System.Naive in
+  let lazy_, lazy_machines = run System.Lazy in
+  Alcotest.(check (list string)) "lazy = naive" naive lazy_;
+  Alcotest.(check int) "grants before the third read" 2
+    (List.length (List.filter (String.equal "granted") naive));
+  Alcotest.(check int) "naive: a slot per binding" 2
+    (List.length naive_machines);
+  Alcotest.(check bool) "naive: no machine" true
+    (List.for_all
+       (function Residual.Unbuilt -> true | _ -> false)
+       naive_machines);
+  Alcotest.(check bool) "lazy: a machine per binding" true
+    (List.length lazy_machines = 2
+    && List.for_all
+         (function Residual.Built _ -> true | _ -> false)
+         lazy_machines)
 
 let () =
   Alcotest.run "coordinated"
@@ -1538,6 +1615,7 @@ let () =
             test_monitor_arrivals_and_proofs;
           Alcotest.test_case "clock monotone" `Quick test_monitor_clock_monotone;
           Alcotest.test_case "activation fn" `Quick test_monitor_activation_fn;
+          Alcotest.test_case "footprint" `Quick test_monitor_footprint;
         ] );
       ( "decision",
         [
@@ -1564,6 +1642,8 @@ let () =
             test_no_per_access_state;
           Alcotest.test_case "activation per binding" `Quick
             test_activation_per_binding;
+          Alcotest.test_case "naive builds no machine" `Quick
+            test_naive_builds_no_machine;
           Alcotest.test_case "program budget fails closed" `Quick
             test_program_budget_fails_closed;
           Alcotest.test_case "generated programs under the budget" `Quick

@@ -910,6 +910,11 @@ let test_load_open_loop_sheds () =
   Alcotest.(check int) "a latency sample per completed request" r.completed
     (Obs.Stats.hist_count r.latency)
 
+(* The build tree this test runs from ([_build/default] under dune),
+   found from the executable, so the suite runs from any directory. *)
+let build_root = Filename.dirname (Filename.dirname Sys.executable_name)
+let stacc_exe = Filename.concat build_root "bin/stacc.exe"
+
 (* The daemon itself, as a separate process: two pings over its socket,
    then a clean exit at --max-requests.  Every wait has a deadline, and
    the process is killed whatever happens. *)
@@ -918,7 +923,7 @@ let test_serve_end_to_end () =
   Sys.remove path;
   let null = Unix.openfile "/dev/null" [ O_RDWR ] 0 in
   let pid =
-    Unix.create_process "../bin/stacc.exe"
+    Unix.create_process stacc_exe
       [| "stacc"; "serve"; "--socket"; path; "--max-requests"; "2" |]
       null null null
   in
@@ -972,7 +977,8 @@ let test_serve_end_to_end () =
 (* --- normalized CLI exit codes (PR 8 satellite) --- *)
 
 let stacc args =
-  Sys.command (Printf.sprintf "../bin/stacc.exe %s >/dev/null 2>&1" args)
+  Sys.command
+    (Printf.sprintf "%s %s >/dev/null 2>&1" (Filename.quote stacc_exe) args)
 
 let test_cli_bad_usage_exits_2 () =
   let subcommands =
@@ -989,7 +995,9 @@ let test_cli_bad_usage_exits_2 () =
     subcommands;
   Alcotest.(check int) "unknown subcommand" 2 (stacc "frobnicate");
   Alcotest.(check int) "bad rational deadline" 2
-    (stacc "audit --deadline not-a-q ../examples/policies/fig1.policy");
+    (stacc
+       ("audit --deadline not-a-q "
+       ^ Filename.concat build_root "examples/policies/fig1.policy"));
   Alcotest.(check int) "missing file is usage" 2 (stacc "check /no/such/file");
   List.iter
     (fun args -> Alcotest.(check int) args 2 (stacc args))
