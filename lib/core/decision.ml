@@ -102,16 +102,14 @@ let temporal_state ~monitor ~time slot (binding : Perm_binding.t) =
   match Monitor.arrivals monitor with
   | [] -> `Not_arrived
   | arrivals ->
-      let valid_now =
-        Temporal.Validity.is_valid_at ~scheme:binding.scheme ~arrivals
-          ~dur:binding.dur active time
+      let scheme = binding.scheme in
+      let valid =
+        Temporal.Validity.valid_fn ~scheme ~arrivals ~dur:binding.dur active
       in
-      let spent =
-        Temporal.Validity.spent ~scheme:binding.scheme ~arrivals
-          ~dur:binding.dur active ~at:time
-      in
-      if valid_now then `Valid
-      else if Temporal.Step_fn.value_at active time then `Expired spent
+      if Temporal.Step_fn.value_at valid time then `Valid
+      else if Temporal.Step_fn.value_at active time then
+        `Expired
+          (Temporal.Validity.spent_of_valid ~scheme ~arrivals valid ~at:time)
       else `Inactive
 
 (* Eq. 3.1: active(perm) = role-held ∧ check(P, C).  The activation

@@ -4,7 +4,8 @@ type t = {
   object_id : string;
   proofs : Srac.Proof.store;
   mutable visits : (string * Q.t) list;  (* reverse order *)
-  residuals : Residual.store;  (* the one per-binding table *)
+  mutable residuals : Residual.store option;
+      (* the one per-binding table, made by the first [slot] *)
   mutable clock : Q.t;
   mutable history_epoch : int;
   mutable companions : t list;  (* as of [companions_stamp] *)
@@ -16,7 +17,7 @@ let create ~object_id =
     object_id;
     proofs = Srac.Proof.create ();
     visits = [];
-    residuals = Residual.Binding_tbl.create 8;
+    residuals = None;
     clock = Q.zero;
     history_epoch = 0;
     companions = [];
@@ -51,11 +52,19 @@ let record_access m a ~time =
 let performed m = Srac.Proof.performed_trace m.proofs
 
 let slot m ~session b =
-  match Residual.Binding_tbl.find m.residuals b with
+  let store =
+    match m.residuals with
+    | Some store -> store
+    | None ->
+        let store = Residual.Binding_tbl.create 8 in
+        m.residuals <- Some store;
+        store
+  in
+  match Residual.Binding_tbl.find store b with
   | slot -> slot
   | exception Not_found ->
       let slot = Residual.slot ~session in
-      Residual.Binding_tbl.add m.residuals b slot;
+      Residual.Binding_tbl.add store b slot;
       slot
 
 let set_active m (slot : Residual.slot) ~time state =
@@ -63,12 +72,16 @@ let set_active m (slot : Residual.slot) ~time state =
   if not (Bool.equal (Residual.active_now slot) state) then
     slot.activation <- (time, state) :: slot.activation
 
+(* what [residuals] shows for a monitor with no slot yet; only [slot]
+   adds to a store, and never to this one *)
+let no_slots : Residual.store = Residual.Binding_tbl.create 1
+
+let residuals m = Option.value m.residuals ~default:no_slots
+
 let activation_fn m b =
-  match Residual.Binding_tbl.find_opt m.residuals b with
+  match Residual.Binding_tbl.find_opt (residuals m) b with
   | Some slot -> Residual.step_fn slot
   | None -> Temporal.Step_fn.const false
-
-let residuals m = m.residuals
 
 let companions m = m.companions
 let companions_stamp m = m.companions_stamp

@@ -56,11 +56,14 @@ val activation_fn : t -> Perm_binding.t -> Temporal.Step_fn.t
 
 val residuals : t -> Residual.store
 (** The monitor's one per-binding table: a slot per binding refreshed
-    or evaluated, nothing per requested access.  Owned by the monitor
-    so its lifetime matches the proof store the residual cursors index
-    into.  Everything it holds is about its own object: Program-scope
-    outcomes depend only on the program and the binding, so they live
-    in the table a system shares with its clones
+    or evaluated, nothing per requested access.  The first {!slot}
+    makes it; until then this is an empty table shared by every such
+    monitor, which nothing writes (so a fresh monitor carries no bucket
+    array, and neither this nor {!activation_fn} creates one).  Owned
+    by the monitor so its lifetime matches the proof store the residual
+    cursors index into.  Everything it holds is about its own object:
+    Program-scope outcomes depend only on the program and the binding,
+    so they live in the table a system shares with its clones
     ({!Residual.Program_outcomes}), not here. *)
 
 val companions : t -> t list

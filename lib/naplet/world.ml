@@ -332,11 +332,14 @@ let spawn ?team t ~id ~owner ~roles ~home program =
 
 let is_live t i = t.a_status.(i) <= st_waiting
 
-(* Wake a parked (agent, thread): unblock the machine thread and, if
-   the whole agent was waiting, get it back on the event queue. *)
-let wake_id t i ~thread ~time =
+(* Resume a parked (agent, thread): unblock the machine thread and, if
+   the whole agent was waiting, get it back on the event queue.  With
+   [~skip] the parked request is abandoned (a receive timeout) rather
+   than left for the thread to fulfil. *)
+let resume t i ~thread ~time ~skip =
   if is_live t i then begin
     Machine.unblock t.a_machine.(i) ~thread;
+    if skip then Machine.skip_request t.a_machine.(i) ~thread;
     if t.a_status.(i) = st_waiting then begin
       t.a_status.(i) <- st_running;
       schedule_step t i ~time
@@ -346,7 +349,10 @@ let wake_id t i ~thread ~time =
 let wake t ~agent ~thread ~time =
   match Intern.find t.anames agent with
   | None -> ()
-  | Some i -> wake_id t i ~thread ~time
+  | Some i -> resume t i ~thread ~time ~skip:false
+
+let fault_injected t ~time ~agent fault ~target =
+  emit t (Obs.Trace.Fault_injected { time; agent; fault; target })
 
 let decide_verdict t i ~time a =
   match t.a_session.(i) with
@@ -356,6 +362,30 @@ let decide_verdict t i ~time a =
   | None ->
       Security_manager.check t.manager ~object_id:(Intern.name t.anames i)
         ~program:t.a_program.(i) ~time a
+
+(* The one place a verdict takes effect: the world counts it, then a
+   grant reserves the destination server and completes the request,
+   and a denial follows the deny policy. *)
+let settle t i ~thread ~time ~dest_id verdict =
+  Metrics.record_verdict t.metrics verdict;
+  match verdict with
+  | Coordinated.Decision.Granted ->
+      let finish =
+        match server_slot t dest_id with
+        | Some srv ->
+            let _start, finish = Server.reserve srv ~now:time in
+            finish
+        | None -> Q.add time Q.one
+      in
+      Machine.complete t.a_machine.(i) ~thread;
+      `Continue_at finish
+  | Coordinated.Decision.Denied reason -> (
+      match t.config.deny_policy with
+      | Skip_access ->
+          Machine.skip_request t.a_machine.(i) ~thread;
+          `Continue_at time
+      | Abort_agent ->
+          `Abort (Format.asprintf "%a" Coordinated.Decision.pp_reason reason))
 
 let rec handle_access t i ~thread ~time (a : Sral.Access.t) =
   (* migrate first when the access targets another server; a local
@@ -383,36 +413,18 @@ let rec handle_access t i ~thread ~time (a : Sral.Access.t) =
              ~time
       in
       if unreachable || flaky then begin
-        emit t
-          (Obs.Trace.Fault_injected
-             {
-               time;
-               agent = id;
-               fault =
-                 (if unreachable then Obs.Trace.Server_unreachable
-                  else Obs.Trace.Migration_failure);
-               target = dest;
-             });
+        fault_injected t ~time ~agent:id
+          (if unreachable then Obs.Trace.Server_unreachable
+           else Obs.Trace.Migration_failure)
+          ~target:dest;
         if attempt > f.resilience.Fault.Resilience.max_retries then begin
           (* budget exhausted: give up, and fail *closed* — the refusal
              is minted through the security manager so it lands on the
              audit record like any other denial *)
           t.a_retries.(i) <- 0;
           emit t (Obs.Trace.Gave_up { time; agent = id; attempts = attempt });
-          let verdict =
-            Security_manager.refuse t.manager ~object_id:id ~time a
-          in
-          Metrics.record_verdict t.metrics verdict;
-          (match verdict with
-          | Coordinated.Decision.Granted -> assert false
-          | Coordinated.Decision.Denied reason -> (
-              match t.config.deny_policy with
-              | Skip_access ->
-                  Machine.skip_request t.a_machine.(i) ~thread;
-                  `Continue_at time
-              | Abort_agent ->
-                  `Abort
-                    (Format.asprintf "%a" Coordinated.Decision.pp_reason reason)))
+          settle t i ~thread ~time ~dest_id
+            (Security_manager.refuse t.manager ~object_id:id ~time a)
         end
         else begin
           t.a_retries.(i) <- attempt;
@@ -454,40 +466,9 @@ and perform_migration t i ~thread ~time ~dest_id (a : Sral.Access.t) =
   | Appraisal.Sound -> decide_access t i ~thread ~time:arrival ~dest_id a
 
 and decide_access t i ~thread ~time ~dest_id (a : Sral.Access.t) =
-  (* [System.check_monitor] publishes the verdict to the bus; the world
-     counts it here *)
-  let verdict = decide_verdict t i ~time a in
-  Metrics.record_verdict t.metrics verdict;
-  match verdict with
-  | Coordinated.Decision.Granted ->
-      let finish =
-        match server_slot t dest_id with
-        | Some srv ->
-            let _start, finish = Server.reserve srv ~now:time in
-            finish
-        | None -> Q.add time Q.one
-      in
-      Machine.complete t.a_machine.(i) ~thread;
-      `Continue_at finish
-  | Coordinated.Decision.Denied reason -> (
-      match t.config.deny_policy with
-      | Skip_access ->
-          Machine.skip_request t.a_machine.(i) ~thread;
-          `Continue_at time
-      | Abort_agent ->
-          `Abort (Format.asprintf "%a" Coordinated.Decision.pp_reason reason))
-
-(* Abandon a parked request (receive timeout): the thread resumes but
-   the request is skipped rather than fulfilled. *)
-let abandon t i ~thread ~time =
-  if is_live t i then begin
-    Machine.unblock t.a_machine.(i) ~thread;
-    Machine.skip_request t.a_machine.(i) ~thread;
-    if t.a_status.(i) = st_waiting then begin
-      t.a_status.(i) <- st_running;
-      schedule_step t i ~time
-    end
-  end
+  (* [System.check_monitor] publishes the verdict to the bus; [settle]
+     counts it *)
+  settle t i ~thread ~time ~dest_id (decide_verdict t i ~time a)
 
 let deliver t ~chan v ~time =
   let waiters = Channel.send t.channels ~chan v in
@@ -509,18 +490,17 @@ let handle_request t i ~thread ~time request =
          | None -> Fault.Injector.Deliver
          | Some f -> Fault.Injector.channel_fate f.injector ~agent:id ~chan ~time
        in
-       let fault kind =
-         emit t
-           (Obs.Trace.Fault_injected { time; agent = id; fault = kind; target = chan })
-       in
        match fate with
        | Fault.Injector.Deliver -> deliver t ~chan v ~time
-       | Fault.Injector.Drop -> fault Obs.Trace.Channel_drop
+       | Fault.Injector.Drop ->
+           fault_injected t ~time ~agent:id Obs.Trace.Channel_drop ~target:chan
        | Fault.Injector.Delay d ->
-           fault Obs.Trace.Channel_delay;
+           fault_injected t ~time ~agent:id Obs.Trace.Channel_delay
+             ~target:chan;
            schedule_rare t ~time:(Q.add time d) (Deliver { chan; value = v })
        | Fault.Injector.Duplicate ->
-           fault Obs.Trace.Channel_duplicate;
+           fault_injected t ~time ~agent:id Obs.Trace.Channel_duplicate
+             ~target:chan;
            deliver t ~chan v ~time;
            deliver t ~chan v ~time);
       Machine.complete t.a_machine.(i) ~thread;
@@ -553,9 +533,7 @@ let handle_request t i ~thread ~time request =
         | Some f -> Fault.Injector.signal_lost f.injector ~agent:id ~signal:x ~time
       in
       if lost then
-        emit t
-          (Obs.Trace.Fault_injected
-             { time; agent = id; fault = Obs.Trace.Signal_loss; target = x })
+        fault_injected t ~time ~agent:id Obs.Trace.Signal_loss ~target:x
       else begin
         emit t (Obs.Trace.Signal_raised { time; agent = id; signal = x });
         let waiters = Signal_table.raise_signal t.signals x in
@@ -610,23 +588,18 @@ let process_step t i ~time =
             | `Abort why -> finish_agent t i (Agent.Aborted why)))
 
 let process_rare t = function
-  | Crash_boundary { server; up = false } ->
-      emit t (Obs.Trace.Server_down { time = t.clock; server })
-  | Crash_boundary { server; up = true } ->
-      emit t (Obs.Trace.Server_up { time = t.clock; server })
+  | Crash_boundary { server; up } ->
+      let time = t.clock in
+      emit t
+        (if up then Obs.Trace.Server_up { time; server }
+         else Obs.Trace.Server_down { time; server })
   | Deliver { chan; value } -> deliver t ~chan value ~time:t.clock
   | Recv_deadline { chan; agent = i; thread } ->
       let waiter = { Channel.agent = Intern.name t.anames i; thread } in
       if Channel.cancel t.channels ~chan waiter then begin
-        emit t
-          (Obs.Trace.Fault_injected
-             {
-               time = t.clock;
-               agent = waiter.Channel.agent;
-               fault = Obs.Trace.Recv_timeout;
-               target = chan;
-             });
-        abandon t i ~thread ~time:t.clock
+        fault_injected t ~time:t.clock ~agent:waiter.Channel.agent
+          Obs.Trace.Recv_timeout ~target:chan;
+        resume t i ~thread ~time:t.clock ~skip:true
       end
   | Admin action -> action ()
 

@@ -39,7 +39,16 @@ module Drive (W : Naplet.World_intf.S) = struct
     let control = Coordinated.System.create ~bindings policy in
     let sink, captured = Obs.Sink.memory () in
     Obs.Bus.subscribe (Coordinated.System.bus control) sink;
-    let world = W.create control in
+    (* The deny policy and the relay pair below are drawn from a second
+       stream, so every draw from [rng] keeps the value it had before
+       they were added. *)
+    let aux = Random.State.make [| salt; seed; 1 |] in
+    let deny_policy =
+      if Random.State.bool aux then W.Abort_agent else W.Skip_access
+    in
+    let world =
+      W.create ~config:{ W.default_config with deny_policy } control
+    in
     List.iter
       (fun name ->
         let capacity = 1 + Random.State.int rng 2 in
@@ -84,6 +93,34 @@ module Drive (W : Naplet.World_intf.S) = struct
       in
       W.spawn ?team world ~id ~owner ~roles ~home program
     done;
+    (* A relay pair on a channel and a signal of their own.  The sender
+       sends and raises the signal once per message, spaced by a silent
+       step, so each send and each raise draws its own fault coin; the
+       receiver waits for the signal, then takes as many messages as
+       were sent (a drop leaves it to the receive timeout). *)
+    let messages = 3 + Random.State.int aux 6 in
+    let relay_home () = Parallel.Workload.pick aux server_names in
+    let sender =
+      Sral.Ast.seq
+        (List.init messages (fun k ->
+             Sral.Ast.seq
+               [
+                 Sral.Ast.Send ("relay", Sral.Expr.Int k);
+                 Sral.Ast.Signal "relay";
+                 Sral.Ast.Assign ("sent", Sral.Expr.Int k);
+               ]))
+    in
+    let receiver =
+      Sral.Ast.seq
+        (Sral.Ast.Wait "relay"
+        :: List.init messages (fun _ -> Sral.Ast.Recv ("relay", "got")))
+    in
+    let owner = Parallel.Workload.pick aux Parallel.Workload.users in
+    let spawn_relay id program =
+      W.spawn world ~id ~owner ~roles:[] ~home:(relay_home ()) program
+    in
+    spawn_relay "relay-tx" sender;
+    spawn_relay "relay-rx" receiver;
     (* a mid-run administrative intervention through the public [at]
        API, so the closure-carrying admin path stays covered *)
     if Random.State.bool rng then begin

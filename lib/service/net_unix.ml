@@ -144,60 +144,55 @@ module Client = struct
 
   let send t req = write_all t.fd (Frame.encode (Protocol.encode_request req))
 
-  let decode_available t =
+  (* The next whole reply in the decoder, if one has arrived. *)
+  let next_reply t =
+    match Frame.Decoder.next t.decoder with
+    | Ok (Some payload) -> (
+        match Protocol.decode_reply payload with
+        | Ok reply -> Some reply
+        | Error err ->
+            failwith ("Client: undecodable reply: " ^ Protocol.describe err))
+    | Ok None -> None
+    | Error e -> failwith ("Client: reply framing: " ^ e)
+
+  (* The one read step: wait up to [timeout] for the socket, then feed
+     what one read returns to the decoder. *)
+  let read_step t ~timeout =
+    match Unix.select [ t.fd ] [] [] timeout with
+    | [], _, _ -> `Timed_out
+    | _ -> (
+        match read_chunk t.buf t.fd with
+        | None -> `Closed
+        | Some "" -> `Nothing
+        | Some bytes ->
+            Frame.Decoder.feed t.decoder bytes;
+            `Fed)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Nothing
+
+  let drain t =
+    while read_step t ~timeout:0.0 = `Fed do
+      ()
+    done;
     let rec go acc =
-      match Frame.Decoder.next t.decoder with
-      | Ok (Some payload) -> (
-          match Protocol.decode_reply payload with
-          | Ok reply -> go (reply :: acc)
-          | Error err ->
-              failwith ("Client: undecodable reply: " ^ Protocol.describe err))
-      | Ok None -> List.rev acc
-      | Error e -> failwith ("Client: reply framing: " ^ e)
+      match next_reply t with Some r -> go (r :: acc) | None -> List.rev acc
     in
     go []
 
-  let drain t =
-    let rec pump () =
-      match Unix.select [ t.fd ] [] [] 0.0 with
-      | [], _, _ -> ()
-      | _ -> (
-          match read_chunk t.buf t.fd with
-          | None | Some "" -> ()
-          | Some bytes ->
-              Frame.Decoder.feed t.decoder bytes;
-              pump ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    in
-    pump ();
-    decode_available t
-
+  (* Replies are taken one at a time, so the direct reply ends the
+     wait and whatever arrived behind it stays for the next call. *)
   let request t req =
     send t req;
-    let events = ref [] in
-    (* decode_available consumes events too; collect them *)
-    let rec loop () =
-      let batch = decode_available t in
-      let evs, directs =
-        List.partition (function Protocol.Event _ -> true | _ -> false) batch
-      in
-      events := !events @ evs;
-      match directs with
-      | r :: _ -> r
-      | [] -> (
-          match Unix.select [ t.fd ] [] [] 5.0 with
-          | [], _, _ -> failwith "Client.request: timed out"
-          | _ -> (
-              match read_chunk t.buf t.fd with
-              | None -> failwith "Client.request: connection closed"
-              | Some "" -> loop ()
-              | Some bytes ->
-                  Frame.Decoder.feed t.decoder bytes;
-                  loop ())
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
+    let rec loop events =
+      match next_reply t with
+      | Some (Protocol.Event _ as ev) -> loop (ev :: events)
+      | Some reply -> (reply, List.rev events)
+      | None -> (
+          match read_step t ~timeout:5.0 with
+          | `Timed_out -> failwith "Client.request: timed out"
+          | `Closed -> failwith "Client.request: connection closed"
+          | `Fed | `Nothing -> loop events)
     in
-    let r = loop () in
-    (r, !events)
+    loop []
 
   let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 end

@@ -53,8 +53,10 @@ module Client : sig
       @raise Failure on undecodable reply bytes. *)
 
   val request : t -> Protocol.request -> Protocol.reply * Protocol.reply list
-  (** Send and block for the direct reply; returns it plus any [Event]
-      replies that streamed in before it. *)
+  (** Send and block for the direct reply; returns it plus the [Event]
+      replies that streamed in before it, in arrival order.  Replies
+      that arrived after it are left for the next {!drain} or
+      [request]. *)
 
   val close : t -> unit
 end

@@ -61,7 +61,7 @@ let valid_fn ~scheme ~arrivals ~dur active =
 let is_valid_at ~scheme ~arrivals ~dur active t =
   Step_fn.value_at (valid_fn ~scheme ~arrivals ~dur active) t
 
-let spent ~scheme ~arrivals ~dur active ~at =
+let spent_of_valid ~scheme ~arrivals valid ~at =
   let first = check_arrivals arrivals in
   let base =
     match scheme with
@@ -71,9 +71,12 @@ let spent ~scheme ~arrivals ~dur active ~at =
           (fun acc t -> if Q.le t at then Q.max acc t else acc)
           first arrivals
   in
-  let valid = valid_fn ~scheme ~arrivals ~dur active in
   if Q.lt at base then Q.zero
   else Step_fn.integrate valid (Interval.make base at)
+
+let spent ~scheme ~arrivals ~dur active ~at =
+  let valid = valid_fn ~scheme ~arrivals ~dur active in
+  spent_of_valid ~scheme ~arrivals valid ~at
 
 let as_dc_formula ~dur ~valid_var =
   Duration_calculus.Dur_cmp (State_expr.Var valid_var, Duration_calculus.Le, dur)

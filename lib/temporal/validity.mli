@@ -37,6 +37,12 @@ val spent :
   scheme:scheme -> arrivals:Q.t list -> dur:Q.t option -> Step_fn.t -> at:Q.t -> Q.t
 (** Validity budget consumed in the current base-time window at [at]. *)
 
+val spent_of_valid :
+  scheme:scheme -> arrivals:Q.t list -> Step_fn.t -> at:Q.t -> Q.t
+(** {!spent} from a valid function already built by {!valid_fn} with
+    the same [scheme] and [arrivals], so a caller that also reads the
+    function's value builds it once. *)
+
 val as_dc_formula : dur:Q.t -> valid_var:string -> Duration_calculus.t
 (** The Theorem 4.1 constraint [∫valid ≤ dur] as a duration-calculus
     formula over the given state-variable name, for checking with

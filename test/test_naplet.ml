@@ -671,10 +671,55 @@ let test_world_enumeration_order_stable () =
    bench; this keeps a slice of it on every dune runtest.  Widened
    from 12 to 24 seeds as a soak checkpoint — cumulative divergence
    count across the widenings is tracked in EXPERIMENTS.md. *)
+let oracle_covered =
+  List.map Obs.Trace.fault_name
+    Obs.Trace.
+      [
+        Server_unreachable;
+        Migration_failure;
+        Channel_drop;
+        Channel_delay;
+        Channel_duplicate;
+        Signal_loss;
+        Recv_timeout;
+      ]
+  @ [ "message_received"; "retry_scheduled"; "gave_up"; "aborted" ]
+
+let covered_kind = function
+  | Obs.Trace.Fault_injected { fault; _ } -> Some (Obs.Trace.fault_name fault)
+  | Obs.Trace.Message_received _ -> Some "message_received"
+  | Obs.Trace.Retry_scheduled _ -> Some "retry_scheduled"
+  | Obs.Trace.Gave_up _ -> Some "gave_up"
+  | Obs.Trace.Aborted _ -> Some "aborted"
+  | _ -> None
+
+(* The comparison only checks the paths its coalitions reach, so the
+   same 24 seeds must also reach every fault kind, a received message,
+   a retry, a give-up and an abort (the arms World shares between its
+   channel, signal, timeout, hop and verdict paths). *)
 let test_world_matches_legacy_oracle () =
+  let first = 1000 + Gen.offset in
   Alcotest.(check (list int))
     "no divergent seeds" []
-    (Scenarios.Scale_family.divergences ~runs:24 (1000 + Gen.offset))
+    (Scenarios.Scale_family.divergences ~runs:24 first);
+  let seen = Hashtbl.create 16 in
+  for seed = first to first + 23 do
+    let trace, _ = Scenarios.Scale_family.Soa.random_run ~salt:1919 ~seed () in
+    match Obs.Export.of_string trace with
+    | Error e -> Alcotest.failf "seed %d: trace does not read back: %s" seed e
+    | Ok events ->
+        List.iter
+          (fun ev ->
+            Option.iter
+              (fun k -> Hashtbl.replace seen k ())
+              (covered_kind ev))
+          events
+  done;
+  List.iter
+    (fun kind ->
+      if not (Hashtbl.mem seen kind) then
+        Alcotest.failf "no %s event in seeds %d..%d" kind first (first + 23))
+    oracle_covered
 
 (* [World] fetches each agent's monitor once at spawn and decides
    through it.  The handle must be the control's own monitor even when

@@ -846,6 +846,54 @@ let test_unix_transport () =
       | _ -> Alcotest.fail "check not answered over unix socket");
       Net_unix.Client.close client)
 
+(* [Client.request] against a peer that streams more events ahead of
+   its reply than one read returns: every event comes back, in order,
+   before the reply, and an event sent behind the reply is left for the
+   next [drain]. *)
+let test_client_request_streams_events () =
+  let path = Filename.temp_file "stacc_client" ".sock" in
+  Sys.remove path;
+  let listener = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  let finally () =
+    Unix.close listener;
+    try Sys.remove path with Sys_error _ -> ()
+  in
+  Fun.protect ~finally (fun () ->
+      Unix.bind listener (ADDR_UNIX path);
+      Unix.listen listener 1;
+      let client = Net_unix.Client.connect (Unix_path path) in
+      let peer, _ = Unix.accept listener in
+      let finally () =
+        Net_unix.Client.close client;
+        Unix.close peer
+      in
+      Fun.protect ~finally (fun () ->
+          let event k =
+            Protocol.Event
+              (Obs.Trace.Completed { time = Q.of_int k; agent = "a" })
+          in
+          let events = List.init 2_000 event in
+          let behind = event 2_000 in
+          let bytes =
+            String.concat ""
+              (List.map
+                 (fun r -> Frame.encode (Protocol.encode_reply r))
+                 (events @ [ Protocol.Ack { seq = 1 }; behind ]))
+          in
+          Alcotest.(check bool) "more than one read's worth" true
+            (String.length bytes > 65536);
+          (* written whole before the client reads: the socket buffer
+             must hold it *)
+          Unix.setsockopt_int peer SO_SNDBUF (4 * String.length bytes);
+          write_all peer bytes;
+          (match Net_unix.Client.request client Ping with
+          | Protocol.Ack { seq = 1 }, got ->
+              Alcotest.(check int) "every event" 2_000 (List.length got);
+              Alcotest.(check bool) "in order" true (got = events)
+          | _ -> Alcotest.fail "no Ack after the events");
+          Alcotest.(check bool) "the event behind the reply waits" true
+            (Net_unix.Client.drain client = [ behind ])))
+
 (* The server must outlive a misbehaving peer, and keep serving the
    others. *)
 let bystander_served listener server bystander =
@@ -1065,6 +1113,8 @@ let () =
       ( "transport",
         [
           Alcotest.test_case "unix socket smoke" `Quick test_unix_transport;
+          Alcotest.test_case "request streams events in order" `Quick
+            test_client_request_streams_events;
           Alcotest.test_case "peer hangs up before reading" `Quick
             test_unix_peer_hangs_up;
           Alcotest.test_case "peer never drains its socket" `Quick
