@@ -86,27 +86,24 @@ let merge_group group =
         let merged =
           List.fold_left
             (fun (acc : Perm_binding.t) (b : Perm_binding.t) ->
-              {
-                acc with
-                Perm_binding.spatial =
-                  conjoin acc.Perm_binding.spatial b.Perm_binding.spatial;
-                dur = min_dur acc.Perm_binding.dur b.Perm_binding.dur;
-                scheme =
+              let from_b = acc.Perm_binding.spatial = None in
+              Perm_binding.make
+                ?spatial:
+                  (conjoin acc.Perm_binding.spatial b.Perm_binding.spatial)
+                ?dur:(min_dur acc.Perm_binding.dur b.Perm_binding.dur)
+                ~scheme:
                   (if acc.Perm_binding.dur = None then b.Perm_binding.scheme
-                   else acc.Perm_binding.scheme);
-                spatial_modality =
-                  (if acc.Perm_binding.spatial = None then
-                     b.Perm_binding.spatial_modality
-                   else acc.Perm_binding.spatial_modality);
-                spatial_scope =
-                  (if acc.Perm_binding.spatial = None then
-                     b.Perm_binding.spatial_scope
-                   else acc.Perm_binding.spatial_scope);
-                proof_scope =
-                  (if acc.Perm_binding.spatial = None then
-                     b.Perm_binding.proof_scope
-                   else acc.Perm_binding.proof_scope);
-              })
+                   else acc.Perm_binding.scheme)
+                ~spatial_modality:
+                  (if from_b then b.Perm_binding.spatial_modality
+                   else acc.Perm_binding.spatial_modality)
+                ~spatial_scope:
+                  (if from_b then b.Perm_binding.spatial_scope
+                   else acc.Perm_binding.spatial_scope)
+                ~proof_scope:
+                  (if from_b then b.Perm_binding.proof_scope
+                   else acc.Perm_binding.proof_scope)
+                acc.Perm_binding.perm)
             first rest
         in
         Some merged

@@ -9,17 +9,39 @@ type t = {
   proof_scope : proof_scope;
   dur : Temporal.Q.t option;
   scheme : Temporal.Validity.scheme;
+  hash : int;
 }
+
+(* a content hash, walked once here: up to 64 meaningful values reach
+   past the permission into the constraint formula, so bindings that
+   differ only in their constraint land apart *)
+let content_hash perm spatial spatial_modality spatial_scope proof_scope dur
+    scheme =
+  Hashtbl.hash_param 64 256
+    (perm, spatial, spatial_modality, spatial_scope, proof_scope, dur, scheme)
 
 let make ?spatial ?(spatial_modality = Srac.Program_sat.Exists)
     ?(spatial_scope = Program) ?(proof_scope = Own) ?dur
     ?(scheme = Temporal.Validity.Whole_journey) perm =
-  { perm; spatial; spatial_modality; spatial_scope; proof_scope; dur; scheme }
+  {
+    perm;
+    spatial;
+    spatial_modality;
+    spatial_scope;
+    proof_scope;
+    dur;
+    scheme;
+    hash =
+      content_hash perm spatial spatial_modality spatial_scope proof_scope dur
+        scheme;
+  }
+
+let hash b = b.hash
 
 let applies_to binding (a : Sral.Access.t) =
-  Rbac.Perm.matches binding.perm
+  Rbac.Perm.matches_at binding.perm
     ~operation:(Sral.Access.operation_name a.op)
-    ~target:(a.resource ^ "@" ^ a.server)
+    ~resource:a.resource ~server:a.server
 
 let key binding = Rbac.Perm.to_string binding.perm
 

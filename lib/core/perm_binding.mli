@@ -26,7 +26,7 @@ type proof_scope =
           even of its companions".  Only affects [Performed]/[Both]
           spatial scopes (the program-level check is per-object). *)
 
-type t = {
+type t = private {
   perm : Rbac.Perm.t;  (** which permission(s) this binding constrains *)
   spatial : Srac.Formula.t option;  (** [None]: no spatial constraint *)
   spatial_modality : Srac.Program_sat.modality;
@@ -36,7 +36,10 @@ type t = {
   proof_scope : proof_scope;
   dur : Temporal.Q.t option;  (** validity duration; [None] = infinite *)
   scheme : Temporal.Validity.scheme;
+  hash : int;  (** content hash of the fields above, computed by {!make} *)
 }
+(** Private, so that every binding comes from {!make} and no
+    [{ b with ... }] copy can carry its original's [hash]. *)
 
 val make :
   ?spatial:Srac.Formula.t ->
@@ -48,10 +51,19 @@ val make :
   Rbac.Perm.t ->
   t
 (** Defaults: no spatial constraint, [Exists], [Program] scope, [Own]
-    proofs, infinite duration, [Whole_journey]. *)
+    proofs, infinite duration, [Whole_journey].  Hashes the binding's
+    content once, here. *)
+
+val hash : t -> int
+(** The content hash stored by {!make}: one field read.  Two [make]
+    calls with equal arguments give structurally equal bindings with
+    equal hashes.  Per-binding tables
+    ({!Residual.Binding_tbl}) hash with it instead of walking the
+    permission strings and the constraint formula on every lookup. *)
 
 val applies_to : t -> Sral.Access.t -> bool
-(** Does the binding's permission pattern cover the access? *)
+(** Does the binding's permission pattern cover the access?  Matches
+    the access's fields in place ({!Rbac.Perm.matches_at}). *)
 
 val key : t -> string
 (** Stable identifier for monitor state, derived from the permission. *)

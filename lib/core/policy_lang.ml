@@ -33,14 +33,19 @@ let parse_perm line_no s =
   with Invalid_argument m -> error line_no "%s" m
 
 let parse_bind_clauses line_no perm clauses =
-  let rec loop acc = function
-    | [] -> acc
+  (* a clause left out keeps [Perm_binding.make]'s default *)
+  let spatial = ref None and spatial_modality = ref None in
+  let proof_scope = ref None and spatial_scope = ref None in
+  let dur = ref None and scheme = ref None in
+  let rec loop = function
+    | [] -> ()
     | "spatial" :: text :: rest ->
         let formula =
           try Srac.Formula.of_string text
           with Invalid_argument m -> error line_no "%s" m
         in
-        loop { acc with Perm_binding.spatial = Some formula } rest
+        spatial := Some formula;
+        loop rest
     | "modality" :: m :: rest ->
         let modality =
           match m with
@@ -48,15 +53,17 @@ let parse_bind_clauses line_no perm clauses =
           | "forall" -> Srac.Program_sat.Forall
           | _ -> error line_no "unknown modality %S" m
         in
-        loop { acc with Perm_binding.spatial_modality = modality } rest
+        spatial_modality := Some modality;
+        loop rest
     | "proofs" :: s :: rest ->
-        let proof_scope =
+        let scope =
           match s with
           | "own" -> Perm_binding.Own
           | "team" -> Perm_binding.Team
           | _ -> error line_no "unknown proof scope %S" s
         in
-        loop { acc with Perm_binding.proof_scope } rest
+        proof_scope := Some scope;
+        loop rest
     | "scope" :: s :: rest ->
         let scope =
           match s with
@@ -65,26 +72,30 @@ let parse_bind_clauses line_no perm clauses =
           | "both" -> Perm_binding.Both
           | _ -> error line_no "unknown scope %S" s
         in
-        loop { acc with Perm_binding.spatial_scope = scope } rest
+        spatial_scope := Some scope;
+        loop rest
     | "dur" :: d :: rest ->
-        let dur =
-          if d = "inf" then None
-          else
-            try Some (Temporal.Q.of_string d)
-            with Invalid_argument m -> error line_no "%s" m
-        in
-        loop { acc with Perm_binding.dur = dur } rest
+        (dur :=
+           if d = "inf" then None
+           else
+             try Some (Temporal.Q.of_string d)
+             with Invalid_argument m -> error line_no "%s" m);
+        loop rest
     | "scheme" :: s :: rest ->
-        let scheme =
+        let sch =
           match s with
           | "journey" -> Temporal.Validity.Whole_journey
           | "server" -> Temporal.Validity.Per_server
           | _ -> error line_no "unknown scheme %S" s
         in
-        loop { acc with Perm_binding.scheme = scheme } rest
+        scheme := Some sch;
+        loop rest
     | w :: _ -> error line_no "unknown bind clause %S" w
   in
-  loop (Perm_binding.make perm) clauses
+  loop clauses;
+  Perm_binding.make ?spatial:!spatial ?spatial_modality:!spatial_modality
+    ?spatial_scope:!spatial_scope ?proof_scope:!proof_scope ?dur:!dur
+    ?scheme:!scheme perm
 
 let parse_sod line_no what rest =
   match rest with

@@ -18,18 +18,20 @@
    comes from the policy's compiled table
    ({!Rbac.Engine.decide_compiled}).
 
-   Slots are keyed by the binding value *physically*: bindings are
-   immutable and the binding index hands out the same objects on every
-   lookup, and two structurally-equal bindings are semantically
-   interchangeable, so distinct slots for them are merely harmless
-   duplicates.  Two bindings on one permission get two slots and two
-   activation histories. *)
+   Slots are keyed by the binding value *physically* and hashed by the
+   content hash [Perm_binding.make] stored in it, so a warm lookup
+   reads one field and walks no permission string or constraint
+   formula.  Bindings are immutable and the binding index hands out the
+   same objects on every lookup, and two structurally-equal bindings
+   are semantically interchangeable, so distinct slots for them are
+   merely harmless duplicates: such twins share a hash and a bucket,
+   yet get two slots and two activation histories. *)
 
 module Binding_tbl = Hashtbl.Make (struct
   type t = Perm_binding.t
 
   let equal = ( == )
-  let hash = Hashtbl.hash
+  let hash = Perm_binding.hash
 end)
 
 type machine =
@@ -94,9 +96,10 @@ let step_fn slot =
    is one [Atomic.get] and a lookup, a miss computes the outcome and
    publishes a new map by compare-and-set.  Losing a race only means
    the outcome was computed twice.  Keys are the binding physically
-   (as slots are) and the program by [Sral.Ast.equal], bucketed by
-   [Hashtbl.hash].  Programs arrive from clients, so the table starts
-   over when it reaches [cap] entries. *)
+   (as slots are) and the program by [Sral.Ast.equal], bucketed by the
+   binding's stored hash and the program's [Hashtbl.hash].  Programs
+   arrive from clients, so the table starts over when it reaches [cap]
+   entries. *)
 module Program_outcomes = struct
   module Int_map = Map.Make (Int)
 
@@ -141,7 +144,7 @@ module Program_outcomes = struct
         if not (Atomic.compare_and_set t current next) then publish t h entry
 
   let find_or_compute t ~binding ~program compute =
-    let h = (Hashtbl.hash binding * 65599) lxor Hashtbl.hash program in
+    let h = (Perm_binding.hash binding * 65599) lxor Hashtbl.hash program in
     match find binding program (bucket (Atomic.get t) h) with
     | Some outcome -> outcome
     | None ->

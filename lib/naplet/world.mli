@@ -29,8 +29,10 @@ val create : ?config:config -> Coordinated.System.t -> t
 (** The world publishes its lifecycle events (spawns, migrations,
     messages, signals, terminations) on the control's
     {!Coordinated.System.bus} — subscribe an {!Obs.Sink} there to
-    record them — and subscribes its own {!Metrics} sink to it,
-    filtered to this world's agents. *)
+    record them.  It subscribes nothing itself: its {!Metrics} are
+    counted in place as it emits each event and settles each verdict,
+    so they see this world's agents only, whatever else shares the
+    bus. *)
 
 val manager : t -> Security_manager.t
 

@@ -18,7 +18,14 @@ val split_target : string -> string * string option
 val matches : t -> operation:string -> target:string -> bool
 (** Wildcard-aware: a ["*"] operation or target in the permission
     matches anything; a ["res@*"] target matches any server for that
-    resource (and symmetrically ["*@srv"]). *)
+    resource (and symmetrically ["*@srv"]).  Compares the fields in
+    place and allocates nothing. *)
+
+val matches_at :
+  t -> operation:string -> resource:string -> server:string -> bool
+(** [matches_at p ~operation ~resource ~server] is
+    [matches p ~operation ~target:(resource ^ "@" ^ server)], without
+    building the target unless [resource] itself holds an ['@']. *)
 
 val overlaps : t -> t -> bool
 (** Do the two (possibly wildcarded) patterns cover a common concrete

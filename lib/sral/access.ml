@@ -39,13 +39,40 @@ let compare a1 a2 =
     if c <> 0 then c else String.compare a1.server a2.server
 
 let equal a1 a2 = compare a1 a2 = 0
-(* combined without building a tuple: this hash sits on allocation-free
-   hot paths (symbol interning, the applicable-binding memo) *)
+(* The hash sits on allocation-free hot paths (symbol interning, the
+   applicable-binding memo), so it is folded here in plain OCaml: no C
+   call, no tuple.  FNV-1a over the operation tag and the bytes of each
+   name, each name led by its length so that field boundaries count,
+   then an avalanche finish (Murmur3's fmix64 with its constants cut to
+   OCaml's 63-bit ints) so that short names differing in one byte, such
+   as [r1] and [r2], spread over the low bits a table indexes by. *)
+let fnv_prime = 0x100000001b3
+
+let rec fold_bytes s i n h =
+  if i = n then h
+  else
+    fold_bytes s (i + 1) n
+      ((h lxor Char.code (String.unsafe_get s i)) * fnv_prime)
+
+let fold_string h s =
+  let n = String.length s in
+  fold_bytes s 0 n ((h lxor n) * fnv_prime)
+
+let avalanche h =
+  let h = (h lxor (h lsr 33)) * 0x3f51afd7ed558ccd in
+  let h = (h lxor (h lsr 33)) * 0x04ceb9fe1a85ec53 in
+  h lxor (h lsr 33)
+
 let hash a =
-  let h = Hashtbl.hash (operation_name a.op) in
-  let h = (h * 131) + Hashtbl.hash a.resource in
-  let h = (h * 131) + Hashtbl.hash a.server in
-  h land max_int
+  let h =
+    match a.op with
+    | Read -> 1
+    | Write -> 2
+    | Execute -> 3
+    | Custom name -> fold_string 4 name
+  in
+  let h = fold_string (h * fnv_prime) a.resource in
+  avalanche (fold_string h a.server) land max_int
 
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t

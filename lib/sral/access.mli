@@ -35,6 +35,8 @@ val custom : string -> string -> at:string -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
+(** Content hash of the operation and both names, folded in OCaml: no
+    C call, no allocation.  Equal accesses hash equal. *)
 
 module Tbl : Hashtbl.S with type key = t
 (** Hashtables keyed by access, compared with {!equal} and hashed with

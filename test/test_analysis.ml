@@ -353,7 +353,11 @@ let test_oracle_soundness () =
               (Lazy.force grid)
         | An.Vacuous _ ->
             incr vacuous;
-            let stripped = { b with PB.spatial = None } in
+            let stripped =
+              PB.make ~spatial_modality:b.PB.spatial_modality
+                ~spatial_scope:b.PB.spatial_scope ~proof_scope:b.PB.proof_scope
+                ?dur:b.PB.dur ~scheme:b.PB.scheme b.PB.perm
+            in
             List.iter
               (fun tr ->
                 if

@@ -34,6 +34,42 @@ let test_binding_applies () =
   let wild = Perm_binding.make (Rbac.Perm.make ~operation:"*" ~target:"*@s1") in
   Alcotest.(check bool) "wildcard" true (Perm_binding.applies_to wild a_cfg)
 
+(* [make] hashes a binding's content once: twins made from equal
+   arguments are equal and hash equal, yet stay two bindings with two
+   slots and two activation histories.  The hash reaches into the
+   constraint formula. *)
+let test_binding_twins () =
+  let perm = Rbac.Perm.make ~operation:"read" ~target:"db@s1" in
+  let make spatial =
+    Perm_binding.make ~spatial ~dur:(q 5) ~spatial_scope:Perm_binding.Both perm
+  in
+  let c = Srac.Formula.Ordered (a_cfg, a_db) in
+  let b = make c and twin = make c in
+  Alcotest.(check bool) "equal" true (b = twin && b != twin);
+  Alcotest.(check int) "equal hashes" (Perm_binding.hash b)
+    (Perm_binding.hash twin);
+  Alcotest.(check bool) "another formula, another hash" true
+    (Perm_binding.hash (make (Srac.Formula.Ordered (a_db, a_cfg)))
+    <> Perm_binding.hash b);
+  let m = Monitor.create ~object_id:"o" in
+  let session = Rbac.Session.create (base_policy ()) ~user:"u" in
+  let slot = Monitor.slot m ~session b in
+  let twin_slot = Monitor.slot m ~session twin in
+  Alcotest.(check bool) "two slots" true
+    (slot != twin_slot
+    && Residual.Binding_tbl.length (Monitor.residuals m) = 2
+    && Monitor.slot m ~session b == slot
+    && Monitor.slot m ~session twin == twin_slot);
+  Monitor.set_active m slot ~time:(q 1) true;
+  Monitor.set_active m twin_slot ~time:(q 2) true;
+  Monitor.set_active m slot ~time:(q 3) false;
+  let changes binding =
+    List.length (Temporal.Step_fn.changes (Monitor.activation_fn m binding))
+  in
+  Alcotest.(check (pair int int))
+    "two histories" (2, 1)
+    (changes b, changes twin)
+
 (* --- monitor --- *)
 
 let test_monitor_arrivals_and_proofs () =
@@ -92,6 +128,48 @@ let test_monitor_footprint () =
   let words = Obj.reachable_words (Obj.repr (Monitor.create ~object_id:"o")) in
   Alcotest.(check bool) (Printf.sprintf "%d words <= 20" words) true
     (words <= 20)
+
+(* A warm per-binding lookup reads the binding's stored hash, and a
+   warm applicable-binding probe hashes the access in OCaml: neither
+   allocates. *)
+let minor_words_per rounds f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int rounds
+
+let test_monitor_warm_allocation () =
+  let perm = Rbac.Perm.make ~operation:"write" ~target:"*@*" in
+  let bindings =
+    [
+      Perm_binding.make ~dur:(q 5) perm;
+      Perm_binding.make ~spatial:(Srac.Formula.Atom a_db) perm;
+      Perm_binding.make (Rbac.Perm.make ~operation:"read" ~target:"db@s1");
+    ]
+  in
+  let m = Monitor.create ~object_id:"o" in
+  let session = Rbac.Session.create (base_policy ()) ~user:"u" in
+  List.iter (fun b -> ignore (Monitor.slot m ~session b)) bindings;
+  let b = List.nth bindings 1 in
+  let words =
+    minor_words_per 10_000 (fun () -> ignore (Monitor.slot m ~session b))
+  in
+  (* the two boxed [Gc.minor_words] floats are the only slack *)
+  Alcotest.(check bool)
+    (Printf.sprintf "warm slot: %.3f minor words" words)
+    true (words < 0.01);
+  let index = Binding_index.of_list bindings in
+  let write = Sral.Access.write "vault" ~at:"s2" in
+  Alcotest.(check int) "applicable" 2
+    (List.length (Binding_index.applicable index write));
+  let words =
+    minor_words_per 10_000 (fun () ->
+        ignore (Binding_index.applicable index write))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm applicable: %.3f minor words" words)
+    true (words < 0.01)
 
 (* --- decisions --- *)
 
@@ -1609,7 +1687,12 @@ let test_naive_builds_no_machine () =
 let () =
   Alcotest.run "coordinated"
     [
-      ("binding", [ Alcotest.test_case "applies_to" `Quick test_binding_applies ]);
+      ( "binding",
+        [
+          Alcotest.test_case "applies_to" `Quick test_binding_applies;
+          Alcotest.test_case "twins hash equal, keep two slots" `Quick
+            test_binding_twins;
+        ] );
       ( "monitor",
         [
           Alcotest.test_case "arrivals/proofs" `Quick
@@ -1617,6 +1700,8 @@ let () =
           Alcotest.test_case "clock monotone" `Quick test_monitor_clock_monotone;
           Alcotest.test_case "activation fn" `Quick test_monitor_activation_fn;
           Alcotest.test_case "footprint" `Quick test_monitor_footprint;
+          Alcotest.test_case "warm lookups allocate nothing" `Quick
+            test_monitor_warm_allocation;
         ] );
       ( "decision",
         [

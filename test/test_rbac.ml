@@ -49,6 +49,75 @@ let test_perm_overlaps () =
   check (p "read" "db@s1") (p "read" "db@s2") false;
   check (p "read" "db@*") (p "read" "*@s2") true
 
+(* The matcher before it compared fields in place, kept as the oracle:
+   it split both targets with [String.sub]. *)
+let old_matches (perm : Perm.t) ~operation ~target =
+  let split t =
+    match String.index_opt t '@' with
+    | None -> (t, None)
+    | Some i ->
+        ( String.sub t 0 i,
+          Some (String.sub t (i + 1) (String.length t - i - 1)) )
+  in
+  let field pattern value = pattern = "*" || String.equal pattern value in
+  field perm.operation operation
+  &&
+  match (split perm.target, split target) with
+  | (pr, Some ps), (r, Some s) -> field pr r && field ps s
+  | (pr, None), (r, None) -> field pr r
+  | (pr, Some ps), (r, None) -> field pr r && ps = "*"
+  | (pr, None), (_, Some _) -> pr = "*"
+
+(* Targets of zero, one and two '@'s over fields drawn from a small
+   alphabet with "*" and the empty field in it, so equal, unequal,
+   wildcard and prefix-sharing fields all meet. *)
+let gen_field rng =
+  let fields = [| "*"; ""; "a"; "b"; "ab"; "a*"; "**" |] in
+  fields.(Random.State.int rng (Array.length fields))
+
+let gen_target rng =
+  match Random.State.int rng 3 with
+  | 0 -> gen_field rng
+  | 1 -> gen_field rng ^ "@" ^ gen_field rng
+  | _ -> gen_field rng ^ "@" ^ gen_field rng ^ "@" ^ gen_field rng
+
+let test_perm_matches_oracle () =
+  Gen.each_seed ~salt:3301 ~count:200 (fun ~seed rng ->
+      for _ = 1 to 50 do
+        let perm = p (gen_field rng) (gen_target rng) in
+        let operation = gen_field rng and target = gen_target rng in
+        let expected = old_matches perm ~operation ~target in
+        if Perm.matches perm ~operation ~target <> expected then
+          Alcotest.failf "seed %d: matches %s on %s:%s, expected %b" seed
+            (Perm.to_string perm) operation target expected;
+        let resource = gen_target rng and server = gen_target rng in
+        let expected =
+          old_matches perm ~operation ~target:(resource ^ "@" ^ server)
+        in
+        if Perm.matches_at perm ~operation ~resource ~server <> expected then
+          Alcotest.failf "seed %d: matches_at %s on %s:%s @ %s, expected %b"
+            seed (Perm.to_string perm) operation resource server expected
+      done)
+
+let test_perm_matches_allocation () =
+  let perms = [ p "read" "db@s1"; p "*" "*@s2"; p "read" "*"; p "read" "db" ] in
+  let rounds = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    List.iter
+      (fun perm ->
+        ignore (Perm.matches perm ~operation:"read" ~target:"db@s2");
+        ignore (Perm.matches perm ~operation:"read" ~target:"db");
+        ignore
+          (Perm.matches_at perm ~operation:"read" ~resource:"db" ~server:"s2"))
+      perms
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  (* the two boxed [Gc.minor_words] floats are the only slack *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per round of 12 matches" words)
+    true (words < 0.01)
+
 (* --- hierarchy --- *)
 
 let test_hierarchy_inheritance () =
@@ -499,6 +568,10 @@ let () =
           Alcotest.test_case "string roundtrip" `Quick
             test_perm_string_roundtrip;
           Alcotest.test_case "overlaps" `Quick test_perm_overlaps;
+          Alcotest.test_case "matches = split oracle (seeded)" `Quick
+            test_perm_matches_oracle;
+          Alcotest.test_case "matches allocation" `Quick
+            test_perm_matches_allocation;
         ] );
       ( "hierarchy",
         [

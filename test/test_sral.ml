@@ -389,6 +389,65 @@ let test_access_operation_roundtrip () =
         (Access.operation_of_name (Access.operation_name op) = op))
     [ Access.Read; Access.Write; Access.Execute; Access.Custom "hash" ]
 
+(* A name of up to 64 bytes, some of them past ASCII. *)
+let gen_name rng =
+  String.init (Random.State.int rng 65) (fun _ ->
+      if Random.State.int rng 4 = 0 then
+        Char.chr (128 + Random.State.int rng 128)
+      else Char.chr (97 + Random.State.int rng 26))
+
+let gen_access rng =
+  let op =
+    match Random.State.int rng 4 with
+    | 0 -> Access.Read
+    | 1 -> Access.Write
+    | 2 -> Access.Execute
+    | _ -> Access.Custom (gen_name rng)
+  in
+  Access.make ~op ~resource:(gen_name rng) ~server:(gen_name rng)
+
+(* fresh copies of every string, so equality cannot lean on sharing *)
+let copy (a : Access.t) =
+  let c s = Bytes.to_string (Bytes.of_string s) in
+  let op = match a.op with Access.Custom n -> Access.Custom (c n) | op -> op in
+  Access.make ~op ~resource:(c a.resource) ~server:(c a.server)
+
+let test_access_hash_equal () =
+  Gen.each_seed ~salt:3302 ~count:100 (fun ~seed rng ->
+      for _ = 1 to 20 do
+        let a = gen_access rng in
+        let b = copy a in
+        if not (Access.equal a b && Access.hash a = Access.hash b) then
+          Alcotest.failf "seed %d: equal accesses %s hash apart" seed
+            (Access.to_string a);
+        if Access.hash a < 0 then
+          Alcotest.failf "seed %d: negative hash for %s" seed
+            (Access.to_string a)
+      done)
+
+(* 4,096 short names differing in a digit or two: the names a
+   coalition's resources and servers carry.  The table grows to 2,048
+   buckets; its largest holds 8, as many as a random function's does on
+   this grid (the caml_hash combination the hash replaced put 10 in
+   one).  The bound leaves 50% over the measured 8. *)
+let test_access_hash_spread () =
+  let tbl = Access.Tbl.create 16 in
+  for i = 0 to 63 do
+    for j = 0 to 63 do
+      let a =
+        Access.read (Printf.sprintf "r%d" i) ~at:(Printf.sprintf "s%d" j)
+      in
+      Access.Tbl.replace tbl a ()
+    done
+  done;
+  let stats = Access.Tbl.stats tbl in
+  Alcotest.(check int) "distinct accesses" 4096 stats.num_bindings;
+  Alcotest.(check bool)
+    (Printf.sprintf "largest bucket %d of %d" stats.max_bucket_length
+       stats.num_buckets)
+    true
+    (stats.max_bucket_length <= 12)
+
 let () =
   Alcotest.run "sral"
     [
@@ -466,5 +525,9 @@ let () =
           Alcotest.test_case "compare total" `Quick test_access_compare_total;
           Alcotest.test_case "operation roundtrip" `Quick
             test_access_operation_roundtrip;
+          Alcotest.test_case "equal accesses hash equal (seeded)" `Quick
+            test_access_hash_equal;
+          Alcotest.test_case "hash spreads a name grid" `Quick
+            test_access_hash_spread;
         ] );
     ]
