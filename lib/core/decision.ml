@@ -252,14 +252,16 @@ let decide_naive ?(companions = []) ~bus ~session ~monitor ~bindings
    fixed by the session object and its version (which bumps on every
    role activation change and policy edit), so one bit per (binding,
    session, version) suffices; the pattern may be wildcarded, so it is
-   asked of [Session.may], not of the per-access compiled probe. *)
+   matched against each active role's compiled closure
+   ([Engine.may_compiled], [Session.may]'s answer), not probed as an
+   access. *)
 let slot_may_ok ~session slot (b : Perm_binding.t) =
   let v = Rbac.Session.version session in
   if slot.Residual.may_session == session && slot.Residual.may_version = v then
     slot.Residual.may_ok
   else begin
     let ok =
-      Rbac.Session.may session ~operation:b.perm.Rbac.Perm.operation
+      Rbac.Engine.may_compiled session ~operation:b.perm.Rbac.Perm.operation
         ~target:b.perm.Rbac.Perm.target
     in
     slot.Residual.may_session <- session;

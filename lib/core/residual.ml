@@ -92,63 +92,36 @@ let step_fn slot =
    [check(P, C)] depends on the program and the binding's constraint
    and modality only, not on the object running the program.
 
-   The table is an immutable map published through an [Atomic]: a read
-   is one [Atomic.get] and a lookup, a miss computes the outcome and
-   publishes a new map by compare-and-set.  Losing a race only means
-   the outcome was computed twice.  Keys are the binding physically
-   (as slots are) and the program by [Sral.Ast.equal], bucketed by the
-   binding's stored hash and the program's [Hashtbl.hash].  Programs
-   arrive from clients, so the table starts over when it reaches [cap]
-   entries. *)
+   The table is a [Shared_memo]: keys are the binding physically (as
+   slots are) and the program by identity, then by [Sral.Ast.equal],
+   bucketed by the binding's stored hash and the program's
+   [Hashtbl.hash].  A server hands every connection that registers the
+   same text the same program, so a probe usually ends at the identity
+   test. *)
 module Program_outcomes = struct
-  module Int_map = Map.Make (Int)
+  type key = { binding : Perm_binding.t; program : Sral.Ast.t }
 
-  type entry = {
-    binding : Perm_binding.t;
-    program : Sral.Ast.t;
-    outcome : (unit, string) result;
-  }
+  module Memo = Shared_memo.Make (struct
+    type t = key
 
-  type table = { size : int; buckets : entry list Int_map.t }
-  type t = table Atomic.t
+    let equal a b =
+      a.binding == b.binding
+      && (a.program == b.program || Sral.Ast.equal a.program b.program)
+  end)
+
+  type t = (unit, string) result Memo.t
 
   let cap = 4096
-  let empty = { size = 0; buckets = Int_map.empty }
-  let create () = Atomic.make empty
-  let size t = (Atomic.get t).size
-
-  let bucket table h =
-    match Int_map.find h table.buckets with
-    | es -> es
-    | exception Not_found -> []
-
-  let rec find binding program = function
-    | [] -> None
-    | e :: rest ->
-        if e.binding == binding && Sral.Ast.equal e.program program then
-          Some e.outcome
-        else find binding program rest
-
-  let rec publish t h entry =
-    let current = Atomic.get t in
-    match find entry.binding entry.program (bucket current h) with
-    | Some _ -> ()
-    | None ->
-        let base = if current.size >= cap then empty else current in
-        let next =
-          {
-            size = base.size + 1;
-            buckets = Int_map.add h (entry :: bucket base h) base.buckets;
-          }
-        in
-        if not (Atomic.compare_and_set t current next) then publish t h entry
+  let create () = Memo.create ~cap
+  let size = Memo.size
 
   let find_or_compute t ~binding ~program compute =
-    let h = (Perm_binding.hash binding * 65599) lxor Hashtbl.hash program in
-    match find binding program (bucket (Atomic.get t) h) with
+    let hash = (Perm_binding.hash binding * 65599) lxor Hashtbl.hash program in
+    let key = { binding; program } in
+    match Memo.find t ~hash key with
     | Some outcome -> outcome
     | None ->
         let outcome = compute () in
-        publish t h { binding; program; outcome };
+        Memo.add t ~hash key outcome;
         outcome
 end

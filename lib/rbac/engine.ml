@@ -31,6 +31,21 @@ let rec any_role policy ~operation a = function
       covers (Policy.compiled_permissions policy r) 0 ~operation a
       || any_role policy ~operation a rest
 
+let rec holds perms i ~operation ~target =
+  i < Array.length perms
+  && (Perm.matches perms.(i) ~operation ~target
+     || holds perms (i + 1) ~operation ~target)
+
+let rec any_holds policy ~operation ~target = function
+  | [] -> false
+  | r :: rest ->
+      holds (Policy.compiled_role_permissions policy r) 0 ~operation ~target
+      || any_holds policy ~operation ~target rest
+
+let may_compiled session ~operation ~target =
+  any_holds (Session.policy session) ~operation ~target
+    (Session.active_roles session)
+
 let put b pos s =
   Bytes.blit_string s 0 b pos (String.length s);
   pos + String.length s

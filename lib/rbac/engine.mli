@@ -26,5 +26,10 @@ val decide_compiled : Session.t -> Sral.Access.t -> verdict
     message once.  An access whose resource contains ['@'] is decided
     by {!decide_access} itself. *)
 
+val may_compiled : Session.t -> operation:string -> target:string -> bool
+(** {!Session.may}, read from the policy's compiled table
+    ({!Policy.compiled_role_permissions}): each active role's closure
+    permissions are matched in place, so a call allocates nothing. *)
+
 val is_granted : verdict -> bool
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -9,8 +9,15 @@ type field = Any | Is of string
 type split_perm = { op : field; resource : field; server : field }
 
 (* One table per version, published through an [Atomic] because clones
-   share the policy across domains, and never written after that. *)
-type table = { at : int; perms : split_perm array String_map.t }
+   share the policy across domains, and never written after that.  It
+   holds each role's closure permissions, as [role_permissions] derives
+   them and split, and each user's [authorized_roles]. *)
+type table = {
+  at : int;
+  closure : Perm.t array String_map.t;
+  perms : split_perm array String_map.t;
+  authorized : role list String_map.t;
+}
 
 type t = {
   compiled : table Atomic.t;
@@ -25,7 +32,14 @@ type t = {
 
 let create () =
   {
-    compiled = Atomic.make { at = -1; perms = String_map.empty };
+    compiled =
+      Atomic.make
+        {
+          at = -1;
+          closure = String_map.empty;
+          perms = String_map.empty;
+          authorized = String_map.empty;
+        };
     hierarchy = Hierarchy.create ();
     users = String_set.empty;
     user_assignments = String_map.empty;
@@ -53,8 +67,8 @@ let add_inheritance p ~senior ~junior =
   touch p;
   Hierarchy.add_inheritance p.hierarchy ~senior ~junior
 
-let require_user p u =
-  if not (String_set.mem u p.users) then raise (Unknown ("user", u))
+let is_user p u = String_set.mem u p.users
+let require_user p u = if not (is_user p u) then raise (Unknown ("user", u))
 
 let require_role p r =
   if not (Hierarchy.mem p.hierarchy r) then raise (Unknown ("role", r))
@@ -161,23 +175,36 @@ let split (perm : Perm.t) =
   | "*", None -> Some { op; resource = Any; server = Any }
   | _, None -> None
 
-let compiled_permissions p r =
-  let table = Atomic.get p.compiled in
-  let table =
-    if table.at = p.version then table
-    else
-      let compile perms r =
-        let split_perms = List.filter_map split (role_permissions p r) in
-        String_map.add r (Array.of_list split_perms) perms
-      in
-      let perms = List.fold_left compile String_map.empty (roles p) in
-      let table = { at = p.version; perms } in
-      Atomic.set p.compiled table;
-      table
+let build p =
+  let add_role (closure, perms) r =
+    let all = role_permissions p r in
+    ( String_map.add r (Array.of_list all) closure,
+      String_map.add r (Array.of_list (List.filter_map split all)) perms )
   in
-  match String_map.find r table.perms with
-  | perms -> perms
-  | exception Not_found -> [||]
+  let closure, perms =
+    List.fold_left add_role (String_map.empty, String_map.empty) (roles p)
+  in
+  let authorized =
+    String_set.fold
+      (fun u acc -> String_map.add u (authorized_roles p u) acc)
+      p.users String_map.empty
+  in
+  { at = p.version; closure; perms; authorized }
+
+let table p =
+  let table = Atomic.get p.compiled in
+  if table.at = p.version then table
+  else
+    let table = build p in
+    Atomic.set p.compiled table;
+    table
+
+let find_or map key empty =
+  match String_map.find key map with v -> v | exception Not_found -> empty
+
+let compiled_permissions p r = find_or (table p).perms r [||]
+let compiled_role_permissions p r = find_or (table p).closure r [||]
+let compiled_authorized_roles p u = find_or (table p).authorized u []
 
 let users_of_role p r =
   List.filter (fun u -> List.mem r (assigned_roles p u)) (users p)

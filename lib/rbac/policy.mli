@@ -80,9 +80,21 @@ type split_perm = { op : field; resource : field; server : field }
 val compiled_permissions : t -> role -> split_perm array
 (** {!role_permissions}, split, without the permissions that match no
     ["resource@server"] target; empty for an unknown role.  Read from
-    one immutable table per {!version}, built by the first call after
-    the version moves and shared by every domain holding the policy; a
-    call at an unchanged version allocates nothing. *)
+    the policy's compiled table: one immutable table per {!version},
+    built by the first compiled read after the version moves and shared
+    by every domain holding the policy.  A compiled read at an
+    unchanged version allocates nothing. *)
+
+val compiled_role_permissions : t -> role -> Perm.t array
+(** {!role_permissions} from the compiled table; empty for an unknown
+    role. *)
+
+val compiled_authorized_roles : t -> user -> role list
+(** {!authorized_roles} from the compiled table; empty for an unknown
+    user. *)
+
+val is_user : t -> user -> bool
+(** Whether the user was declared, without listing {!users}. *)
 
 val users_of_role : t -> role -> user list
 (** Users directly assigned the role. *)

@@ -9,7 +9,7 @@ exception Not_authorized of string * string
 exception Dsd_violation of Sod.t * string * string
 
 let create policy ~user =
-  if not (List.mem user (Policy.users policy)) then
+  if not (Policy.is_user policy user) then
     raise (Policy.Unknown ("user", user));
   { policy; user; active = []; bumps = 0 }
 
@@ -23,7 +23,7 @@ let version s = s.bumps + Policy.version s.policy
 
 let activate s r =
   if not (List.mem r s.active) then begin
-    if not (List.mem r (Policy.authorized_roles s.policy s.user)) then
+    if not (List.mem r (Policy.compiled_authorized_roles s.policy s.user)) then
       raise (Not_authorized (s.user, r));
     List.iter
       (fun c ->

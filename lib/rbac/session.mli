@@ -28,7 +28,9 @@ val version : t -> int
     modified.  Equal stamps ⟹ [may] answers are unchanged. *)
 
 val activate : t -> string -> unit
-(** @raise Not_authorized when the user may not activate the role;
+(** The authorized roles are read from the policy's compiled table
+    ({!Policy.compiled_authorized_roles}).
+    @raise Not_authorized when the user may not activate the role;
     @raise Dsd_violation when dynamic separation of duty forbids it.
     Idempotent on an already-active role. *)
 
@@ -40,6 +42,8 @@ val drop : t -> unit
 val may : t -> operation:string -> target:string -> bool
 (** Plain-RBAC decision: some active role carries (possibly by
     inheritance) a permission that {!Perm.matches} the request.  This
-    is the baseline [Engine] builds on. *)
+    is the baseline [Engine] builds on.  It derives each active role's
+    permissions anew on every call: the oracle {!Engine.may_compiled}
+    is tested against. *)
 
 val pp : Format.formatter -> t -> unit

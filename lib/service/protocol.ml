@@ -212,12 +212,12 @@ let r_q c =
   | exception _ ->
       raise (Fail (Malformed (Printf.sprintf "bad rational %s" (quote raw))))
 
-let decode read src ~off ~len =
+let decode read arg src ~off ~len =
   let c = { src; pos = off; lim = off + len } in
   match
     let v = r_u8 c in
     if v <> version then raise (Fail (Bad_version v));
-    let value = read c in
+    let value = read arg c in
     if c.pos <> c.lim then
       raise (Fail (Malformed (Printf.sprintf "%d trailing bytes" (c.lim - c.pos))));
     value
@@ -225,7 +225,33 @@ let decode read src ~off ~len =
   | value -> Ok value
   | exception Fail e -> Error e
 
-let r_request c =
+(* Program text to AST, shared by a server's connections across
+   domains, so a [Shared_memo].  A parse failure raises before [add],
+   so it is never kept. *)
+module Programs = struct
+  module Memo = Coordinated.Shared_memo.Make (String)
+
+  type t = Uncached | Memo of Sral.Ast.t Memo.t
+
+  let cap = 256
+  let max_text = 4096
+  let create () = Memo (Memo.create ~cap)
+  let size = function Uncached -> 0 | Memo m -> Memo.size m
+
+  let parse t text =
+    match t with
+    | Memo m when String.length text <= max_text -> (
+        let hash = Hashtbl.hash text in
+        match Memo.find m ~hash text with
+        | Some program -> program
+        | None ->
+            let program = Sral.Parser.program text in
+            Memo.add m ~hash text program;
+            program)
+    | Memo _ | Uncached -> Sral.Parser.program text
+end
+
+let r_request programs c =
   match r_u8 c with
   | 0 -> Ping
   | 1 ->
@@ -234,10 +260,9 @@ let r_request c =
       let roles = r_list c r_str in
       let text = r_str c in
       let program =
-        match Sral.Parser.program text with
+        match Programs.parse programs text with
         | ast -> ast
-        | exception _ ->
-            raise (Fail (Malformed (Printf.sprintf "bad program %s" (quote text))))
+        | exception _ -> raise (Fail (Malformed ("bad program " ^ quote text)))
       in
       Register { object_id; owner; roles; program }
   | 2 ->
@@ -262,10 +287,12 @@ let r_request c =
   | 7 -> Subscribe
   | t -> raise (Fail (Bad_tag t))
 
-let decode_request_in src ~off ~len = decode r_request src ~off ~len
+let decode_request_in programs src ~off ~len =
+  decode r_request programs src ~off ~len
 
 let decode_request s =
-  decode r_request (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
+  decode r_request Programs.Uncached (Bytes.unsafe_of_string s) ~off:0
+    ~len:(String.length s)
 
 let r_verdict c : Obs.Verdict.t =
   match r_u8 c with
@@ -284,7 +311,7 @@ let r_verdict c : Obs.Verdict.t =
   | 6 -> Denied (Server_unavailable (r_str c))
   | t -> raise (Fail (Malformed (Printf.sprintf "unknown verdict tag %d" t)))
 
-let r_reply c =
+let r_reply () c =
   match r_u8 c with
   | 0 -> Ack { seq = r_u32 c }
   | 1 ->
@@ -304,7 +331,7 @@ let r_reply c =
   | t -> raise (Fail (Bad_tag t))
 
 let decode_reply s =
-  decode r_reply (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
+  decode r_reply () (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* JSONL debug codec (write-only). *)

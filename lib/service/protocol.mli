@@ -60,16 +60,38 @@ val describe : error -> string
 
 val encode_request : request -> string
 
+(** A bounded memo from a [Register]'s program text to its parsed
+    program, which a server shares across its connections and domains
+    (a {!Coordinated.Shared_memo}).  Every request that registers the
+    same text so gets the same program, physically.  A text longer than
+    {!max_text} bytes is parsed and not kept, a text that fails to
+    parse is not kept, and the memo starts over when it holds {!cap}
+    entries. *)
+module Programs : sig
+  type t
+
+  val create : unit -> t
+  val size : t -> int
+
+  val cap : int
+  (** 256 entries. *)
+
+  val max_text : int
+  (** 4096 bytes. *)
+end
+
 val decode_request : string -> (request, error) result
-(** {!decode_request_in} over the whole string. *)
+(** {!decode_request_in} over the whole string, with no memo: a
+    [Register]'s program is parsed on every call. *)
 
 val decode_request_in :
-  Bytes.t -> off:int -> len:int -> (request, error) result
+  Programs.t -> Bytes.t -> off:int -> len:int -> (request, error) result
 (** Decode the [len] bytes of the buffer from [off], in place: a cursor
     walks them, only the request's string fields are copied out, and a
-    [Check]'s operation name is matched without building a string.
-    This is how the server reads a payload straight out of its
-    {!Frame.Decoder}; such a payload is valid only until the next
+    [Check]'s operation name is matched without building a string.  A
+    [Register]'s program is read from the memo, parsed and kept there
+    on a miss.  This is how the server reads a payload straight out of
+    its {!Frame.Decoder}; such a payload is valid only until the next
     {!Frame.Decoder.feed}, so it must be decoded before then. *)
 
 val write_reply : Buffer.t -> reply -> unit

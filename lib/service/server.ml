@@ -32,6 +32,7 @@ type conn = {
 type t = {
   config : config;
   base : System.t;
+  programs : Protocol.Programs.t;  (* shared by every connection *)
   conns : (int, conn) Hashtbl.t;
   mutable next_conn : int;
   mutable closed_executed : int;  (* counters of closed connections *)
@@ -43,6 +44,7 @@ let create ?(config = default_config) ~base () =
   {
     config;
     base;
+    programs = Protocol.Programs.create ();
     conns = Hashtbl.create 16;
     next_conn = 0;
     closed_executed = 0;
@@ -91,6 +93,14 @@ let conn_alive t ~conn =
 let sum t per =
   Hashtbl.fold (fun _ c acc -> acc + per c) t.conns 0
 
+let programs t = t.programs
+
+let program t ~conn ~object_id =
+  match Hashtbl.find_opt t.conns conn with
+  | None -> None
+  | Some c ->
+      Option.map (fun o -> o.program) (Hashtbl.find_opt c.objects object_id)
+
 let executed t = t.closed_executed + sum t (fun c -> c.executed)
 let shed t = t.closed_shed + sum t (fun c -> c.shed)
 let malformed t = t.closed_malformed + sum t (fun c -> c.malformed)
@@ -104,8 +114,10 @@ let write c (reply : Protocol.reply) =
 
 let reject seq reason : Protocol.reply = Rejected { seq; reason }
 
-let unknown_object seq id =
-  reject seq (Printf.sprintf "unknown object %s" (Protocol.quote id))
+(* A refusal's reason, concatenated: [parts] alternate fixed text and
+   the peer's names, each quoted. *)
+let refuse seq parts = reject seq (String.concat "" parts)
+let unknown_object seq id = refuse seq [ "unknown object "; Protocol.quote id ]
 
 (* Execute one decoded request at the connection's next logical time. *)
 let exec c (req : Protocol.request) : Protocol.reply =
@@ -129,12 +141,12 @@ let exec c (req : Protocol.request) : Protocol.reply =
       Ack { seq }
   | Register { object_id; owner; roles; program } -> (
       if Hashtbl.mem c.objects object_id then
-        reject seq
-          (Printf.sprintf "object %s already registered" (Protocol.quote object_id))
+        refuse seq
+          [ "object "; Protocol.quote object_id; " already registered" ]
       else
         match System.new_session c.system ~user:owner with
         | exception Rbac.Policy.Unknown (what, who) ->
-            reject seq (Printf.sprintf "unknown %s %s" what (Protocol.quote who))
+            refuse seq [ "unknown "; what; " "; Protocol.quote who ]
         | session ->
             (* best-effort activation, the scenario interpreter's rule *)
             List.iter
@@ -177,13 +189,15 @@ let exec c (req : Protocol.request) : Protocol.reply =
           match Rbac.Session.activate o.session role with
           | () -> Ack { seq }
           | exception Rbac.Session.Not_authorized (u, r) ->
-              reject seq
-                (Printf.sprintf "user %s may not activate %s" (Protocol.quote u)
-                   (Protocol.quote r))
+              refuse seq
+                [
+                  "user "; Protocol.quote u; " may not activate "; Protocol.quote r;
+                ]
           | exception Rbac.Session.Dsd_violation (_, u, r) ->
-              reject seq
-                (Printf.sprintf "DSD forbids %s activating %s" (Protocol.quote u)
-                   (Protocol.quote r))))
+              refuse seq
+                [
+                  "DSD forbids "; Protocol.quote u; " activating "; Protocol.quote r;
+                ]))
   | Join { object_id; team } ->
       if not (Hashtbl.mem c.objects object_id) then unknown_object seq object_id
       else begin
@@ -221,7 +235,7 @@ let rec drain t c i =
       drain t c (i + 1)
   | Payload -> (
       match
-        Protocol.decode_request_in (Frame.Decoder.bytes dec)
+        Protocol.decode_request_in t.programs (Frame.Decoder.bytes dec)
           ~off:(Frame.Decoder.payload_off dec) ~len:(Frame.Decoder.payload_len dec)
       with
       | Ok req ->

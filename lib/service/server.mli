@@ -64,7 +64,8 @@ val feed : t -> conn:int -> string -> string
     One pass: all the bytes go into the connection's decoder first,
     then each completed frame is decoded in place, straight out of the
     decoder's buffer ({!Frame.Decoder.advance},
-    {!Protocol.decode_request_in}), and run as it is drained.  Its
+    {!Protocol.decode_request_in} through the server's {!programs}
+    memo), and run as it is drained.  Its
     reply, with the events it caused, is written once into the
     connection's output buffer: {!Protocol.write_reply} fills a reused
     per-connection payload buffer and {!Frame.add_frame} appends the
@@ -83,6 +84,13 @@ val feed_batch : t -> (int * string) list -> (int * string) list
     Byte chunks for the same connection keep their list order; the
     result has one [(conn, reply_bytes)] entry per distinct connection,
     in first-appearance order. *)
+
+val programs : t -> Protocol.Programs.t
+(** The program memo {!feed} decodes through, shared by every
+    connection of the server. *)
+
+val program : t -> conn:int -> object_id:string -> Sral.Ast.t option
+(** The program a live connection registered for the object. *)
 
 val executed : t -> int
 (** Requests executed over the server's lifetime. *)

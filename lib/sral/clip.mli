@@ -10,5 +10,6 @@ val clip : string -> string
     {!limit} bytes followed by ["... (N bytes)"]. *)
 
 val quote : string -> string
-(** {!clip} with the kept text in OCaml string syntax
-    ([Printf.sprintf "%S"]) and the length note outside the quotes. *)
+(** {!clip} with the kept text in OCaml string syntax, byte for byte
+    [Printf.sprintf "%S"] (quotes around {!String.escaped}), and the
+    length note outside the quotes. *)

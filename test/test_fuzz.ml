@@ -946,7 +946,13 @@ let test_companion_stamp_lazy_vs_naive () =
    every pattern shape, and resource and server names holding '@'
    exercise the first-'@' split.  Names longer than [Sral.Clip.limit]
    (a user, an operation, a resource), and short names whose joined
-   target is longer, exercise the clipped denial text. *)
+   target is longer, exercise the clipped denial text.
+
+   The same table holds each user's authorized roles and each role's
+   closure, so every activation's outcome and [Engine.may_compiled]
+   (the lazy path's role bit) are compared too, against an oracle the
+   test derives from [Hierarchy.juniors], the assigned roles and the
+   direct permissions. *)
 
 type rbac_event =
   | R_probe of int * Sral.Access.t  (* session index, access *)
@@ -1029,6 +1035,33 @@ type rbac_probe = {
   bumped : bool;  (* the policy version moved since the session's last probe *)
 }
 
+let oracle_closure policy r =
+  let juniors =
+    match Rbac.Hierarchy.juniors (Rbac.Policy.hierarchy policy) r with
+    | [] -> [ r ]
+    | juniors -> juniors
+  in
+  List.concat_map (Rbac.Policy.direct_permissions policy) juniors
+
+let oracle_may policy session ~operation ~target =
+  List.exists
+    (fun r ->
+      List.exists
+        (fun perm -> Rbac.Perm.matches perm ~operation ~target)
+        (oracle_closure policy r))
+    (Rbac.Session.active_roles session)
+
+let oracle_may_activate policy session r =
+  List.mem r (Rbac.Session.active_roles session)
+  || List.exists
+       (fun a ->
+         List.mem r (Rbac.Hierarchy.juniors (Rbac.Policy.hierarchy policy) a))
+       (Rbac.Policy.assigned_roles policy (Rbac.Session.user session))
+
+let refused_activations = ref 0
+
+(* Probes in order, and each disagreement of an activation or a
+   compiled [may] with the oracle. *)
 let run_rbac_schedule events =
   let module P = Rbac.Policy in
   let policy = P.create () in
@@ -1039,62 +1072,83 @@ let run_rbac_schedule events =
     Array.map (fun user -> Rbac.Session.create policy ~user) rbac_users
   in
   let last_seen = Array.make (Array.length sessions) (-1) in
-  let admin f =
-    try f () with
-    | P.Unknown _ | Rbac.Hierarchy.Cycle _ | Rbac.Session.Not_authorized _ ->
-        ()
+  let admin f = try f () with P.Unknown _ | Rbac.Hierarchy.Cycle _ -> () in
+  let mismatches = ref [] in
+  let mismatch fmt =
+    Format.kasprintf (fun m -> mismatches := m :: !mismatches) fmt
   in
-  List.filter_map
-    (function
-      | R_probe (i, a) ->
-          let s = sessions.(i) in
-          let expected = Rbac.Engine.decide_access s a in
-          let actual = Rbac.Engine.decide_compiled s a in
-          let direct =
-            List.exists
-              (fun r ->
-                List.exists
-                  (fun perm ->
-                    Rbac.Perm.matches perm
-                      ~operation:(Sral.Access.operation_name a.op)
-                      ~target:(a.resource ^ "@" ^ a.server))
-                  (P.direct_permissions policy r))
-              (Rbac.Session.active_roles s)
-          in
-          let version = P.version policy in
-          let bumped = last_seen.(i) >= 0 && last_seen.(i) <> version in
-          last_seen.(i) <- version;
-          Some
-            {
-              expected;
-              actual;
-              inherited = Rbac.Engine.is_granted expected && not direct;
-              bumped;
-            }
-      | R_activate (i, r) ->
-          admin (fun () -> Rbac.Session.activate sessions.(i) r);
-          None
-      | R_grant (r, perm) ->
-          admin (fun () -> P.grant policy r perm);
-          None
-      | R_revoke (r, n) ->
-          (match List.nth_opt (P.direct_permissions policy r) n with
-          | Some perm -> P.revoke policy r perm
-          | None -> ());
-          None
-      | R_inherit (senior, junior) ->
-          admin (fun () -> P.add_inheritance policy ~senior ~junior);
-          None
-      | R_assign (u, r) ->
-          admin (fun () -> P.assign_user policy u r);
-          None
-      | R_deassign (u, r) ->
-          P.deassign_user policy u r;
-          None
-      | R_add_role r ->
-          P.add_role policy r;
-          None)
-    events
+  let probes =
+    List.filter_map
+      (function
+        | R_probe (i, a) ->
+            let s = sessions.(i) in
+            let operation = Sral.Access.operation_name a.op in
+            List.iter
+              (fun target ->
+                let expected = oracle_may policy s ~operation ~target in
+                if Rbac.Engine.may_compiled s ~operation ~target <> expected then
+                  mismatch "session %d: compiled may %s:%s is %b" i operation
+                    target (not expected))
+              ((a.resource ^ "@" ^ a.server) :: rbac_targets);
+            let expected = Rbac.Engine.decide_access s a in
+            let actual = Rbac.Engine.decide_compiled s a in
+            let direct =
+              List.exists
+                (fun r ->
+                  List.exists
+                    (fun perm ->
+                      Rbac.Perm.matches perm ~operation
+                        ~target:(a.resource ^ "@" ^ a.server))
+                    (P.direct_permissions policy r))
+                (Rbac.Session.active_roles s)
+            in
+            let version = P.version policy in
+            let bumped = last_seen.(i) >= 0 && last_seen.(i) <> version in
+            last_seen.(i) <- version;
+            Some
+              {
+                expected;
+                actual;
+                inherited = Rbac.Engine.is_granted expected && not direct;
+                bumped;
+              }
+        | R_activate (i, r) ->
+            let s = sessions.(i) in
+            let expected = oracle_may_activate policy s r in
+            let actual =
+              match Rbac.Session.activate s r with
+              | () -> true
+              | exception Rbac.Session.Not_authorized _ ->
+                  incr refused_activations;
+                  false
+            in
+            if actual <> expected then
+              mismatch "session %d: activating %s %s" i r
+                (if actual then "succeeds" else "is refused");
+            None
+        | R_grant (r, perm) ->
+            admin (fun () -> P.grant policy r perm);
+            None
+        | R_revoke (r, n) ->
+            (match List.nth_opt (P.direct_permissions policy r) n with
+            | Some perm -> P.revoke policy r perm
+            | None -> ());
+            None
+        | R_inherit (senior, junior) ->
+            admin (fun () -> P.add_inheritance policy ~senior ~junior);
+            None
+        | R_assign (u, r) ->
+            admin (fun () -> P.assign_user policy u r);
+            None
+        | R_deassign (u, r) ->
+            P.deassign_user policy u r;
+            None
+        | R_add_role r ->
+            P.add_role policy r;
+            None)
+      events
+  in
+  (probes, List.rev !mismatches)
 
 let rbac_runs = 500
 
@@ -1113,11 +1167,10 @@ let test_compiled_rbac_vs_oracle () =
   Gen.each_seed ~salt:2424 ~count:rbac_runs (fun ~seed rng ->
       let events = rbac_schedule rng in
       let diverges events =
-        List.exists
-          (fun p -> p.expected <> p.actual)
-          (run_rbac_schedule events)
+        let probes, mismatches = run_rbac_schedule events in
+        mismatches <> [] || List.exists (fun p -> p.expected <> p.actual) probes
       in
-      let probes = run_rbac_schedule events in
+      let probes, _ = run_rbac_schedule events in
       List.iter
         (fun p ->
           (match p.expected with
@@ -1132,23 +1185,29 @@ let test_compiled_rbac_vs_oracle () =
         let small = Gen.shrink_list ~fails:diverges events in
         Gen.report_minimized ~seed ~what:"RBAC schedule" pp_rbac_schedule
           small;
+        let probes, mismatches = run_rbac_schedule small in
+        Alcotest.(check (list string))
+          (Printf.sprintf "seed %d: compiled = oracle" seed)
+          [] mismatches;
         List.iter
           (fun p ->
             Alcotest.(check string)
               (Printf.sprintf "seed %d: compiled = decide_access" seed)
               (Format.asprintf "%a" Rbac.Engine.pp_verdict p.expected)
               (Format.asprintf "%a" Rbac.Engine.pp_verdict p.actual))
-          (run_rbac_schedule small)
+          probes
       end);
   Printf.printf
     "%d grants (%d through a junior role), %d denials (%d clipped), %d \
-     probes after a version bump\n"
-    !grants !inherited !denials !clipped !bumped;
-  Alcotest.(check bool) "schedules grant, deny, clip, inherit and bump" true
+     probes after a version bump, %d refused activations\n"
+    !grants !inherited !denials !clipped !bumped !refused_activations;
+  Alcotest.(check bool)
+    "schedules grant, deny, clip, inherit, bump and refuse" true
     (!grants >= rbac_runs && !denials >= rbac_runs
     && !clipped >= rbac_runs
     && !inherited >= rbac_runs / 5
-    && !bumped >= rbac_runs)
+    && !bumped >= rbac_runs
+    && !refused_activations >= rbac_runs)
 
 let () =
   Alcotest.run "fuzz"

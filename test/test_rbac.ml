@@ -415,6 +415,57 @@ let test_engine_compiled () =
     (Engine.decide_compiled s granted = Engine.decide_access s granted
     && not (Engine.is_granted (Engine.decide_compiled s granted)))
 
+(* The per-version table also holds each role's closure and each
+   user's authorized roles: the compiled [may] and a warm
+   authorized-roles read allocate nothing, and both agree with the
+   uncached derivations. *)
+let minor_words_per rounds f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int rounds
+
+let test_engine_may_compiled_allocation () =
+  let policy = fixture () in
+  let s = Session.create policy ~user:"alice" in
+  Session.activate s "auditor";
+  let asks =
+    [ ("read", "db@s1"); ("hash", "*@*"); ("write", "report@s1"); ("read", "db") ]
+  in
+  List.iter
+    (fun (operation, target) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "may %s:%s" operation target)
+        (Session.may s ~operation ~target)
+        (Engine.may_compiled s ~operation ~target))
+    asks;
+  let ask (operation, target) = ignore (Engine.may_compiled s ~operation ~target) in
+  let words = minor_words_per 10_000 (fun () -> List.iter ask asks) in
+  Alcotest.(check bool)
+    (Printf.sprintf "compiled may: %.3f minor words per 4 asks" words)
+    true (words < 0.01)
+
+let test_policy_authorized_allocation () =
+  let policy = fixture () in
+  List.iter
+    (fun u ->
+      Alcotest.(check (list string)) ("authorized " ^ u)
+        (Policy.authorized_roles policy u)
+        (Policy.compiled_authorized_roles policy u))
+    [ "alice"; "bob"; "nobody" ];
+  let words =
+    minor_words_per 10_000 (fun () ->
+        ignore (Policy.compiled_authorized_roles policy "alice"))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm authorized roles: %.3f minor words" words)
+    true (words < 0.01);
+  Policy.assign_user policy "bob" "chief";
+  Alcotest.(check (list string)) "an assignment is seen"
+    [ "auditor"; "chief"; "reader" ]
+    (Policy.compiled_authorized_roles policy "bob")
+
 (* --- TRBAC baseline --- *)
 
 let qh = Temporal.Q.of_int
@@ -612,6 +663,10 @@ let () =
         [
           Alcotest.test_case "decisions" `Quick test_engine_decisions;
           Alcotest.test_case "compiled table" `Quick test_engine_compiled;
+          Alcotest.test_case "compiled may allocates nothing" `Quick
+            test_engine_may_compiled_allocation;
+          Alcotest.test_case "authorized roles allocate nothing" `Quick
+            test_policy_authorized_allocation;
         ] );
       ( "gtrbac",
         [

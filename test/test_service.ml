@@ -418,6 +418,96 @@ let test_refusals_bounded () =
   Alcotest.(check string) "dead connection ignored" ""
     (Server.feed server ~conn (frame_req Ping))
 
+(* --- the server's program memo --- *)
+
+(* A Register payload carrying [text] as its program, parsable or not. *)
+let register_text ~object_id text =
+  let str s =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_be b 0 (Int32.of_int (String.length s));
+    Bytes.to_string b ^ s
+  in
+  Frame.encode
+    (String.concat ""
+       [
+         String.make 1 (Char.chr Protocol.version); "\x01"; str object_id;
+         str user0; "\x00\x00\x00\x00"; str text;
+       ])
+
+let memo_size server = Protocol.Programs.size (Server.programs server)
+
+let test_memo_shares_programs () =
+  let server = Server.create ~base:(Script.base_system ()) () in
+  let text = Sral.Pretty.to_string (Lazy.force a_program) in
+  let registered conn =
+    (match decode_replies (Server.feed server ~conn (register_text ~object_id:"obj" text)) with
+    | [ Ack _ ] -> ()
+    | _ -> Alcotest.fail "register not acknowledged");
+    match Server.program server ~conn ~object_id:"obj" with
+    | Some p -> p
+    | None -> Alcotest.fail "no program registered"
+  in
+  let p1 = registered (Server.open_conn server) in
+  let p2 = registered (Server.open_conn server) in
+  Alcotest.(check bool) "one program for one text" true (p1 == p2);
+  Alcotest.(check bool) "the parser's program" true
+    (Sral.Ast.equal p1 (Sral.Parser.program text));
+  Alcotest.(check int) "one entry" 1 (memo_size server)
+
+(* A bad program is refused with the bytes it always got, kills the
+   connection and leaves nothing behind: the next connection to send it
+   is refused alike. *)
+let test_memo_skips_bad_programs () =
+  let server = Server.create ~base:(Script.base_system ()) () in
+  let text = "read r1 @" in
+  let expected =
+    [
+      Protocol.Rejected
+        {
+          seq = 1;
+          reason = Printf.sprintf "malformed payload: bad program %S" text;
+        };
+    ]
+  in
+  for _ = 1 to 2 do
+    let conn = Server.open_conn server in
+    let replies =
+      decode_replies (Server.feed server ~conn (register_text ~object_id:"obj" text))
+    in
+    Alcotest.(check bool) "same Rejected bytes" true
+      (List.map Protocol.encode_reply replies
+      = List.map Protocol.encode_reply expected);
+    Alcotest.(check bool) "connection killed" false (Server.conn_alive server ~conn)
+  done;
+  Alcotest.(check int) "nothing memoized" 0 (memo_size server)
+
+let test_memo_bounded () =
+  let server = Server.create ~base:(Script.base_system ()) () in
+  let conn = Server.open_conn server in
+  let register i text =
+    match
+      decode_replies
+        (Server.feed server ~conn
+           (register_text ~object_id:(Printf.sprintf "o%d" i) text))
+    with
+    | [ Ack _ ] -> ()
+    | _ -> Alcotest.failf "register %d not acknowledged" i
+  in
+  let long =
+    String.concat "; " (List.init 500 (fun i -> Printf.sprintf "read r%d @ s1" i))
+  in
+  Alcotest.(check bool) "over the size cap" true
+    (String.length long > Protocol.Programs.max_text);
+  register 0 long;
+  Alcotest.(check int) "an oversized text is not kept" 0 (memo_size server);
+  for i = 1 to Protocol.Programs.cap + 1 do
+    register i (Printf.sprintf "read r%d @ s1" i)
+  done;
+  let held = memo_size server in
+  if held < 1 || held > Protocol.Programs.cap then
+    Alcotest.failf "%d entries after %d distinct texts (cap %d)" held
+      (Protocol.Programs.cap + 1) Protocol.Programs.cap
+
 (* An RBAC denial names the request's operation, resource and server;
    each is clipped at its source, so a Check naming a 1 MB resource gets
    a small verdict. *)
@@ -1097,6 +1187,15 @@ let () =
             test_feed_segmentation;
           Alcotest.test_case "RBAC denials quote a bounded prefix" `Quick
             test_rbac_denial_bounded;
+        ] );
+      ( "program memo",
+        [
+          Alcotest.test_case "one text, one program across connections"
+            `Quick test_memo_shares_programs;
+          Alcotest.test_case "bad programs refused alike, not kept" `Quick
+            test_memo_skips_bad_programs;
+          Alcotest.test_case "bounded in entries and text size" `Quick
+            test_memo_bounded;
         ] );
       ( "differential",
         [

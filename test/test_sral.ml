@@ -448,9 +448,41 @@ let test_access_hash_spread () =
     true
     (stats.max_bucket_length <= 12)
 
+(* [Clip.quote] concatenates; the formatted reference below is how it
+   was built before.  The strings draw every byte value, and half of
+   them outgrow [Clip.limit], so the length note is compared too. *)
+let formatted_quote s =
+  let n = String.length s in
+  if n <= Clip.limit then Printf.sprintf "%S" s
+  else Printf.sprintf "%S... (%d bytes)" (String.sub s 0 Clip.limit) n
+
+let test_clip_quote_formatted () =
+  let seen = Array.make 256 false in
+  let check ~seed s =
+    String.iter (fun c -> seen.(Char.code c) <- true) s;
+    let expected = formatted_quote s and actual = Clip.quote s in
+    if actual <> expected then
+      Alcotest.failf "seed %d: quote %S is %S, expected %S" seed s actual
+        expected
+  in
+  check ~seed:(-1) (String.init 256 Char.chr);
+  Gen.each_seed ~salt:3303 ~count:200 (fun ~seed rng ->
+      for _ = 1 to 20 do
+        let n = Random.State.int rng (2 * Clip.limit + 2) in
+        check ~seed
+          (String.init n (fun _ -> Char.chr (Random.State.int rng 256)))
+      done);
+  Alcotest.(check bool) "every byte value drawn" true
+    (Array.for_all Fun.id seen)
+
 let () =
   Alcotest.run "sral"
     [
+      ( "clip",
+        [
+          Alcotest.test_case "quote = Printf %S (seeded)" `Quick
+            test_clip_quote_formatted;
+        ] );
       ( "lexer",
         [
           Alcotest.test_case "basic" `Quick test_lexer_basic;
