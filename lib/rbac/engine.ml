@@ -25,12 +25,6 @@ let rec covers (perms : Policy.split_perm array) i ~operation
        && field p.server a.server)
      || covers perms (i + 1) ~operation a)
 
-let rec any_role policy ~operation a = function
-  | [] -> false
-  | r :: rest ->
-      covers (Policy.compiled_permissions policy r) 0 ~operation a
-      || any_role policy ~operation a rest
-
 let rec holds perms i ~operation ~target =
   i < Array.length perms
   && (Perm.matches perms.(i) ~operation ~target
@@ -79,10 +73,8 @@ let decide_compiled session (a : Sral.Access.t) =
   if has_at a.resource 0 then decide_access session a
   else
     let operation = Sral.Access.operation_name a.op in
-    if
-      any_role (Session.policy session) ~operation a
-        (Session.active_roles session)
-    then Granted
+    if covers (Session.compiled_permissions session) 0 ~operation a then
+      Granted
     else Denied (denial ~user:(Session.user session) ~operation a)
 
 let is_granted = function Granted -> true | Denied _ -> false

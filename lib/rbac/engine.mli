@@ -20,11 +20,11 @@ val decide_access : Session.t -> Sral.Access.t -> verdict
 
 val decide_compiled : Session.t -> Sral.Access.t -> verdict
 (** The same verdict and denial bytes as {!decide_access}, read from
-    the policy's compiled table ({!Policy.compiled_permissions}): each
-    active role's split permissions are probed against the access's
-    fields, so a grant allocates nothing and a denial allocates its
-    message once.  An access whose resource contains ['@'] is decided
-    by {!decide_access} itself. *)
+    the session's split permissions ({!Session.compiled_permissions}):
+    one array probed against the access's fields, with no role looked
+    up by name, so a warm grant allocates nothing and a denial
+    allocates only its message and its [Denied] box.  An access whose
+    resource contains ['@'] is decided by {!decide_access} itself. *)
 
 val may_compiled : Session.t -> operation:string -> target:string -> bool
 (** {!Session.may}, read from the policy's compiled table

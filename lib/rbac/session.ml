@@ -3,6 +3,8 @@ type t = {
   user : string;
   mutable active : string list;  (* sorted *)
   mutable bumps : int;
+  mutable perms_at : int;  (* the [version] [perms] was read at *)
+  mutable perms : Policy.split_perm array;
 }
 
 exception Not_authorized of string * string
@@ -11,7 +13,7 @@ exception Dsd_violation of Sod.t * string * string
 let create policy ~user =
   if not (Policy.is_user policy user) then
     raise (Policy.Unknown ("user", user));
-  { policy; user; active = []; bumps = 0 }
+  { policy; user; active = []; bumps = 0; perms_at = -1; perms = [||] }
 
 let user s = s.user
 let policy s = s.policy
@@ -20,6 +22,21 @@ let active_roles s = s.active
 (* The stamp is the sum of two monotone counters, so equal stamps mean
    neither the active-role set nor the backing policy changed. *)
 let version s = s.bumps + Policy.version s.policy
+
+(* One active role reads the policy's own array; more are concatenated
+   once per stamp. *)
+let compiled_permissions s =
+  let v = version s in
+  if s.perms_at <> v then begin
+    s.perms <-
+      (match s.active with
+      | [] -> [||]
+      | [ r ] -> Policy.compiled_permissions s.policy r
+      | roles ->
+          Array.concat (List.map (Policy.compiled_permissions s.policy) roles));
+    s.perms_at <- v
+  end;
+  s.perms
 
 let activate s r =
   if not (List.mem r s.active) then begin

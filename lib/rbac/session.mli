@@ -27,6 +27,15 @@ val version : t -> int
     alone) and whenever the backing {!Policy} is administratively
     modified.  Equal stamps ⟹ [may] answers are unchanged. *)
 
+val compiled_permissions : t -> Policy.split_perm array
+(** The active roles' {!Policy.compiled_permissions}: the policy's own
+    array when one role is active, their concatenation when more are.
+    The session keeps the array with the {!version} it was read at and
+    reads it again only when that stamp moves, so a call at an
+    unchanged stamp allocates nothing and looks up no role.  Anything
+    that changes the active roles or the policy must therefore move
+    {!version}, or this returns a stale array. *)
+
 val activate : t -> string -> unit
 (** The authorized roles are read from the policy's compiled table
     ({!Policy.compiled_authorized_roles}).

@@ -1,6 +1,23 @@
 module Q = Temporal.Q
 module System = Coordinated.System
 
+(* The check path's tables call neither the generic compare nor the
+   generic hash: a connection id is its own hash, an object id hashes
+   by the fold [Sral.Access] uses. *)
+module Conns = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id
+end)
+
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Sral.Access.hash_name
+end)
+
 type config = { queue_capacity : int }
 
 let default_config = { queue_capacity = 256 }
@@ -18,7 +35,7 @@ type conn = {
   id : int;
   system : System.t;
   decoder : Frame.Decoder.t;
-  objects : (string, obj_state) Hashtbl.t;
+  objects : obj_state Names.t;
   out : Buffer.t;  (* reply frames of the feed in progress *)
   payload : Buffer.t;  (* the reply [write] is framing *)
   mutable subscribed : bool;
@@ -33,7 +50,7 @@ type t = {
   config : config;
   base : System.t;
   programs : Protocol.Programs.t;  (* shared by every connection *)
-  conns : (int, conn) Hashtbl.t;
+  conns : conn Conns.t;
   mutable next_conn : int;
   mutable closed_executed : int;  (* counters of closed connections *)
   mutable closed_shed : int;
@@ -45,7 +62,7 @@ let create ?(config = default_config) ~base () =
     config;
     base;
     programs = Protocol.Programs.create ();
-    conns = Hashtbl.create 16;
+    conns = Conns.create 16;
     next_conn = 0;
     closed_executed = 0;
     closed_shed = 0;
@@ -60,7 +77,7 @@ let open_conn t =
       id;
       system = System.clone t.base;
       decoder = Frame.Decoder.create ();
-      objects = Hashtbl.create 8;
+      objects = Names.create 8;
       out = Buffer.create 256;
       payload = Buffer.create 64;
       subscribed = false;
@@ -71,35 +88,35 @@ let open_conn t =
       malformed = 0;
     }
   in
-  Hashtbl.replace t.conns id c;
+  Conns.replace t.conns id c;
   id
 
 let retire t c =
   t.closed_executed <- t.closed_executed + c.executed;
   t.closed_shed <- t.closed_shed + c.shed;
   t.closed_malformed <- t.closed_malformed + c.malformed;
-  Hashtbl.remove t.conns c.id
+  Conns.remove t.conns c.id
 
 let close_conn t ~conn =
-  match Hashtbl.find_opt t.conns conn with
+  match Conns.find_opt t.conns conn with
   | None -> ()
   | Some c -> retire t c
 
 let conn_alive t ~conn =
-  match Hashtbl.find_opt t.conns conn with
+  match Conns.find_opt t.conns conn with
   | None -> false
   | Some c -> not c.dead
 
 let sum t per =
-  Hashtbl.fold (fun _ c acc -> acc + per c) t.conns 0
+  Conns.fold (fun _ c acc -> acc + per c) t.conns 0
 
 let programs t = t.programs
 
 let program t ~conn ~object_id =
-  match Hashtbl.find_opt t.conns conn with
+  match Conns.find_opt t.conns conn with
   | None -> None
   | Some c ->
-      Option.map (fun o -> o.program) (Hashtbl.find_opt c.objects object_id)
+      Option.map (fun o -> o.program) (Names.find_opt c.objects object_id)
 
 let executed t = t.closed_executed + sum t (fun c -> c.executed)
 let shed t = t.closed_shed + sum t (fun c -> c.shed)
@@ -140,7 +157,7 @@ let exec c (req : Protocol.request) : Protocol.reply =
       end;
       Ack { seq }
   | Register { object_id; owner; roles; program } -> (
-      if Hashtbl.mem c.objects object_id then
+      if Names.mem c.objects object_id then
         refuse seq
           [ "object "; Protocol.quote object_id; " already registered" ]
       else
@@ -157,23 +174,23 @@ let exec c (req : Protocol.request) : Protocol.reply =
                   ())
               roles;
             let monitor = System.monitor c.system ~object_id in
-            Hashtbl.replace c.objects object_id { session; program; monitor };
+            Names.replace c.objects object_id { session; program; monitor };
             Ack { seq })
   | Arrive { object_id; server } ->
-      if not (Hashtbl.mem c.objects object_id) then unknown_object seq object_id
+      if not (Names.mem c.objects object_id) then unknown_object seq object_id
       else begin
         System.arrive c.system ~object_id ~server ~time:(Q.of_int seq);
         Ack { seq }
       end
   | Depart { object_id } -> (
-      match Hashtbl.find c.objects object_id with
+      match Names.find c.objects object_id with
       | exception Not_found -> unknown_object seq object_id
       | o ->
           Rbac.Session.drop o.session;
-          Hashtbl.remove c.objects object_id;
+          Names.remove c.objects object_id;
           Ack { seq })
   | Check { object_id; access } -> (
-      match Hashtbl.find c.objects object_id with
+      match Names.find c.objects object_id with
       | exception Not_found -> unknown_object seq object_id
       | o ->
           let verdict =
@@ -183,7 +200,7 @@ let exec c (req : Protocol.request) : Protocol.reply =
           in
           Verdict { seq; verdict })
   | Activate { object_id; role } -> (
-      match Hashtbl.find c.objects object_id with
+      match Names.find c.objects object_id with
       | exception Not_found -> unknown_object seq object_id
       | o -> (
           match Rbac.Session.activate o.session role with
@@ -199,7 +216,7 @@ let exec c (req : Protocol.request) : Protocol.reply =
                   "DSD forbids "; Protocol.quote u; " activating "; Protocol.quote r;
                 ]))
   | Join { object_id; team } ->
-      if not (Hashtbl.mem c.objects object_id) then unknown_object seq object_id
+      if not (Names.mem c.objects object_id) then unknown_object seq object_id
       else begin
         System.join_team c.system ~object_id ~team;
         Ack { seq }
@@ -244,7 +261,7 @@ let rec drain t c i =
       | Error err -> kill c (Protocol.describe err))
 
 let feed t ~conn bytes =
-  match Hashtbl.find t.conns conn with
+  match Conns.find t.conns conn with
   | exception Not_found -> ""
   | c when c.dead -> ""
   | c ->
@@ -258,13 +275,13 @@ let feed_batch t items =
   (* group chunks by connection, preserving chunk order within each
      connection and first-appearance order across connections *)
   let order = ref [] in
-  let groups : (int, string list ref) Hashtbl.t = Hashtbl.create 8 in
+  let groups = Conns.create 8 in
   List.iter
     (fun (conn, bytes) ->
-      match Hashtbl.find_opt groups conn with
+      match Conns.find_opt groups conn with
       | Some chunks -> chunks := bytes :: !chunks
       | None ->
-          Hashtbl.replace groups conn (ref [ bytes ]);
+          Conns.replace groups conn (ref [ bytes ]);
           order := conn :: !order)
     items;
   let order = Array.of_list (List.rev !order) in
@@ -272,7 +289,7 @@ let feed_batch t items =
   if n = 0 then []
   else begin
     let bytes_of conn =
-      String.concat "" (List.rev !(Hashtbl.find groups conn))
+      String.concat "" (List.rev !(Conns.find groups conn))
     in
     (* connections are isolated clones, so cross-connection fan-out is
        shard-safe; bundle them so we never spawn more domains than the
@@ -291,10 +308,10 @@ let feed_batch t items =
     in
     let per_worker = Parallel.Backend.parallel tasks in
     (* stitch the strided results back into first-appearance order *)
-    let by_conn = Hashtbl.create 8 in
+    let by_conn = Conns.create 8 in
     Array.iter
       (fun results ->
-        List.iter (fun (conn, out) -> Hashtbl.replace by_conn conn out) results)
+        List.iter (fun (conn, out) -> Conns.replace by_conn conn out) results)
       per_worker;
-    Array.to_list (Array.map (fun conn -> (conn, Hashtbl.find by_conn conn)) order)
+    Array.to_list (Array.map (fun conn -> (conn, Conns.find by_conn conn)) order)
   end

@@ -38,7 +38,18 @@ let compare a1 a2 =
     let c = String.compare a1.resource a2.resource in
     if c <> 0 then c else String.compare a1.server a2.server
 
-let equal a1 a2 = compare a1 a2 = 0
+let equal_operation op1 op2 =
+  match (op1, op2) with
+  | Read, Read | Write, Write | Execute, Execute -> true
+  | Custom n1, Custom n2 -> String.equal n1 n2
+  | _ -> false
+
+let equal a1 a2 =
+  a1 == a2
+  || equal_operation a1.op a2.op
+     && String.equal a1.resource a2.resource
+     && String.equal a1.server a2.server
+
 (* The hash sits on allocation-free hot paths (symbol interning, the
    applicable-binding memo), so it is folded here in plain OCaml: no C
    call, no tuple.  FNV-1a over the operation tag and the bytes of each
@@ -62,6 +73,8 @@ let avalanche h =
   let h = (h lxor (h lsr 33)) * 0x3f51afd7ed558ccd in
   let h = (h lxor (h lsr 33)) * 0x04ceb9fe1a85ec53 in
   h lxor (h lsr 33)
+
+let hash_name s = avalanche (fold_string 0 s) land max_int
 
 let hash a =
   let h =

@@ -33,10 +33,19 @@ val custom : string -> string -> at:string -> t
 (** [custom name r ~at:s] is the access [op(name) r @ s]. *)
 
 val compare : t -> t -> int
+
 val equal : t -> t -> bool
+(** [compare a b = 0], tested field by field with [String.equal]
+    (physically equal accesses first): no allocation. *)
+
 val hash : t -> int
 (** Content hash of the operation and both names, folded in OCaml: no
     C call, no allocation.  Equal accesses hash equal. *)
+
+val hash_name : string -> int
+(** The same fold over one name, for tables keyed by a name: no C call,
+    no allocation, and names differing in one byte spread over the low
+    bits. *)
 
 module Tbl : Hashtbl.S with type key = t
 (** Hashtables keyed by access, compared with {!equal} and hashed with

@@ -952,11 +952,20 @@ let test_companion_stamp_lazy_vs_naive () =
    closure, so every activation's outcome and [Engine.may_compiled]
    (the lazy path's role bit) are compared too, against an oracle the
    test derives from [Hierarchy.juniors], the assigned roles and the
-   direct permissions. *)
+   direct permissions.
+
+   [decide_compiled] reads an array each session keeps with its
+   [Session.version], so sessions also deactivate and drop roles, and
+   the property counts the probes whose session changed its active
+   roles or saw a policy version bump since its previous probe: an
+   array read once, or refreshed on the policy version alone, gives a
+   stale verdict at some of them. *)
 
 type rbac_event =
   | R_probe of int * Sral.Access.t  (* session index, access *)
   | R_activate of int * string
+  | R_deactivate of int * string
+  | R_drop of int
   | R_grant of string * Rbac.Perm.t
   | R_revoke of string * int  (* the role's nth direct permission *)
   | R_inherit of string * string  (* senior, junior *)
@@ -974,24 +983,25 @@ let rbac_targets =
   [ "*"; "db"; "db@*"; "*@s1"; "db@s1"; "*@*"; "a@b@s1"; "*@b@s1"; "a@*";
     "a@b@*"; "cfg@s2"; long ^ "@*"; half ^ "@" ^ half ]
 
+let rbac_probe rng i =
+  let op =
+    Gen.pick rng
+      Sral.Access.[ Read; Write; Custom "hash"; Custom "*"; Custom long ]
+  in
+  R_probe
+    ( i,
+      Sral.Access.make ~op
+        ~resource:
+          (Gen.pick rng [ "db"; "a"; "a@b"; "cfg"; "*"; long; half; long ^ "@b" ])
+        ~server:(Gen.pick rng [ "s1"; "s2"; "b@s1"; half ]) )
+
 let rbac_event rng =
   let role () = Gen.pick rng rbac_roles in
   let user () = Gen.pick rng [ "u0"; "u1"; long_user ] in
-  match Random.State.int rng 16 with
-  | 0 | 1 | 2 | 3 | 4 | 5 ->
-      let op =
-        Gen.pick rng
-          Sral.Access.[ Read; Write; Custom "hash"; Custom "*"; Custom long ]
-      in
-      R_probe
-        ( Random.State.int rng (Array.length rbac_users),
-          Sral.Access.make ~op
-            ~resource:
-              (Gen.pick rng
-                 [ "db"; "a"; "a@b"; "cfg"; "*"; long; half; long ^ "@b" ])
-            ~server:(Gen.pick rng [ "s1"; "s2"; "b@s1"; half ]) )
-  | 6 | 7 ->
-      R_activate (Random.State.int rng (Array.length rbac_users), role ())
+  let session () = Random.State.int rng (Array.length rbac_users) in
+  match Random.State.int rng 18 with
+  | 0 | 1 | 2 | 3 | 4 | 5 -> rbac_probe rng (session ())
+  | 6 | 7 -> R_activate (session (), role ())
   | 8 | 9 ->
       R_grant
         ( role (),
@@ -1002,7 +1012,19 @@ let rbac_event rng =
   | 11 | 12 -> R_inherit (role (), role ())
   | 13 -> R_assign (user (), role ())
   | 14 -> R_deassign (user (), role ())
-  | _ -> R_add_role (role ())
+  | 15 -> R_add_role (role ())
+  | 16 -> R_deactivate (session (), role ())
+  | _ -> R_drop (session ())
+
+(* with the policy left alone, so that a session's stamp moves by its
+   roles only *)
+let rbac_session_event rng =
+  let session = Random.State.int rng (Array.length rbac_users) in
+  match Random.State.int rng 10 with
+  | 0 | 1 | 2 | 3 | 4 -> rbac_probe rng session
+  | 5 | 6 -> R_activate (session, Gen.pick rng rbac_roles)
+  | 7 | 8 -> R_deactivate (session, Gen.pick rng rbac_roles)
+  | _ -> R_drop session
 
 let rbac_schedule rng =
   (* every session starts with an active role, so probes see grants
@@ -1011,11 +1033,14 @@ let rbac_schedule rng =
     R_assign (long_user, "ra") ]
   @ List.init (Array.length rbac_users) (fun i -> R_activate (i, "ra"))
   @ List.init (30 + Random.State.int rng 40) (fun _ -> rbac_event rng)
+  @ List.init (10 + Random.State.int rng 20) (fun _ -> rbac_session_event rng)
 
 let pp_rbac_event ppf = function
   | R_probe (i, a) ->
       Format.fprintf ppf "session %d probes %a" i Sral.Access.pp a
   | R_activate (i, r) -> Format.fprintf ppf "session %d activates %s" i r
+  | R_deactivate (i, r) -> Format.fprintf ppf "session %d deactivates %s" i r
+  | R_drop i -> Format.fprintf ppf "session %d drops its roles" i
   | R_grant (r, p) -> Format.fprintf ppf "grant %s %a" r Rbac.Perm.pp p
   | R_revoke (r, n) -> Format.fprintf ppf "revoke %s's permission %d" r n
   | R_inherit (s, j) -> Format.fprintf ppf "%s inherits %s" s j
@@ -1033,6 +1058,8 @@ type rbac_probe = {
   actual : Rbac.Engine.verdict;
   inherited : bool;  (* granted through a junior role only *)
   bumped : bool;  (* the policy version moved since the session's last probe *)
+  restamped : bool;  (* its active roles or the policy changed since then *)
+  roles_moved : bool;  (* its active roles changed, the policy did not *)
 }
 
 let oracle_closure policy r =
@@ -1072,6 +1099,7 @@ let run_rbac_schedule events =
     Array.map (fun user -> Rbac.Session.create policy ~user) rbac_users
   in
   let last_seen = Array.make (Array.length sessions) (-1) in
+  let last_roles = Array.make (Array.length sessions) None in
   let admin f = try f () with P.Unknown _ | Rbac.Hierarchy.Cycle _ -> () in
   let mismatches = ref [] in
   let mismatch fmt =
@@ -1104,13 +1132,22 @@ let run_rbac_schedule events =
             in
             let version = P.version policy in
             let bumped = last_seen.(i) >= 0 && last_seen.(i) <> version in
+            let roles = Rbac.Session.active_roles s in
+            let roles_moved =
+              match last_roles.(i) with
+              | Some before -> before <> roles && not bumped
+              | None -> false
+            in
             last_seen.(i) <- version;
+            last_roles.(i) <- Some roles;
             Some
               {
                 expected;
                 actual;
                 inherited = Rbac.Engine.is_granted expected && not direct;
                 bumped;
+                restamped = bumped || roles_moved;
+                roles_moved;
               }
         | R_activate (i, r) ->
             let s = sessions.(i) in
@@ -1125,6 +1162,12 @@ let run_rbac_schedule events =
             if actual <> expected then
               mismatch "session %d: activating %s %s" i r
                 (if actual then "succeeds" else "is refused");
+            None
+        | R_deactivate (i, r) ->
+            Rbac.Session.deactivate sessions.(i) r;
+            None
+        | R_drop i ->
+            Rbac.Session.drop sessions.(i);
             None
         | R_grant (r, perm) ->
             admin (fun () -> P.grant policy r perm);
@@ -1164,6 +1207,7 @@ let clipped_text why =
 let test_compiled_rbac_vs_oracle () =
   let grants = ref 0 and denials = ref 0 and inherited = ref 0 in
   let bumped = ref 0 and clipped = ref 0 in
+  let restamped = ref 0 and roles_moved = ref 0 in
   Gen.each_seed ~salt:2424 ~count:rbac_runs (fun ~seed rng ->
       let events = rbac_schedule rng in
       let diverges events =
@@ -1179,7 +1223,9 @@ let test_compiled_rbac_vs_oracle () =
               incr denials;
               if clipped_text why then incr clipped);
           if p.inherited then incr inherited;
-          if p.bumped then incr bumped)
+          if p.bumped then incr bumped;
+          if p.restamped then incr restamped;
+          if p.roles_moved then incr roles_moved)
         probes;
       if diverges events then begin
         let small = Gen.shrink_list ~fails:diverges events in
@@ -1199,14 +1245,20 @@ let test_compiled_rbac_vs_oracle () =
       end);
   Printf.printf
     "%d grants (%d through a junior role), %d denials (%d clipped), %d \
-     probes after a version bump, %d refused activations\n"
-    !grants !inherited !denials !clipped !bumped !refused_activations;
+     probes after a version bump, %d after a role or policy change (%d by \
+     roles alone), %d refused activations\n"
+    !grants !inherited !denials !clipped !bumped !restamped !roles_moved
+    !refused_activations;
+  (* probes after a change read 6,677-6,720 (483-544 by roles alone)
+     at seed offsets 0, 77, 1000 and 5000 *)
   Alcotest.(check bool)
-    "schedules grant, deny, clip, inherit, bump and refuse" true
+    "schedules grant, deny, clip, inherit, bump, restamp and refuse" true
     (!grants >= rbac_runs && !denials >= rbac_runs
     && !clipped >= rbac_runs
     && !inherited >= rbac_runs / 5
     && !bumped >= rbac_runs
+    && !restamped >= 12 * rbac_runs
+    && !roles_moved >= 4 * rbac_runs / 5
     && !refused_activations >= rbac_runs)
 
 let () =

@@ -388,9 +388,22 @@ let test_engine_decisions () =
   Alcotest.(check bool) "decide_access" true
     (Engine.is_granted (Engine.decide_access s access))
 
-(* The compiled probe reads one table per policy version: a granted
-   probe allocates nothing once the table is built, and a denial carries
-   the oracle's bytes. *)
+(* The compiled probe reads the session's array of split permissions,
+   kept with the session's version: a warm grant allocates nothing with
+   one active role (the policy's own array) or with two (their
+   concatenation), a warm denial allocates only its message and its
+   [Denied] box, and the first probe after the active roles or the
+   policy change sees the change. *)
+let minor_words_per rounds f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int rounds
+
+(* a string of [n] bytes is n / 8 + 1 words plus its header *)
+let string_words s = float_of_int ((String.length s / 8) + 2)
+
 let test_engine_compiled () =
   let policy = fixture () in
   let s = Session.create policy ~user:"alice" in
@@ -401,31 +414,70 @@ let test_engine_compiled () =
     (Engine.is_granted (Engine.decide_compiled s granted));
   Alcotest.(check bool) "denial bytes" true
     (Engine.decide_compiled s denied = Engine.decide_access s denied);
-  let rounds = 10_000 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to rounds do
-    ignore (Engine.decide_compiled s granted)
-  done;
-  let words = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  let grant_words () =
+    minor_words_per 10_000 (fun () -> ignore (Engine.decide_compiled s granted))
+  in
+  let words = grant_words () in
   Alcotest.(check bool)
-    (Printf.sprintf "granted probe: %.3f minor words" words)
+    (Printf.sprintf "granted probe, one role: %.3f minor words" words)
     true (words < 0.01);
+  Session.activate s "reader";
+  ignore (Engine.decide_compiled s granted);
+  let words = grant_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "granted probe, two roles: %.3f minor words" words)
+    true (words < 0.01);
+  let why =
+    match Engine.decide_compiled s denied with
+    | Engine.Denied why -> why
+    | Engine.Granted -> Alcotest.fail "write report@s1 is not alice's"
+  in
+  let words =
+    minor_words_per 10_000 (fun () -> ignore (Engine.decide_compiled s denied))
+  in
+  (* the [Denied] box is two words *)
+  let expected = string_words why +. 2. in
+  Alcotest.(check bool)
+    (Printf.sprintf "denied probe: %.3f minor words, message and box %.0f"
+       words expected)
+    true
+    (Float.abs (words -. expected) < 0.01);
   Policy.revoke policy "reader" (Perm.of_string "read:*@*");
   Alcotest.(check bool) "a revoke is seen" true
     (Engine.decide_compiled s granted = Engine.decide_access s granted
     && not (Engine.is_granted (Engine.decide_compiled s granted)))
 
+(* Each step is followed by exactly one compiled probe, which must
+   already give the oracle's verdict. *)
+let test_engine_compiled_stamp () =
+  let policy = fixture () in
+  let s = Session.create policy ~user:"alice" in
+  let hash = Sral.Access.custom "hash" "m" ~at:"s3" in
+  let step what change granted =
+    change ();
+    let verdict = Engine.decide_compiled s hash in
+    Alcotest.(check bool) (what ^ ": = decide_access") true
+      (verdict = Engine.decide_access s hash);
+    Alcotest.(check bool) (what ^ ": verdict") granted
+      (Engine.is_granted verdict)
+  in
+  step "no role" ignore false;
+  step "activate reader" (fun () -> Session.activate s "reader") false;
+  step "activate auditor" (fun () -> Session.activate s "auditor") true;
+  step "deactivate auditor" (fun () -> Session.deactivate s "auditor") false;
+  step "activate auditor again" (fun () -> Session.activate s "auditor") true;
+  step "revoke hash"
+    (fun () -> Policy.revoke policy "auditor" (Perm.of_string "hash:*@*"))
+    false;
+  step "grant it back"
+    (fun () -> Policy.grant policy "reader" (Perm.of_string "hash:m@s3"))
+    true;
+  step "drop" (fun () -> Session.drop s) false
+
 (* The per-version table also holds each role's closure and each
    user's authorized roles: the compiled [may] and a warm
    authorized-roles read allocate nothing, and both agree with the
    uncached derivations. *)
-let minor_words_per rounds f =
-  let w0 = Gc.minor_words () in
-  for _ = 1 to rounds do
-    f ()
-  done;
-  (Gc.minor_words () -. w0) /. float_of_int rounds
-
 let test_engine_may_compiled_allocation () =
   let policy = fixture () in
   let s = Session.create policy ~user:"alice" in
@@ -663,6 +715,8 @@ let () =
         [
           Alcotest.test_case "decisions" `Quick test_engine_decisions;
           Alcotest.test_case "compiled table" `Quick test_engine_compiled;
+          Alcotest.test_case "first probe sees a role or policy change" `Quick
+            test_engine_compiled_stamp;
           Alcotest.test_case "compiled may allocates nothing" `Quick
             test_engine_may_compiled_allocation;
           Alcotest.test_case "authorized roles allocate nothing" `Quick

@@ -733,6 +733,100 @@ let test_reregister_keeps_monitor () =
         | v -> Format.asprintf "%a" Coordinated.Decision.pp_verdict v)
   | _ -> Alcotest.fail "unexpected reply shape"
 
+(* [Server]'s connection table hashes an id by itself and its object
+   tables hash a name by [Sral.Access.hash_name].  One connection
+   registers 512 objects whose ids differ only in their last two bytes
+   (the last one takes every byte value), checks them, departs a third
+   and re-registers all; then 1,000 connections open and most close
+   again, and the ones left open must still be served, each on its own
+   clock, with [executed] keeping what the closed ones ran. *)
+let test_server_tables () =
+  let base =
+    Coordinated.System.of_policy_text
+      "user u\nrole r\nassign u r\ngrant r read:*@s1\n"
+  in
+  let id i =
+    String.make 40 'o' ^ String.make 1 (Char.chr (0xf0 + (i / 256)))
+    ^ String.make 1 (Char.chr (i mod 256))
+  in
+  let each f = List.init 512 f in
+  let register i : Protocol.request =
+    Register
+      {
+        object_id = id i;
+        owner = "u";
+        roles = [ "r" ];
+        program = Sral.Parser.program "skip";
+      }
+  in
+  let check op i : Protocol.request =
+    Check
+      {
+        object_id = id i;
+        access = Sral.Access.make ~op ~resource:"r1" ~server:"s1";
+      }
+  in
+  let requests =
+    each register
+    @ each (fun i : Protocol.request -> Arrive { object_id = id i; server = "s1" })
+    @ each (fun i -> check (if i mod 2 = 0 then Read else Write) i)
+    @ List.filter_map
+        (fun i : Protocol.request option ->
+          if i mod 3 = 0 then Some (Depart { object_id = id i }) else None)
+        (each Fun.id)
+    @ each (check Read) @ each register @ each (check Read)
+  in
+  let script = List.map (fun req -> { Script.conn = 0; req }) requests in
+  let sim = Script.run_sim ~base script in
+  Alcotest.(check string) "sim = direct"
+    (Script.render (Script.drive_direct ~base script))
+    (Script.render sim);
+  let granted = ref 0 and denied = ref 0 and refused = ref 0 in
+  List.iter
+    (fun (_, replies) ->
+      List.iter
+        (function
+          | Protocol.Verdict { verdict; _ } ->
+              if Coordinated.Decision.is_granted verdict then incr granted
+              else incr denied
+          | Rejected _ -> incr refused
+          | _ -> ())
+        replies)
+    sim;
+  (* 256 + 341 + 512 reads granted, 256 writes denied; 171 departed
+     objects unknown, 341 still registered *)
+  Alcotest.(check (list int)) "granted, denied, refused" [ 1109; 256; 512 ]
+    [ !granted; !denied; !refused ];
+  let server = Server.create ~base () in
+  let ping = frame_req Ping in
+  let kept =
+    List.filter_map
+      (fun i ->
+        let conn = Server.open_conn server in
+        ignore (Server.feed server ~conn ping);
+        if i mod 4 = 0 then Some conn
+        else begin
+          Server.close_conn server ~conn;
+          None
+        end)
+      (List.init 1000 Fun.id)
+  in
+  Alcotest.(check int) "ids stay distinct" 250
+    (List.length (List.sort_uniq Int.compare kept));
+  Alcotest.(check int) "executed before the closes" 1000
+    (Server.executed server);
+  List.iter
+    (fun conn ->
+      match feed_req server conn Ping with
+      | [ Ack { seq = 2 } ] -> ()
+      | _ -> Alcotest.failf "open connection %d not served" conn)
+    kept;
+  Alcotest.(check bool) "a closed connection is gone" false
+    (Server.conn_alive server ~conn:1
+    || Server.feed server ~conn:1 ping <> "");
+  Alcotest.(check int) "executed keeps closed connections" 1250
+    (Server.executed server)
+
 (* sim = direct compares two drives, so a change that moved both would
    pass it unseen; this pins the reply bytes themselves.  Update the
    digest only for an intended change to the reply bytes, and name that
@@ -1181,6 +1275,8 @@ let () =
           Alcotest.test_case "refusals quote a bounded prefix" `Quick
             test_refusals_bounded;
           Alcotest.test_case "feed_batch = feed" `Quick test_feed_batch_conforms;
+          Alcotest.test_case "tables: near-twin ids, connection churn" `Quick
+            test_server_tables;
           Alcotest.test_case "one chunk, several outcomes" `Quick
             test_server_chunk_outcomes;
           Alcotest.test_case "segmentation leaves replies alone" `Quick

@@ -425,6 +425,92 @@ let test_access_hash_equal () =
             (Access.to_string a)
       done)
 
+(* [Access.equal] tests fields with [String.equal]; [compare] is the
+   reference.  Pairs are built to be hard to tell apart: copies, names
+   of 0-70 bytes that share a prefix, that differ only in their last
+   byte (often past ASCII) or by one byte of length, and built-in
+   operations against [Custom] ones of the same name. *)
+let gen_byte rng =
+  if Random.State.int rng 3 = 0 then Char.chr (128 + Random.State.int rng 128)
+  else Char.chr (97 + Random.State.int rng 3)
+
+let gen_long_name rng =
+  String.init (Random.State.int rng 71) (fun _ -> gen_byte rng)
+
+let near_name rng s =
+  let n = String.length s in
+  let byte () = gen_byte rng in
+  match Random.State.int rng 5 with
+  | 0 -> Bytes.to_string (Bytes.of_string s)
+  | 1 when n > 0 -> String.sub s 0 (n - 1) ^ String.make 1 (byte ())
+  | 2 when n > 0 -> String.sub s 0 (n - 1)
+  | 3 when n < 70 -> s ^ String.make 1 (byte ())
+  | _ ->
+      let keep = Random.State.int rng (n + 1) in
+      String.sub s 0 keep
+      ^ String.init
+          (Random.State.int rng (71 - keep))
+          (fun _ -> byte ())
+
+let gen_op rng : Access.operation =
+  match Random.State.int rng 4 with
+  | 0 -> Read
+  | 1 -> Write
+  | 2 -> Execute
+  | _ -> Custom (gen_long_name rng)
+
+(* [Custom "read"] is not [Read] *)
+let near_op rng (op : Access.operation) : Access.operation =
+  match (Random.State.int rng 3, op) with
+  | 0, Custom n -> Custom (near_name rng n)
+  | 0, (Read | Write | Execute) -> Custom (Access.operation_name op)
+  | 1, _ -> gen_op rng
+  | _ -> op
+
+let test_access_equal_compare () =
+  let equal = ref 0 and unequal = ref 0 in
+  Gen.each_seed ~salt:3304 ~count:200 (fun ~seed rng ->
+      for _ = 1 to 50 do
+        let a =
+          Access.make ~op:(gen_op rng) ~resource:(gen_long_name rng)
+            ~server:(gen_long_name rng)
+        in
+        let b =
+          match Random.State.int rng 5 with
+          | 0 -> a
+          | 1 -> copy a
+          | 2 -> { (copy a) with op = near_op rng a.op }
+          | 3 -> { (copy a) with resource = near_name rng a.resource }
+          | _ -> { (copy a) with server = near_name rng a.server }
+        in
+        let expected = Access.compare a b = 0 in
+        if expected then incr equal else incr unequal;
+        if Access.equal a b <> expected || Access.equal b a <> expected then
+          Alcotest.failf "seed %d: equal %s %s is %b" seed
+            (Access.to_string a) (Access.to_string b) (not expected)
+      done);
+  Alcotest.(check bool)
+    (Printf.sprintf "both outcomes drawn (%d equal, %d unequal)" !equal
+       !unequal)
+    true
+    (!equal >= 2_000 && !unequal >= 2_000)
+
+let test_access_equal_allocation () =
+  let name = String.make 70 '\xe9' in
+  let a = Access.custom name name ~at:name in
+  let b = copy a in
+  let c = { (copy a) with server = String.sub name 0 69 ^ "\xea" } in
+  let rounds = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (Sys.opaque_identity (Access.equal a b));
+    ignore (Sys.opaque_identity (Access.equal a c))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  Alcotest.(check bool)
+    (Printf.sprintf "equal: %.3f minor words per two calls" words)
+    true (words < 0.01)
+
 (* 4,096 short names differing in a digit or two: the names a
    coalition's resources and servers carry.  The table grows to 2,048
    buckets; its largest holds 8, as many as a random function's does on
@@ -559,6 +645,10 @@ let () =
             test_access_operation_roundtrip;
           Alcotest.test_case "equal accesses hash equal (seeded)" `Quick
             test_access_hash_equal;
+          Alcotest.test_case "equal = (compare = 0) (seeded)" `Quick
+            test_access_equal_compare;
+          Alcotest.test_case "equal allocates nothing" `Quick
+            test_access_equal_allocation;
           Alcotest.test_case "hash spreads a name grid" `Quick
             test_access_hash_spread;
         ] );
